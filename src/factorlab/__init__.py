@@ -52,7 +52,6 @@ from .invariants import (
     length_set,
     length_set_sumset,
     monotone_catenary,
-    monotone_chain_oracle,
     successive_distance,
     unions_of_lengths,
     unique_representations,

@@ -2,9 +2,9 @@
 
 Layout: <cache-dir>/<descriptor-hash>/<element-hash>.json, canonical JSON
 bytes, written atomically (temp file then rename) so concurrent runs can
-only ever observe complete files. The FACTORLAB_CACHE environment
-variable supplies a default directory; caching is off when neither it
-nor an explicit directory is given.
+only ever observe complete files; an unreadable entry counts as a miss.
+The FACTORLAB_CACHE environment variable supplies a default directory;
+caching is off when neither it nor an explicit directory is given.
 """
 
 from __future__ import annotations
@@ -14,8 +14,13 @@ import os
 import tempfile
 
 from . import factor, models
+from .errors import ShapeMismatch
 
 ENV_VAR = "FACTORLAB_CACHE"
+
+# Decode errors (JSONDecodeError and UnicodeDecodeError are ValueErrors),
+# missing keys, and values of the wrong shape or order.
+_UNREADABLE = (ValueError, KeyError, TypeError, IndexError, ShapeMismatch)
 
 
 def resolve_cache_dir(explicit: str | None) -> str | None:
@@ -41,14 +46,18 @@ def load_or_compute(
     """Replay a cached factorization set or compute and store it.
 
     Cached sets are complete enumerations, so they stay valid whatever
-    budget later runs use.
+    budget later runs use. An entry that does not decode to a factor set
+    of the right shape is treated as a miss and replaced.
     """
     if cache_dir is None:
         return factor.factorizations(desc, el, budget)
     path = cache_path(cache_dir, desc, el)
     if os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            return factor.factor_set_from_json(desc, json.load(fh))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                return factor.factor_set_from_json(desc, json.load(fh))
+        except _UNREADABLE:
+            pass  # a damaged entry is a miss: recompute and rewrite it
     fs = factor.factorizations(desc, el, budget)
     payload = models.canonical_dumps(factor.factor_set_to_json(fs))
     os.makedirs(os.path.dirname(path), exist_ok=True)

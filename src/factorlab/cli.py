@@ -52,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--length-bound", type=int, default=None,
                         help="length bound for relation enumeration")
     common.add_argument("--budget", type=int, default=factor.DEFAULT_BUDGET,
-                        help="enumeration step budget")
+                        help="maximum factorizations enumerated per element "
+                             "(exit 3 when exceeded)")
     common.add_argument("--output", choices=("json", "table"), default="table")
     common.add_argument("--cache-dir", default=None,
                         help="factorization cache directory "

@@ -8,13 +8,19 @@ multiset is produced exactly once; weight additivity bounds the depth.
 Product elements are factored compositionally, one slot at a time.
 
 The distance between two factorizations of the same element removes the
-greatest common subfactorization and takes the larger remaining length.
+greatest common subfactorization and takes the larger remaining length:
+d(x, y) = max(|x|, |y|) - |gcd(x, y)|. A FactorSet builds the table of
+all pairwise distances of its fiber once, on first use, and the element
+invariants read it from there.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
+from operator import and_, sub
 
 from . import models
 from .errors import BudgetExceeded, NotAMember, TableMismatch
@@ -126,19 +132,69 @@ def dist_sup(xs, ys) -> int:
 
 @dataclass(frozen=True)
 class FactorSet:
-    """The complete set Z(a) for one element, canonically ordered."""
+    """The complete set Z(a) for one element, canonically ordered.
+
+    Factorizations are sorted by length, so each length fiber is one
+    contiguous run of indices into `all`.
+    """
 
     descriptor: models.MonoidDescriptor
     element: models.Element
     table: AtomTable
     all: tuple[Factorization, ...]
 
+    def __post_init__(self):
+        if any(x.length > y.length for x, y in zip(self.all, self.all[1:])):
+            raise ValueError("factorizations must be sorted by length")
+
+    @cached_property
+    def spans(self) -> dict[int, range]:
+        """Length k -> the index range of Z_k in `all`, in length order."""
+        out: dict[int, range] = {}
+        start = 0
+        for k, group in itertools.groupby(z.length for z in self.all):
+            stop = start + sum(1 for _ in group)
+            out[k] = range(start, stop)
+            start = stop
+        return out
+
     @property
     def lengths(self) -> tuple[int, ...]:
-        return tuple(sorted({z.length for z in self.all}))
+        return tuple(self.spans)
 
     def by_length(self, k: int) -> tuple[Factorization, ...]:
-        return tuple(z for z in self.all if z.length == k)
+        span = self.spans.get(k, range(0))
+        return self.all[span.start:span.stop]
+
+    @cached_property
+    def distance_table(self) -> tuple[array, ...]:
+        """Symmetric n x n table, row i holding d(all[i], all[j]) for all j.
+
+        Each factorization becomes one integer holding every multiplicity
+        in unary, atom a in its own field as wide as its largest
+        multiplicity, so |gcd(x, y)| is the popcount of X & Y. Lengths are
+        sorted, so max(|x|, |y|) is |x| left of x's index and |y| from it
+        on, and each row is one C-level pass over the fiber.
+        """
+        zs = self.all
+        width: dict[int, int] = {}
+        for z in zs:
+            for i, m in z.counts:
+                width[i] = max(width.get(i, 0), m)
+        offset, shift = {}, 0
+        for i in sorted(width):
+            offset[i] = shift
+            shift += width[i]
+        units = [sum(((1 << m) - 1) << offset[i] for i, m in z.counts) for z in zs]
+        lengths = [z.length for z in zs]
+        top = lengths[-1] if lengths else 0
+        code = "B" if top < 1 << 8 else "H" if top < 1 << 16 else "Q"
+        rows = []
+        for j, (x, k) in enumerate(zip(units, lengths)):
+            shared = map(int.bit_count, map(and_, itertools.repeat(x), units))
+            longer = itertools.chain(itertools.repeat(k, j), lengths[j:])
+            rows.append(array(code, map(sub, longer, shared)))
+        return tuple(rows)
 
 
 def factorizations(

@@ -7,10 +7,17 @@ degree, and the successive-distance measures. Global level: truncated
 estimates aggregated over every member below a weight bound, unions of
 length sets over k, and the sumset arithmetic of length sets.
 
-The catenary degree is the largest edge of a minimum spanning tree of the
-complete distance graph on Z(a) (Prim), which equals the smallest N whose
-threshold graph is connected. A separate breadth-first oracle certifies
-monotone chains without relying on that identity.
+Every element invariant past the length set is read off one table, the
+pairwise distances of Z(a) that FactorSet.distance_table builds once per
+fiber. Its rows are ordered by length, so each length fiber Z_k is a
+contiguous block. The catenary degree is the largest edge of a minimum
+spanning tree of the complete distance graph (Prim), which equals the
+smallest N whose threshold graph is connected; the equal-length degree
+is the largest such bottleneck of a diagonal block. The row and column
+minima of the (k, l) block give the set distance d(Z_k, Z_l) and the
+one-sided dist_sup, which yield the adjacent-length degree, the
+successive distance and its weak form. The monotone catenary degree is
+the larger of the equal-length and adjacent-length degrees.
 """
 
 from __future__ import annotations
@@ -68,139 +75,96 @@ def unique_representations(
 
 
 # ---------------------------------------------------------------------------
-# catenary degrees
-
-_INF = float("inf")
+# catenary degrees and successive distances
 
 
-def _bottleneck(zs: tuple[factor.Factorization, ...]) -> int:
-    """Largest MST edge of the complete distance graph; 0 for <= 1 node."""
-    n = len(zs)
-    if n <= 1:
+def _bottleneck(table, span: range) -> int:
+    """Largest MST edge (Prim) of the complete graph on span; 0 for <= 1 node."""
+    if len(span) <= 1:
         return 0
-    best = [_INF] * n
-    best[0] = 0
-    done = [False] * n
+    rest = list(span[1:])
+    best = list(map(table[span[0]].__getitem__, rest))
     worst = 0
-    for _ in range(n):
-        u = min((i for i in range(n) if not done[i]), key=best.__getitem__)
-        done[u] = True
-        worst = max(worst, best[u])
-        for v in range(n):
-            if not done[v]:
-                d = factor.distance(zs[u], zs[v])
-                if d < best[v]:
-                    best[v] = d
-    return int(worst)
+    while best:
+        d = min(best)
+        p = best.index(d)
+        worst = max(worst, d)
+        u = rest.pop(p)
+        best.pop(p)
+        best = list(map(min, best, map(table[u].__getitem__, rest)))
+    return worst
 
 
 def catenary(fs: factor.FactorSet) -> int:
     """Smallest N such that any two factorizations join by an N-chain."""
-    return _bottleneck(fs.all)
+    return _bottleneck(fs.distance_table, range(len(fs.all)))
 
 
 def equal_catenary(fs: factor.FactorSet) -> int:
     """Chains confined to one length fiber; 0 when all fibers are single."""
-    return max(
-        (_bottleneck(fs.by_length(k)) for k in fs.lengths),
-        default=0,
-    )
+    table = fs.distance_table
+    return max((_bottleneck(table, span) for span in fs.spans.values()), default=0)
 
 
 def adjacent_catenary(fs: factor.FactorSet) -> int:
     """Largest set distance between fibers of adjacent lengths."""
-    ls = fs.lengths
-    return max(
-        (
-            factor.set_distance(fs.by_length(k), fs.by_length(l))
-            for k, l in zip(ls, ls[1:])
-        ),
-        default=0,
-    )
+    return _adjacent_max(fs, pair_tables(fs)[0])
 
 
 def monotone_catenary(fs: factor.FactorSet) -> int:
     return max(equal_catenary(fs), adjacent_catenary(fs))
 
 
-def monotone_chain_oracle(
-    fs: factor.FactorSet,
-    z: factor.Factorization,
-    zp: factor.Factorization,
-    n: int,
-) -> bool:
-    """Is there a monotone chain from z to zp with all steps <= n?
-
-    Lengths along a monotone chain towards the longer endpoint never
-    exceed it, so a breadth-first search over non-decreasing lengths from
-    the shorter endpoint is exhaustive.
-    """
-    if z.length > zp.length:
-        z, zp = zp, z
-    if z == zp:
-        return True
-    seen = {z}
-    frontier = [z]
-    while frontier:
-        nxt = []
-        for cur in frontier:
-            for y in fs.all:
-                if y in seen or y.length < cur.length or y.length > zp.length:
-                    continue
-                if factor.distance(cur, y) <= n:
-                    if y == zp:
-                        return True
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return False
-
-
-# ---------------------------------------------------------------------------
-# successive distances
-
-
 def successive_distance(fs: factor.FactorSet, z: factor.Factorization) -> int:
     """Smallest N reaching each length adjacent to |z| within distance N."""
     ls = fs.lengths
     pos = ls.index(z.length)
-    adjacent = [ls[i] for i in (pos - 1, pos + 1) if 0 <= i < len(ls)]
-    return max(
-        (factor.set_distance([z], fs.by_length(k)) for k in adjacent),
-        default=0,
-    )
+    row = fs.distance_table[fs.all.index(z)]
+    spans = [fs.spans[ls[i]] for i in (pos - 1, pos + 1) if 0 <= i < len(ls)]
+    return max((min(row[s.start:s.stop]) for s in spans), default=0)
 
 
 def element_successive_distance(fs: factor.FactorSet) -> int:
     """Worst one-sided distance between fibers of adjacent lengths."""
-    ls = fs.lengths
-    return max(
-        (
-            factor.dist_sup(fs.by_length(k), fs.by_length(l))
-            for k, l in zip(ls, ls[1:])
-        ),
-        default=0,
-    )
+    return _adjacent_max(fs, pair_tables(fs)[1])
 
 
 def weak_successive_distance(fs: factor.FactorSet) -> int:
     """Smallest N with d(Z_k, Z_l) <= N * |l - k| for all length pairs."""
+    return _weak(pair_tables(fs)[0])
+
+
+def _adjacent_max(fs: factor.FactorSet, pairs: dict) -> int:
     ls = fs.lengths
-    best = 0
-    for k, l in itertools.combinations(ls, 2):
-        d = factor.set_distance(fs.by_length(k), fs.by_length(l))
-        best = max(best, -(-d // (l - k)))
-    return best
+    return max((pairs[kl] for kl in zip(ls, ls[1:])), default=0)
+
+
+def _weak(dists: dict) -> int:
+    return max((-(-d // (l - k)) for (k, l), d in dists.items()), default=0)
 
 
 def pair_tables(fs: factor.FactorSet):
-    """(set distance, one-sided sup) for every pair of lengths k < l."""
+    """(set distance, one-sided sup) for every pair of lengths k < l.
+
+    near[l][i] = d({z_i}, Z_l) is the minimum of row i over the block of
+    Z_l. Block (k, l) has row minima near[l] on Z_k and column minima
+    near[k] on Z_l: the set distance is their least value, dist_sup their
+    largest.
+    """
+    table = fs.distance_table
+    spans = fs.spans
+    near = {
+        l: [min(row[span.start:span.stop]) for row in table]
+        for l, span in spans.items()
+    }
     dists: dict[tuple[int, int], int] = {}
     sups: dict[tuple[int, int], int] = {}
-    for k, l in itertools.combinations(fs.lengths, 2):
-        zk, zl = fs.by_length(k), fs.by_length(l)
-        dists[(k, l)] = factor.set_distance(zk, zl)
-        sups[(k, l)] = factor.dist_sup(zk, zl)
+    for k, l in itertools.combinations(spans, 2):
+        sk, sl = spans[k], spans[l]
+        rows = near[l][sk.start:sk.stop]
+        cols = near[k][sl.start:sl.stop]
+        dists[(k, l)] = min(rows)
+        sups[(k, l)] = max(max(rows), max(cols))
     return dists, sups
 
 
@@ -242,16 +206,18 @@ class InvariantReport:
 def element_report(fs: factor.FactorSet) -> InvariantReport:
     ls = length_set(fs)
     dists, sups = pair_tables(fs)
+    c_eq = equal_catenary(fs)
+    c_adj = _adjacent_max(fs, dists)
     return InvariantReport(
         element=fs.element,
         lengths=ls,
         elasticity=ls.rho(),
         c=catenary(fs),
-        c_eq=equal_catenary(fs),
-        c_adj=adjacent_catenary(fs),
-        c_mon=monotone_catenary(fs),
-        delta_elem=element_successive_distance(fs),
-        delta_w=weak_successive_distance(fs),
+        c_eq=c_eq,
+        c_adj=c_adj,
+        c_mon=max(c_eq, c_adj),
+        delta_elem=_adjacent_max(fs, sups),
+        delta_w=_weak(dists),
         pair_distance=dists,
         pair_dist_sup=sups,
     )

@@ -170,6 +170,14 @@ def _as_counts(fs: factor.FactorSet) -> list[tuple[tuple, int]]:
     return [z.counts for z in fs.all]
 
 
+def fibers(fs: factor.FactorSet) -> dict[int, list]:
+    """Length -> counts of the factorizations of that length, ascending."""
+    out: dict[int, list] = {}
+    for z in fs.all:
+        out.setdefault(sum(m for _, m in z.counts), []).append(z.counts)
+    return dict(sorted(out.items()))
+
+
 def _connected_under(zs: list, threshold: int) -> bool:
     if len(zs) <= 1:
         return True
@@ -203,8 +211,7 @@ def brute_catenary(fs: factor.FactorSet) -> int:
 
 def brute_equal_catenary(fs: factor.FactorSet) -> int:
     best = 0
-    for k in fs.lengths:
-        fiber = [z.counts for z in fs.by_length(k)]
+    for fiber in fibers(fs).values():
         if len(fiber) <= 1:
             continue
         candidates = sorted(
@@ -228,16 +235,10 @@ def brute_set_distance(xs: list, ys: list) -> int:
 
 
 def brute_adjacent_catenary(fs: factor.FactorSet) -> int:
-    ls = fs.lengths
+    zs = list(fibers(fs).values())
     best = 0
-    for k, l in zip(ls, ls[1:]):
-        best = max(
-            best,
-            brute_set_distance(
-                [z.counts for z in fs.by_length(k)],
-                [z.counts for z in fs.by_length(l)],
-            ),
-        )
+    for xs, ys in zip(zs, zs[1:]):
+        best = max(best, brute_set_distance(xs, ys))
     return best
 
 
@@ -287,6 +288,34 @@ def brute_monotone_catenary(fs: factor.FactorSet) -> int:
     raise AssertionError("single jump at max distance is monotone")
 
 
+def monotone_chain_oracle(fs: factor.FactorSet, z, zp, n: int) -> bool:
+    """Is there a monotone chain from z to zp with all steps <= n?
+
+    Lengths along a monotone chain towards the longer endpoint never
+    exceed it, so a breadth-first search over non-decreasing lengths from
+    the shorter endpoint is exhaustive.
+    """
+    if z.length > zp.length:
+        z, zp = zp, z
+    if z == zp:
+        return True
+    seen = {z}
+    frontier = [z]
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for y in fs.all:
+                if y in seen or y.length < cur.length or y.length > zp.length:
+                    continue
+                if brute_distance(cur.counts, y.counts) <= n:
+                    if y == zp:
+                        return True
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    return False
+
+
 def brute_dist_sup(xs: list, ys: list) -> int:
     one = max((min(brute_distance(x, y) for y in ys) for x in xs), default=0)
     two = max((min(brute_distance(x, y) for x in xs) for y in ys), default=0)
@@ -294,27 +323,31 @@ def brute_dist_sup(xs: list, ys: list) -> int:
 
 
 def brute_element_successive_distance(fs: factor.FactorSet) -> int:
-    ls = fs.lengths
+    zs = list(fibers(fs).values())
     best = 0
-    for k, l in zip(ls, ls[1:]):
-        best = max(
-            best,
-            brute_dist_sup(
-                [z.counts for z in fs.by_length(k)],
-                [z.counts for z in fs.by_length(l)],
-            ),
-        )
+    for xs, ys in zip(zs, zs[1:]):
+        best = max(best, brute_dist_sup(xs, ys))
     return best
 
 
+def brute_successive_distance(fs: factor.FactorSet, z) -> int:
+    """Worst distance from z to the nearest factorization of each adjacent
+    length."""
+    by = fibers(fs)
+    ls = list(by)
+    pos = ls.index(sum(m for _, m in z.counts))
+    adjacent = [ls[i] for i in (pos - 1, pos + 1) if 0 <= i < len(ls)]
+    return max(
+        (min(brute_distance(z.counts, y) for y in by[k]) for k in adjacent),
+        default=0,
+    )
+
+
 def brute_weak_successive_distance(fs: factor.FactorSet) -> int:
-    ls = fs.lengths
+    by = fibers(fs)
     best = 0
-    for k, l in itertools.combinations(ls, 2):
-        d = brute_set_distance(
-            [z.counts for z in fs.by_length(k)],
-            [z.counts for z in fs.by_length(l)],
-        )
+    for k, l in itertools.combinations(by, 2):
+        d = brute_set_distance(by[k], by[l])
         best = max(best, -(-d // (l - k)))
     return best
 

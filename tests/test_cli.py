@@ -201,6 +201,34 @@ def test_cache_roundtrip_bytes(capsys, n23_path, tmp_path):
     assert out1 == out2
 
 
+@pytest.mark.parametrize("garbage", [
+    "",
+    "not json",
+    "[1, 2]",
+    '{"element": 12}',
+    '{"element": 12, "atoms": [2, 3], "factorizations": [{"counts": [[7, 1]]}]}',
+    '{"element": 12, "atoms": [2, 3], "factorizations": '
+    '[{"counts": [[0, 6]]}, {"counts": [[1, 4]]}]}',
+], ids=["empty", "not-json", "list", "missing-keys", "atom-outside-table",
+        "unsorted"])
+def test_damaged_cache_entry_is_a_miss(capsys, n23_path, tmp_path, garbage):
+    cache_dir = str(tmp_path / "cache")
+    argv = ["invariants", "--monoid", n23_path, "--element", "12",
+            "--output", "json"]
+    code, uncached, _ = run(capsys, argv)
+    assert code == 0
+    run(capsys, argv + ["--cache-dir", cache_dir])
+    (entry,) = [os.path.join(root, n)
+                for root, _, names in os.walk(cache_dir) for n in names]
+    with open(entry, "w", encoding="utf-8") as fh:
+        fh.write(garbage)
+    code, out, err = run(capsys, argv + ["--cache-dir", cache_dir])
+    assert (code, err) == (0, "")
+    assert out == uncached
+    with open(entry, encoding="utf-8") as fh:
+        assert json.load(fh)["element"] == 12
+
+
 def test_cache_env_var(capsys, n23_path, tmp_path, monkeypatch):
     env_dir = tmp_path / "envcache"
     monkeypatch.setenv("FACTORLAB_CACHE", str(env_dir))

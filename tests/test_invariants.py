@@ -1,5 +1,6 @@
 """Length sets, elasticity, catenary degrees, successive distances."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -18,14 +19,15 @@ from factorlab import (
     length_set,
     length_set_sumset,
     monotone_catenary,
-    monotone_chain_oracle,
     successive_distance,
     unions_of_lengths,
     unique_representations,
     weak_successive_distance,
 )
-from factorlab import invariants, models
+from factorlab import factor, invariants, models
 from test_models import AFF, FP21, FP22, N23, PROD, SUM
+
+N6920 = models.Numerical(generators=(6, 9, 20))
 
 
 # ---------------------------------------------------------------------------
@@ -117,10 +119,17 @@ SWEEP = [(N23, 16), (AFF, 9), (FP21, 7), (FP22, 9), (SUM, 5)]
 
 
 def test_catenary_matches_bruteforce():
-    for desc, bound in SWEEP:
-        for el in bruteforce.brute_members(desc, bound):
-            fs = factorizations(desc, el)
-            assert catenary(fs) == bruteforce.brute_catenary(fs), (desc, el)
+    cases = [
+        (desc, el)
+        for desc, bound in SWEEP
+        for el in bruteforce.brute_members(desc, bound)
+    ]
+    for desc, el in cases + [(N6920, 200)]:
+        fs = factorizations(desc, el)
+        assert catenary(fs) == bruteforce.brute_catenary(fs), (desc, el)
+        for x, row in zip(fs.all, fs.distance_table, strict=True):
+            assert list(row) == [factor.distance(x, y) for y in fs.all], \
+                (desc, el)
 
 
 def test_equal_catenary_matches_bruteforce():
@@ -136,6 +145,12 @@ def test_adjacent_catenary_matches_bruteforce():
             fs = factorizations(desc, el)
             assert adjacent_catenary(fs) == \
                 bruteforce.brute_adjacent_catenary(fs)
+            by = bruteforce.fibers(fs)
+            dists = element_report(fs).pair_distance
+            assert list(dists) == list(itertools.combinations(by, 2))
+            for (k, l), d in dists.items():
+                assert d == bruteforce.brute_set_distance(by[k], by[l]), \
+                    (desc, el)
 
 
 def test_monotone_catenary_matches_bruteforce():
@@ -154,6 +169,14 @@ def test_successive_distances_match_bruteforce():
                 bruteforce.brute_element_successive_distance(fs)
             assert weak_successive_distance(fs) == \
                 bruteforce.brute_weak_successive_distance(fs)
+            for z in fs.all:
+                assert successive_distance(fs, z) == \
+                    bruteforce.brute_successive_distance(fs, z), (desc, el, z)
+            by = bruteforce.fibers(fs)
+            sups = element_report(fs).pair_dist_sup
+            assert list(sups) == list(itertools.combinations(by, 2))
+            for (k, l), d in sups.items():
+                assert d == bruteforce.brute_dist_sup(by[k], by[l]), (desc, el)
 
 
 def test_successive_distance_per_factorization():
@@ -187,13 +210,13 @@ def test_monotone_chain_oracle_certifies_threshold():
     for z1 in zs:
         for z2 in zs:
             if z1.length <= z2.length:
-                assert monotone_chain_oracle(fs, z1, z2, r.c_mon)
+                assert bruteforce.monotone_chain_oracle(fs, z1, z2, r.c_mon)
     failures = [
         (z1.counts, z2.counts)
         for z1 in zs
         for z2 in zs
         if z1.length <= z2.length
-        and not monotone_chain_oracle(fs, z1, z2, r.c_mon - 1)
+        and not bruteforce.monotone_chain_oracle(fs, z1, z2, r.c_mon - 1)
     ]
     assert failures
 
