@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Iterable
 
 from . import factor, invariants, models
-from .errors import BudgetExceeded
 
 
 @dataclass(frozen=True)
@@ -139,15 +138,6 @@ def minimal_bound(L: Iterable[int] | invariants.LengthSet, d: int) -> int:
 # probes
 
 
-def _probe_worker(args):
-    desc, el, budget = args
-    try:
-        ls = invariants.length_set(factor.factorizations(desc, el, budget))
-    except BudgetExceeded as exc:
-        return {"element": el, "overflow": exc.limit}
-    return {"element": el, "weight": models.weight(desc, el), "lengths": ls}
-
-
 def structure_probe(
     desc: models.MonoidDescriptor,
     weight_bound: int,
@@ -161,20 +151,13 @@ def structure_probe(
     sweep. M* is flagged stabilized when it stopped changing over the
     top half of the weight range.
     """
-    elements = invariants.enumerate_elements(desc, weight_bound)
-    rows = invariants.parallel_map(
-        _probe_worker, [(desc, el, budget) for el in elements], jobs
-    )
-    warnings = [
-        {
-            "element": models.element_to_json(desc, r["element"]),
-            "error": "budget-exceeded",
-            "budget": r["overflow"],
-        }
-        for r in rows
-        if "overflow" in r
+    table = invariants.length_table(desc, weight_bound, budget, jobs)
+    good = [
+        {"element": row.element, "weight": models.weight(desc, row.element),
+         "lengths": row.lengths}
+        for row in table
+        if row.lengths is not None
     ]
-    good = [r for r in rows if "overflow" not in r]
     if d_candidates is None:
         gaps = {g for r in good for g in r["lengths"].delta()}
         ds = (1,) if not gaps else tuple(sorted({1, min(gaps)}))
@@ -206,7 +189,7 @@ def structure_probe(
             }
             for r in good
         ],
-        "warnings": warnings,
+        "warnings": invariants.table_warnings(desc, table, budget),
     }
 
 
@@ -215,16 +198,19 @@ def unions_structure_probe(
     k_range: Iterable[int],
     weight_bound: int,
     budget: int = factor.DEFAULT_BUDGET,
+    jobs: int = 1,
 ) -> dict:
     """Fit unions of length sets as AAMPs with difference 1 or min Delta.
 
     Also tabulates the density |U_k| / k against the slope
     (rho - 1/rho) / min Delta that the density approaches in k, as an
-    informational trend only.
+    informational trend only. Delta, rho and every union come from one
+    length table; each overflowed element is warned about once.
     """
-    estimates, warnings = invariants.global_estimates(desc, weight_bound, budget)
-    by_name = {e.name: e.value for e in estimates}
-    delta_set = by_name["delta_set"]
+    table = invariants.length_table(desc, weight_bound, budget, jobs)
+    warnings = invariants.table_warnings(desc, table, budget)
+    sets = [row.lengths for row in table if row.lengths is not None]
+    delta_set = sorted({g for ls in sets for g in ls.delta()})
     if not delta_set:
         return {
             "trivial": True,
@@ -233,15 +219,13 @@ def unions_structure_probe(
             "rows": [],
             "warnings": warnings,
         }
-    dmin = min(delta_set)
-    rho = by_name["rho"]
+    dmin = delta_set[0]
+    rho = max(ls.rho() for ls in sets)
     rows = []
     for k in sorted(set(k_range)):
         if k < 0:
             raise ValueError("union indices must be nonnegative")
-        rep, w = invariants.unions_of_lengths(desc, k, weight_bound, budget)
-        warnings.extend(w)
-        union = rep["union"]
+        union = invariants.union_containing(table, k)
         best_m, best_d = min((minimal_bound(union, d), d) for d in {1, dmin})
         rows.append(
             {

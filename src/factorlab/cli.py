@@ -59,7 +59,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="factorization cache directory "
                              "(default: $FACTORLAB_CACHE)")
     common.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for sweeps")
+                        help="worker processes for global, and for the "
+                             "sumset fibers of structure-probe and unions")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -302,7 +303,7 @@ def run_unions(config: RunConfig, args) -> tuple[str | None, dict, list]:
     desc = load_descriptor(args.monoid)
     bound = _require_bound(config)
     row, warnings = invariants.unions_of_lengths(
-        desc, args.k, bound, config.budget)
+        desc, args.k, bound, config.budget, config.jobs)
     return models.descriptor_hash(desc), row, warnings
 
 
@@ -335,7 +336,7 @@ def run_structure_probe(config: RunConfig, args) -> tuple[str | None, dict, list
             raise errors.MalformedDescriptor("--target unions requires --k-range")
         lo, hi = _parse_int_list(args.k_range, "--k-range")[:2]
         report = aamp.unions_structure_probe(
-            desc, range(lo, hi + 1), bound, config.budget)
+            desc, range(lo, hi + 1), bound, config.budget, config.jobs)
     else:
         d_candidates = None
         if args.d_candidates is not None:
@@ -400,11 +401,7 @@ def run_probe_growth(config: RunConfig, args) -> tuple[str | None, dict, list]:
         try:
             fs = cache.load_or_compute(desc, current, config.budget, cache_dir)
         except errors.BudgetExceeded as exc:
-            warnings.append({
-                "element": models.element_to_json(desc, current),
-                "error": "budget-exceeded",
-                "budget": exc.limit,
-            })
+            warnings.append(invariants.budget_warning(desc, current, exc.limit))
             break
         report = invariants.element_report(fs)
         row = {

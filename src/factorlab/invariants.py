@@ -18,6 +18,18 @@ minima of the (k, l) block give the set distance d(Z_k, Z_l) and the
 one-sided dist_sup, which yield the adjacent-length degree, the
 successive distance and its weak form. The monotone catenary degree is
 the larger of the equal-length and adjacent-length degrees.
+
+Questions about lengths alone (structure probes, unions of length sets)
+read one length table per request instead of enumerating fibers. On the
+cancellative base models it is filled in weight order by the recurrence
+L(a) = U {1 + L(a - u) : u an atom dividing a} (Barron, O'Neill and
+Pelayo; García-Sánchez, O'Neill and Webb for affine semigroups), each
+length set held as an integer bit mask; a nonzero member that no smaller
+atom divides is itself an atom. |Z(a)| is counted alongside, coin-change
+style, so a member overflows the budget exactly when enumerating it
+would. Product length sets are the sumsets of the slot length sets,
+shifted by the free exponents. Sumsets are not cancellative, so their
+fibers are still enumerated, once per request.
 """
 
 from __future__ import annotations
@@ -26,7 +38,8 @@ import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from operator import sub
+from typing import Iterable, NamedTuple
 
 from . import factor, models
 from .errors import BudgetExceeded
@@ -355,11 +368,7 @@ def global_estimates(
     elements = enumerate_elements(desc, weight_bound)
     rows = parallel_map(_summary_worker, [(desc, el, budget) for el in elements], jobs)
     warnings = [
-        {
-            "element": models.element_to_json(desc, r["element"]),
-            "error": "budget-exceeded",
-            "budget": r["overflow"],
-        }
+        budget_warning(desc, r["element"], r["overflow"])
         for r in rows
         if "overflow" in r
     ]
@@ -392,38 +401,167 @@ def global_estimates(
     return estimates, warnings
 
 
+# ---------------------------------------------------------------------------
+# length table
+
+
+class LengthRow(NamedTuple):
+    """One member of a length table.
+
+    ``lengths`` and ``count`` (the size of Z(element)) are None when the
+    element has more factorizations than the budget allows.
+    """
+
+    element: models.Element
+    lengths: LengthSet | None
+    count: int | None
+
+
+def length_table(
+    desc: models.MonoidDescriptor,
+    weight_bound: int,
+    budget: int = factor.DEFAULT_BUDGET,
+    jobs: int = 1,
+) -> list[LengthRow]:
+    """Every member of weight <= bound with its length set, in weight order.
+
+    A member overflows exactly when factor.factorizations would raise
+    BudgetExceeded for it at this budget. Only sumset fibers (and sumset
+    product slots) are enumerated, spread over ``jobs`` processes.
+    """
+    rows = []
+    for el, (mask, count) in _length_masks(desc, weight_bound, budget, jobs).items():
+        if count is None or count > budget:
+            rows.append(LengthRow(el, None, None))
+        else:
+            ls = tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+            rows.append(LengthRow(el, LengthSet(ls), count))
+    return rows
+
+
+def _length_masks(desc, weight_bound, budget, jobs) -> dict:
+    """Member -> (bit mask of its lengths, |Z(member)| or None if unknown)."""
+    members = enumerate_elements(desc, weight_bound)
+    if isinstance(desc, models.Sumset):
+        rows = parallel_map(_enumerated_masks,
+                            [(desc, el, budget) for el in members], jobs)
+    elif isinstance(desc, models.Product):
+        slots = [_length_masks(f, weight_bound, budget, jobs) for f in desc.factors]
+        rows = [_product_masks(slots, el) for el in members]
+    else:
+        rows = _value_masks(desc, members)
+    return dict(zip(members, rows))
+
+
+def _enumerated_masks(args):
+    desc, el, budget = args
+    try:
+        fs = factor.factorizations(desc, el, budget)
+    except BudgetExceeded:
+        return 0, None
+    return sum(1 << k for k in fs.lengths), len(fs.all)
+
+
+def _value_masks(desc, members: list) -> list:
+    """The recurrence L(a) = U (1 + L(a - u)) over atoms u, in weight order.
+
+    members is closed under division, so a - u is a member exactly when
+    it is listed. A nonzero member that no smaller atom divides is an atom.
+    Counts are coin-change sums with the atoms outermost, which counts
+    every multiset of atoms once.
+    """
+    if isinstance(desc, models.Numerical):
+        minus = sub
+    else:
+        def minus(a, u):
+            return tuple(map(sub, a, u))
+    index = {a: i for i, a in enumerate(members)}
+    masks = [1] + [0] * (len(members) - 1)
+    atoms = []
+    for i in range(1, len(members)):
+        mask = 0
+        for u in atoms:
+            j = index.get(minus(members[i], members[u]))
+            if j is not None:
+                mask |= masks[j]
+        if not mask:
+            atoms.append(i)
+            mask = 1
+        masks[i] = mask << 1
+    counts = [1] + [0] * (len(members) - 1)
+    for u in atoms:
+        atom = members[u]
+        for i in range(u, len(members)):
+            j = index.get(minus(members[i], atom))
+            if j is not None:
+                counts[i] += counts[j]
+    return list(zip(masks, counts))
+
+
+def _product_masks(slots: list[dict], el) -> tuple[int, int | None]:
+    """Slot length sets add and slot counts multiply; free exponents shift."""
+    comps, free = el
+    mask, count = 1 << sum(free), 1
+    for table, c in zip(slots, comps):
+        slot_mask, slot_count = table[c]
+        if slot_count is None:
+            return 0, None
+        total = 0
+        while slot_mask:
+            low = slot_mask & -slot_mask
+            total |= mask << (low.bit_length() - 1)
+            slot_mask ^= low
+        mask, count = total, count * slot_count
+    return mask, count
+
+
+def table_warnings(
+    desc: models.MonoidDescriptor, table: list[LengthRow], budget: int
+) -> list[dict]:
+    """One budget-exceeded warning per overflowed row, in table order."""
+    return [
+        budget_warning(desc, row.element, budget)
+        for row in table
+        if row.lengths is None
+    ]
+
+
+def budget_warning(desc: models.MonoidDescriptor, el, limit: int) -> dict:
+    return {
+        "element": models.element_to_json(desc, el),
+        "error": "budget-exceeded",
+        "budget": limit,
+    }
+
+
+def union_containing(table: list[LengthRow], k: int) -> LengthSet:
+    """Union of the table's length sets that contain k, always with k."""
+    union = {k}
+    for row in table:
+        if row.lengths is not None and k in row.lengths:
+            union.update(row.lengths.lengths)
+    return length_set_of(union)
+
+
 def unions_of_lengths(
     desc: models.MonoidDescriptor,
     k: int,
     weight_bound: int,
     budget: int = factor.DEFAULT_BUDGET,
+    jobs: int = 1,
 ):
-    """Union of all enumerated length sets containing k, always with k itself.
+    """Union of all length sets below the bound containing k, with k itself.
 
     Returns (report dict, warnings). The k-th power of any atom realizes
     length k, so seeding with {k} keeps the estimate a true lower bound
     even at bounds too small to exhibit any such power.
     """
-    union = {k}
-    warnings = []
-    for el in enumerate_elements(desc, weight_bound):
-        try:
-            ls = length_set(factor.factorizations(desc, el, budget))
-        except BudgetExceeded as exc:
-            warnings.append(
-                {
-                    "element": models.element_to_json(desc, el),
-                    "error": "budget-exceeded",
-                    "budget": exc.limit,
-                }
-            )
-            continue
-        if k in ls:
-            union.update(ls.lengths)
+    table = length_table(desc, weight_bound, budget, jobs)
+    union = union_containing(table, k)
     report = {
         "k": k,
-        "union": length_set_of(union),
-        "rhoK": max(union),
+        "union": union,
+        "rhoK": union.lengths[-1],
         "bound": weight_bound,
     }
-    return report, warnings
+    return report, table_warnings(desc, table, budget)

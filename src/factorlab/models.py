@@ -489,15 +489,46 @@ def _numerical_member(desc: Numerical, n: int) -> bool:
     return table[n]
 
 
-@lru_cache(maxsize=None)
+_AFFINE_MEMBERS: dict[Affine, dict[Vector, bool]] = {}
+
+
 def _affine_member(desc: Affine, v: Vector) -> bool:
-    if not any(v):
-        return True
-    for g in desc.generators:
-        if all(x >= y for x, y in zip(v, g)):
-            if _affine_member(desc, tuple(x - y for x, y in zip(v, g))):
-                return True
-    return False
+    """Depth-first search for a chain of generator steps from v down to 0.
+
+    An explicit stack replaces recursion, so the depth of the search (the
+    length of a factorization) is not bounded by the interpreter. Each
+    vector is settled once per descriptor: it is a member as soon as one
+    step lands on a member, and a non-member once every step is settled.
+    """
+    memo = _AFFINE_MEMBERS.get(desc)
+    if memo is None:
+        memo = _AFFINE_MEMBERS[desc] = {(0,) * desc.dim: True}
+    known = memo.get(v)
+    if known is not None:
+        return known
+    stack = [v]
+    while stack:
+        u = stack[-1]
+        if u in memo:
+            stack.pop()
+            continue
+        pending = None
+        for g in desc.generators:
+            w = tuple(x - y for x, y in zip(u, g))
+            if min(w) < 0:
+                continue
+            known = memo.get(w)
+            if known is None:
+                pending = w
+                break
+            if known:
+                memo[u] = True
+                break
+        else:
+            memo[u] = False
+        if pending is not None:
+            stack.append(pending)
+    return memo[v]
 
 
 def _fp_member(desc: FinitelyPrimaryValue, v: Vector) -> bool:
@@ -659,11 +690,13 @@ class ValidationReport:
     strongly_ring_like_candidate: bool | None
     smallest_value_element: Vector | None
     verified_bound: int
+    non_minimal_generators: list | None
 
     def to_json(self) -> dict:
         return {
             "valid": self.valid,
             "cancellative": self.cancellative,
+            "nonMinimalGenerators": self.non_minimal_generators,
             "stronglyRingLikeCandidate": self.strongly_ring_like_candidate,
             "smallestValueElement": (
                 None
@@ -675,7 +708,7 @@ class ValidationReport:
 
 
 def validate(desc: MonoidDescriptor, bound: int) -> ValidationReport:
-    """Check structure, closure (fp-value) and classification flags.
+    """Check structure, generator minimality, closure (fp-value) and flags.
 
     For fp-value models closure is verified exhaustively on all pairs of
     members with every coordinate <= bound; sums landing in the
@@ -712,6 +745,7 @@ def validate(desc: MonoidDescriptor, bound: int) -> ValidationReport:
             strongly_ring_like_candidate=mu is not None,
             smallest_value_element=mu,
             verified_bound=bound,
+            non_minimal_generators=None,
         )
     min_weight = _max_generator_weight(desc)
     if min_weight is not None and bound < min_weight:
@@ -724,7 +758,24 @@ def validate(desc: MonoidDescriptor, bound: int) -> ValidationReport:
         strongly_ring_like_candidate=None,
         smallest_value_element=None,
         verified_bound=bound,
+        non_minimal_generators=non_atom_generators(desc),
     )
+
+
+def non_atom_generators(desc: MonoidDescriptor) -> list | None:
+    """Generators that are sums of other generators, as JSON values.
+
+    Every atom of a reduced monoid lies in every generating set, so the
+    other generators are exactly its atoms. None for fp-value models,
+    which have no generating set; one entry per factor for products.
+    """
+    if isinstance(desc, Product):
+        return [non_atom_generators(f) for f in desc.factors]
+    if isinstance(desc, FinitelyPrimaryValue):
+        return None
+    return [
+        element_to_json(desc, g) for g in desc.generators if not is_atom(desc, g)
+    ]
 
 
 def _max_generator_weight(desc: MonoidDescriptor) -> int | None:

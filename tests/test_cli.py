@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from factorlab import cli, errors
+from factorlab import cli, errors, factor, models
 
 N23_DOC = {"model": "numerical", "generators": [2, 3]}
 FP_DOC = {
@@ -117,6 +117,38 @@ def test_structure_probe_unions_target(capsys, n23_path):
                             "--k-range", "2,5"])
     assert doc["results"]["trivial"] is False
     assert [row["k"] for row in doc["results"]["rows"]] == [2, 3, 4, 5]
+
+
+def test_unions_probe_warns_once_per_overflowed_element(capsys, tmp_path):
+    path = tmp_path / "n6920.json"
+    path.write_text(json.dumps({"model": "numerical", "generators": [6, 9, 20]}))
+    doc = run_json(capsys, ["structure-probe", "--monoid", str(path),
+                            "--bound", "60", "--target", "unions",
+                            "--k-range", "2,4", "--budget", "2"])
+    desc = models.Numerical(generators=(6, 9, 20))
+    over = [n for n in range(61) if models.membership(desc, n)
+            and len(factor.factorizations(desc, n).all) > 2]
+    assert len(over) == 9
+    assert doc["warnings"] == [
+        {"element": n, "error": "budget-exceeded", "budget": 2} for n in over
+    ]
+
+
+def test_validate_reports_non_minimal_generators(capsys, tmp_path):
+    path = tmp_path / "n234.json"
+    path.write_text(json.dumps({"model": "numerical", "generators": [2, 3, 4]}))
+    doc = run_json(capsys, ["validate", "--monoid", str(path)])
+    assert doc["results"]["valid"] is True
+    assert doc["results"]["nonMinimalGenerators"] == [4]
+
+
+def test_atoms_of_a_deep_affine_element(capsys, tmp_path):
+    path = tmp_path / "a23.json"
+    path.write_text(json.dumps({"model": "affine", "dim": 1,
+                                "generators": [[2], [3]]}))
+    doc = run_json(capsys, ["atoms", "--monoid", str(path),
+                            "--element", "5000"])
+    assert doc["results"]["atoms"] == [[2], [3]]
 
 
 # ---------------------------------------------------------------------------

@@ -323,6 +323,21 @@ def test_validate_detects_closure_violation():
     assert exc.value.total == (2, 2)
 
 
+def test_validate_lists_generators_that_are_not_atoms():
+    n234 = Numerical(generators=(2, 3, 4))
+    assert validate(n234, 4).non_minimal_generators == [4]
+    aff = Affine(dim=2, generators=((1, 0), (0, 1), (1, 1)))
+    assert validate(aff, 2).non_minimal_generators == [[1, 1]]
+    sums = Sumset(generators=((0, 1), (0, 2), (0, 1, 2)))
+    assert validate(sums, 2).non_minimal_generators == [[0, 1, 2]]
+    prod = Product(factors=(n234, FP21, sums), free_rank=1)
+    assert validate(prod, 4).to_json()["nonMinimalGenerators"] == [
+        [4], None, [[0, 1, 2]]]
+    assert validate(N23, 3).non_minimal_generators == []
+    assert validate(AFF, 3).non_minimal_generators == []
+    assert validate(FP22, 8).non_minimal_generators is None
+
+
 def test_validate_bound_preconditions():
     with pytest.raises(MalformedDescriptor):
         validate(FP22, 3)
