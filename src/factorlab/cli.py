@@ -59,8 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="factorization cache directory "
                              "(default: $FACTORLAB_CACHE)")
     common.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for global, and for the "
-                             "sumset fibers of structure-probe and unions")
+                        help="worker processes for the element reports of "
+                             "global, and for the sumset fibers of "
+                             "structure-probe and unions")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -334,7 +335,7 @@ def run_structure_probe(config: RunConfig, args) -> tuple[str | None, dict, list
     if args.target == "unions":
         if args.k_range is None:
             raise errors.MalformedDescriptor("--target unions requires --k-range")
-        lo, hi = _parse_int_list(args.k_range, "--k-range")[:2]
+        lo, hi = _parse_k_range(args.k_range)
         report = aamp.unions_structure_probe(
             desc, range(lo, hi + 1), bound, config.budget, config.jobs)
     else:
@@ -345,6 +346,18 @@ def run_structure_probe(config: RunConfig, args) -> tuple[str | None, dict, list
             desc, bound, d_candidates, config.budget, config.jobs)
     warnings = report.pop("warnings", [])
     return models.descriptor_hash(desc), _probe_to_json(desc, report), warnings
+
+
+def _parse_k_range(text: str) -> tuple[int, int]:
+    values = _parse_int_list(text, "--k-range")
+    if len(values) != 2:
+        raise errors.MalformedDescriptor(
+            f"--k-range expects two integers lo,hi, got {len(values)}: {text}")
+    lo, hi = values
+    if lo > hi:
+        raise errors.MalformedDescriptor(
+            f"--k-range lo must not exceed hi: {text}")
+    return lo, hi
 
 
 def _probe_to_json(desc: models.MonoidDescriptor, report: dict) -> dict:

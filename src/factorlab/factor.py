@@ -17,6 +17,7 @@ invariants read it from there.
 from __future__ import annotations
 
 import itertools
+import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
@@ -207,13 +208,22 @@ def factorizations(
     if not models.membership(desc, el):
         raise NotAMember(f"{el!r} is not a member")
     if isinstance(desc, models.Product):
-        return _product_factorizations(desc, el, budget)
+        parts = [factorizations(f, c, budget) for f, c in zip(desc.factors, el[0])]
+        return product_fiber(desc, el, parts, budget)
     atoms = models.atoms_dividing(desc, el)
-    table = AtomTable(desc, tuple(atoms))
     if isinstance(desc, models.Sumset):
         raw = _enumerate_sumset(desc, el, atoms, budget)
     else:
         raw = _enumerate_value(desc, el, atoms, budget)
+    return factor_set(desc, el, atoms, raw)
+
+
+def factor_set(desc: models.MonoidDescriptor, el, atoms, raw) -> FactorSet:
+    """Z(el) in canonical order from raw (atom id, multiplicity) pair lists.
+
+    ``atoms`` are the atoms dividing el in global order; ids index them.
+    """
+    table = AtomTable(desc, tuple(atoms))
     sols = sorted(
         (make_factorization(table, pairs) for pairs in raw),
         key=lambda z: (z.length, z.counts),
@@ -283,36 +293,38 @@ def _enumerate_sumset(desc, el, atoms, budget):
     return sols
 
 
-def _product_factorizations(desc: models.Product, el, budget: int) -> FactorSet:
-    comps, free = el
-    parts = [
-        factorizations(f, c, budget) for f, c in zip(desc.factors, comps)
-    ]
-    total = 1
-    for p in parts:
-        total *= len(p.all)
-    if total > budget:
+def product_fiber(desc: models.Product, el, parts, budget: int) -> FactorSet:
+    """Z(el) of a product element from the fibers of its slot components.
+
+    Every factorization is one slot factorization per slot plus the free
+    exponents, so |Z(el)| is the product of the slot counts; BudgetExceeded
+    is raised when that passes the budget. The atoms dividing el are the
+    slot atoms of ``parts`` and the free generators el uses.
+    """
+    _, free = el
+    if math.prod(len(p.all) for p in parts) > budget:
         raise BudgetExceeded(budget)
-    atoms = models.atoms_dividing(desc, el)
-    table = AtomTable(desc, tuple(atoms))
-    index = {u: i for i, u in enumerate(atoms)}
-    slot_maps = [
-        [index[models.embed_component(desc, i, u)] for u in p.table.atoms]
+    slot_atoms = [
+        [models.embed_component(desc, i, u) for u in p.table.atoms]
         for i, p in enumerate(parts)
     ]
-    free_pairs = [
-        (index[models.free_generator(desc, j)], e)
-        for j, e in enumerate(free)
-        if e >= 1
+    free_atoms = [
+        (models.free_generator(desc, j), e) for j, e in enumerate(free) if e >= 1
     ]
-    sols = []
+    atoms = sorted(
+        [u for us in slot_atoms for u in us] + [g for g, _ in free_atoms],
+        key=lambda u: models.element_sort_key(desc, u),
+    )
+    index = {u: i for i, u in enumerate(atoms)}
+    slot_maps = [[index[u] for u in us] for us in slot_atoms]
+    free_pairs = [(index[g], e) for g, e in free_atoms]
+    raw = []
     for combo in itertools.product(*(p.all for p in parts)):
         pairs = list(free_pairs)
         for i, z in enumerate(combo):
             pairs.extend((slot_maps[i][j], m) for j, m in z.counts)
-        sols.append(make_factorization(table, pairs))
-    sols.sort(key=lambda z: (z.length, z.counts))
-    return FactorSet(descriptor=desc, element=el, table=table, all=tuple(sols))
+        raw.append(pairs)
+    return factor_set(desc, el, atoms, raw)
 
 
 # ---------------------------------------------------------------------------

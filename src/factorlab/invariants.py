@@ -19,23 +19,28 @@ one-sided dist_sup, which yield the adjacent-length degree, the
 successive distance and its weak form. The monotone catenary degree is
 the larger of the equal-length and adjacent-length degrees.
 
+Both sweeps over the members below a weight bound, global estimates and
+equal-length relations, read one fiber stream (``fibers``) instead of
+enumerating each member's Z(a) on its own. On the cancellative base
+models one weight-order pass over the members finds the atoms (a nonzero
+member that no smaller atom divides is itself an atom) and fills the
+length sets by the recurrence L(a) = U {1 + L(a - u) : u an atom dividing
+a} (Barron, O'Neill and Pelayo; García-Sánchez, O'Neill and Webb for
+affine semigroups), each held as an integer bit mask. Then, coin-change
+style with the atoms outermost, it counts |Z(a)| and builds
+Z(a) = U {z + u : z in Z(a - u), every atom of z <= u}, so a member
+overflows the budget exactly when enumerating it would. Product fibers
+combine slot fibers computed once per slot component; sumsets are not
+cancellative, so their fibers are still enumerated, once per member.
 Questions about lengths alone (structure probes, unions of length sets)
-read one length table per request instead of enumerating fibers. On the
-cancellative base models it is filled in weight order by the recurrence
-L(a) = U {1 + L(a - u) : u an atom dividing a} (Barron, O'Neill and
-Pelayo; García-Sánchez, O'Neill and Webb for affine semigroups), each
-length set held as an integer bit mask; a nonzero member that no smaller
-atom divides is itself an atom. |Z(a)| is counted alongside, coin-change
-style, so a member overflows the budget exactly when enumerating it
-would. Product length sets are the sumsets of the slot length sets,
-shifted by the free exponents. Sumsets are not cancellative, so their
-fibers are still enumerated, once per request.
+read the length sets and counts of the same pass, once per request;
+product length sets are the sumsets of the slot length sets, shifted by
+the free exponents.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
@@ -295,6 +300,133 @@ def _product_elements(desc: models.Product, weight_bound: int):
 
 
 # ---------------------------------------------------------------------------
+# fiber stream
+
+
+def fibers(
+    desc: models.MonoidDescriptor,
+    weight_bound: int,
+    budget: int = factor.DEFAULT_BUDGET,
+):
+    """Yield (member, Z(member)) for every member of weight <= bound.
+
+    Members come in weight order. Z(member) is None exactly when
+    factor.factorizations would raise BudgetExceeded for it at this
+    budget; otherwise it equals what factor.factorizations returns: the
+    same atoms, factorizations and order. Each FactorSet is built when its
+    member is reached, so a consumer that drops it holds one at a time.
+    """
+    if isinstance(desc, models.Sumset):
+        for el in enumerate_elements(desc, weight_bound):
+            try:
+                fs = factor.factorizations(desc, el, budget)
+            except BudgetExceeded:
+                fs = None
+            yield el, fs
+    elif isinstance(desc, models.Product):
+        yield from _product_fibers(desc, weight_bound, budget)
+    else:
+        yield from _value_fibers(desc, weight_bound, budget)
+
+
+def _value_fibers(desc, weight_bound, budget):
+    """FactorSets from the recurrence's raw fibers, released as reached.
+
+    A FactorSet numbers the atoms dividing its member, which are the
+    atoms its factorizations use, in global order.
+    """
+    members = enumerate_elements(desc, weight_bound)
+    atoms, _, _, raw = _value_recurrence(desc, members, budget)
+    for i, el in enumerate(members):
+        zs, raw[i] = raw[i], None
+        if zs is None:
+            yield el, None
+            continue
+        ids = sorted({k for z in zs for k, _ in z})
+        local = {k: n for n, k in enumerate(ids)}
+        yield el, factor.factor_set(
+            desc, el, [members[atoms[k]] for k in ids],
+            [[(local[k], m) for k, m in z] for z in zs],
+        )
+
+
+def _product_fibers(desc, weight_bound, budget):
+    """Product fibers composed from slot fibers, one per slot component."""
+    slots = [dict(fibers(f, weight_bound, budget)) for f in desc.factors]
+    for el in enumerate_elements(desc, weight_bound):
+        parts = [slot[c] for slot, c in zip(slots, el[0])]
+        fs = None
+        if all(p is not None for p in parts):
+            try:
+                fs = factor.product_fiber(desc, el, parts, budget)
+            except BudgetExceeded:
+                pass
+        yield el, fs
+
+
+def _value_recurrence(desc, members: list, budget: int | None = None):
+    """The atom recurrence over a cancellative model's members, in weight order.
+
+    members is closed under division, so a - u is a member exactly when
+    it is listed. A nonzero member that no smaller atom divides is an
+    atom; the length set of any other is the union of 1 + L(a - u) over
+    the atoms u dividing it. Counts are coin-change sums with the atoms
+    outermost, which counts every multiset of atoms once. Given a budget,
+    the same loop builds Z(a) as tuples of (atom number, multiplicity):
+    in the pass of atom k, Z(a - u_k) holds exactly the factorizations
+    whose atoms are at most k, so each gains u_k once. A member's fiber is
+    dropped (None) as soon as its count passes the budget; z -> z + u is
+    injective in a cancellative monoid, so every member it divides passes
+    it too, and no kept fiber is built from a dropped one.
+
+    Returns (atom member indices, length masks, counts, fibers or None).
+    """
+    if isinstance(desc, models.Numerical):
+        minus = sub
+    else:
+        def minus(a, u):
+            return tuple(map(sub, a, u))
+    index = {a: i for i, a in enumerate(members)}
+    masks = [1] + [0] * (len(members) - 1)
+    atoms = []
+    for i in range(1, len(members)):
+        mask = 0
+        for u in atoms:
+            j = index.get(minus(members[i], members[u]))
+            if j is not None:
+                mask |= masks[j]
+        if not mask:
+            atoms.append(i)
+            mask = 1
+        masks[i] = mask << 1
+    counts = [1] + [0] * (len(members) - 1)
+    zs = None
+    if budget is not None:
+        zs = [[()] if budget >= 1 else None] + [[] for _ in members[1:]]
+    for k, u in enumerate(atoms):
+        atom = members[u]
+        for i in range(u, len(members)):
+            j = index.get(minus(members[i], atom))
+            if j is None:
+                continue
+            counts[i] += counts[j]
+            if zs is None:
+                continue
+            if counts[i] > budget:
+                zs[i] = None
+            else:
+                zs[i].extend(_with_atom(z, k) for z in zs[j])
+    return atoms, masks, counts, zs
+
+
+def _with_atom(z: tuple, k: int) -> tuple:
+    """z times atom k, for a z whose atoms are all at most k."""
+    if z and z[-1][0] == k:
+        return z[:-1] + ((k, z[-1][1] + 1),)
+    return z + ((k, 1),)
+
+
+# ---------------------------------------------------------------------------
 # global estimates
 
 
@@ -324,15 +456,14 @@ class GlobalEstimate:
 _ESTIMATE_NAMES = ("delta_set", "rho", "c", "c_eq", "c_adj", "c_mon", "delta", "delta_w")
 
 
-def _summary_worker(args):
-    desc, el, budget = args
-    try:
-        rep = element_report(factor.factorizations(desc, el, budget))
-    except BudgetExceeded as exc:
-        return {"element": el, "overflow": exc.limit}
+def _summary_worker(item) -> dict:
+    el, fs = item
+    if fs is None:
+        return {"element": el, "overflow": True}
+    rep = element_report(fs)
     return {
         "element": el,
-        "weight": models.weight(desc, el),
+        "weight": models.weight(fs.descriptor, el),
         "delta_set": rep.lengths.delta(),
         "rho": rep.elasticity,
         "c": rep.c,
@@ -345,12 +476,27 @@ def _summary_worker(args):
 
 
 def parallel_map(fn, items, jobs: int = 1) -> list:
-    """Deterministic order-preserving map, forking only when asked to."""
-    items = list(items)
-    if jobs <= 1 or len(items) < 2:
+    """Deterministic order-preserving map, forking only when asked to.
+
+    Items are read lazily, at most 64 per worker at a time, so a stream
+    is never held whole. The process pool is imported only here: it
+    loads multiprocessing, which no serial run needs.
+    """
+    items = iter(items)
+    if jobs <= 1:
         return [fn(x) for x in items]
+    size = 64 * jobs
+    batch = list(itertools.islice(items, size))
+    if len(batch) < 2:
+        return [fn(x) for x in batch]
+    from concurrent.futures import ProcessPoolExecutor
+
+    out = []
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * jobs))))
+        while batch:
+            out.extend(pool.map(fn, batch, chunksize=max(1, len(batch) // (4 * jobs))))
+            batch = list(itertools.islice(items, size))
+    return out
 
 
 def global_estimates(
@@ -363,12 +509,13 @@ def global_estimates(
 
     Returns (estimates, warnings). An estimate is flagged stabilized when
     its value did not change over the top half of the bound range; budget
-    overflows are recorded per element, never dropped silently.
+    overflows are recorded per element, never dropped silently. The
+    fibers come from one stream in this process; ``jobs`` spreads the
+    element reports.
     """
-    elements = enumerate_elements(desc, weight_bound)
-    rows = parallel_map(_summary_worker, [(desc, el, budget) for el in elements], jobs)
+    rows = parallel_map(_summary_worker, fibers(desc, weight_bound, budget), jobs)
     warnings = [
-        budget_warning(desc, r["element"], r["overflow"])
+        budget_warning(desc, r["element"], budget)
         for r in rows
         if "overflow" in r
     ]
@@ -449,7 +596,8 @@ def _length_masks(desc, weight_bound, budget, jobs) -> dict:
         slots = [_length_masks(f, weight_bound, budget, jobs) for f in desc.factors]
         rows = [_product_masks(slots, el) for el in members]
     else:
-        rows = _value_masks(desc, members)
+        _, masks, counts, _ = _value_recurrence(desc, members)
+        rows = zip(masks, counts)
     return dict(zip(members, rows))
 
 
@@ -460,42 +608,6 @@ def _enumerated_masks(args):
     except BudgetExceeded:
         return 0, None
     return sum(1 << k for k in fs.lengths), len(fs.all)
-
-
-def _value_masks(desc, members: list) -> list:
-    """The recurrence L(a) = U (1 + L(a - u)) over atoms u, in weight order.
-
-    members is closed under division, so a - u is a member exactly when
-    it is listed. A nonzero member that no smaller atom divides is an atom.
-    Counts are coin-change sums with the atoms outermost, which counts
-    every multiset of atoms once.
-    """
-    if isinstance(desc, models.Numerical):
-        minus = sub
-    else:
-        def minus(a, u):
-            return tuple(map(sub, a, u))
-    index = {a: i for i, a in enumerate(members)}
-    masks = [1] + [0] * (len(members) - 1)
-    atoms = []
-    for i in range(1, len(members)):
-        mask = 0
-        for u in atoms:
-            j = index.get(minus(members[i], members[u]))
-            if j is not None:
-                mask |= masks[j]
-        if not mask:
-            atoms.append(i)
-            mask = 1
-        masks[i] = mask << 1
-    counts = [1] + [0] * (len(members) - 1)
-    for u in atoms:
-        atom = members[u]
-        for i in range(u, len(members)):
-            j = index.get(minus(members[i], atom))
-            if j is not None:
-                counts[i] += counts[j]
-    return list(zip(masks, counts))
 
 
 def _product_masks(slots: list[dict], el) -> tuple[int, int | None]:
@@ -556,6 +668,8 @@ def unions_of_lengths(
     length k, so seeding with {k} keeps the estimate a true lower bound
     even at bounds too small to exhibit any such power.
     """
+    if k < 0:
+        raise ValueError("union indices must be nonnegative")
     table = length_table(desc, weight_bound, budget, jobs)
     union = union_containing(table, k)
     report = {

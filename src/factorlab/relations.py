@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import factor, invariants, models
-from .errors import AssertionFailure, NotAMember
+from .errors import AssertionFailure, BudgetExceeded
 
 Profile = frozenset
 
@@ -107,16 +107,18 @@ def enumerate_equal_length_relations(
 ):
     """All pairs (x, y), |x| = |y| <= length_bound, x <= y canonically.
 
-    Elements come from the weight enumeration; for finitely generated
-    models the default bound length_bound * max generator weight reaches
-    every element owning a factorization that short. Returns
-    (pairs, info dict recording the bounds used).
+    Elements and their fibers come from the weight-order fiber stream;
+    for finitely generated models the default bound length_bound * max
+    generator weight reaches every element owning a factorization that
+    short. Raises BudgetExceeded at the first element whose fiber passes
+    the budget. Returns (pairs, info dict recording the bounds used).
     """
     if weight_bound is None:
         weight_bound = _default_weight_bound(desc, length_bound)
     pairs: list[RelationPair] = []
-    for el in invariants.enumerate_elements(desc, weight_bound):
-        fs = factor.factorizations(desc, el, budget)
+    for el, fs in invariants.fibers(desc, weight_bound, budget):
+        if fs is None:
+            raise BudgetExceeded(budget)
         for k in fs.lengths:
             if k > length_bound:
                 continue

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -214,6 +216,27 @@ def test_exit_two_on_closure_violation(capsys, tmp_path):
     assert "not a member" in err
 
 
+def test_unions_rejects_a_negative_k(capsys, n23_path):
+    code, out, err = run(capsys, ["unions", "--monoid", n23_path,
+                                  "--bound", "10", "--k", "-1"])
+    assert (code, out) == (2, "")
+    assert "union indices must be nonnegative" in err
+
+
+@pytest.mark.parametrize("k_range,message", [
+    ("2", "expects two integers lo,hi, got 1"),
+    ("5,2", "lo must not exceed hi"),
+    ("2,3,9", "expects two integers lo,hi, got 3"),
+], ids=["one-value", "reversed", "three-values"])
+def test_structure_probe_rejects_a_bad_k_range(capsys, n23_path, k_range,
+                                               message):
+    code, out, err = run(capsys, ["structure-probe", "--monoid", n23_path,
+                                  "--bound", "10", "--target", "unions",
+                                  "--k-range", k_range])
+    assert (code, out) == (2, "")
+    assert f"--k-range {message}" in err
+
+
 # ---------------------------------------------------------------------------
 # caching
 
@@ -306,3 +329,15 @@ def test_repeat_runs_are_byte_identical(capsys, n23_path):
     _, one, _ = run(capsys, argv)
     _, two, _ = run(capsys, argv)
     assert one == two
+
+
+def test_cli_import_loads_no_process_pool():
+    code = ("import sys, factorlab.cli; "
+            "print(sorted(m for m in ('multiprocessing', "
+            "'concurrent.futures.process') if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,0 +1,82 @@
+"""The fiber stream against enumeration and the brute-force oracle."""
+
+import json
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import bruteforce
+from factorlab import cli, factor, invariants, models
+from factorlab.errors import BudgetExceeded
+from test_length_table import FIXED, FIXED_IDS
+from test_models import N23, PROD, SUM
+
+
+def shape(fs: factor.FactorSet):
+    """Everything a FactorSet says except its table token."""
+    return fs.element, fs.table.atoms, [(z.counts, z.length) for z in fs.all]
+
+
+def check_stream(desc, bound):
+    stream = list(invariants.fibers(desc, bound))
+    assert [el for el, _ in stream] == bruteforce.brute_members(desc, bound)
+    for el, fs in stream:
+        assert shape(fs) == shape(factor.factorizations(desc, el)), el
+        assert bruteforce.factor_set_as_multisets(fs) == \
+            bruteforce.brute_factorizations(desc, el), el
+
+
+@pytest.mark.parametrize("desc,bound", FIXED, ids=FIXED_IDS)
+def test_fixed_models_match_enumeration_and_oracle(desc, bound):
+    check_stream(desc, bound)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sets(st.integers(min_value=2, max_value=11), min_size=1, max_size=4))
+def test_numerical_models_match_enumeration_and_oracle(gens):
+    check_stream(models.Numerical(generators=tuple(sorted(gens))), 24)
+
+
+vectors = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sets(vectors, min_size=1, max_size=4))
+def test_affine_models_match_enumeration_and_oracle(gens):
+    check_stream(models.Affine(dim=2, generators=tuple(sorted(gens))), 7)
+
+
+@pytest.mark.parametrize("desc,bound", FIXED, ids=FIXED_IDS)
+def test_overflow_exactly_where_enumeration_raises(desc, bound):
+    counts = {len(fs.all) for _, fs in invariants.fibers(desc, bound)}
+    budgets = sorted({n for c in counts for n in (c - 1, c)})
+    for budget in budgets:
+        for el, fs in invariants.fibers(desc, bound, budget):
+            try:
+                want = factor.factorizations(desc, el, budget)
+            except BudgetExceeded:
+                assert fs is None, (budget, el)
+            else:
+                assert fs is not None and shape(fs) == shape(want), (budget, el)
+
+
+def test_identity_overflows_a_zero_budget():
+    assert list(invariants.fibers(N23, 3, budget=0)) == [
+        (0, None), (2, None), (3, None)]
+
+
+@pytest.mark.parametrize("desc,bound", [(N23, 300), (PROD, 5), (SUM, 6)],
+                         ids=["N23", "PROD", "SUM"])
+@pytest.mark.parametrize("budget", ["3", "2000000"])
+def test_global_bytes_are_the_same_for_any_jobs(capsys, tmp_path, desc, bound,
+                                                budget):
+    path = tmp_path / "desc.json"
+    path.write_text(json.dumps(models.descriptor_to_json(desc)))
+    argv = ["global", "--monoid", str(path), "--bound", str(bound),
+            "--budget", budget, "--output", "json"]
+    outs = []
+    for jobs in ("1", "2"):
+        assert cli.main(argv + ["--jobs", jobs]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]

@@ -11,8 +11,9 @@ from factorlab import (
     verify_interval_relations,
     verify_unique_representation,
 )
-from factorlab import models, relations
-from test_models import FP21, N23
+from factorlab import factor, invariants, models, relations
+from factorlab.errors import BudgetExceeded
+from test_models import FP21, N23, SUM
 
 AFF3 = Affine(dim=2, generators=((2, 0), (1, 1), (0, 2)))
 
@@ -23,6 +24,17 @@ def test_numerical_has_only_diagonal_pairs():
     assert pairs
     assert all(p.left == p.right for p in pairs)
     assert relation_atoms(N23, 6)[0] == []
+
+
+@pytest.mark.parametrize("desc", [N23, AFF3, SUM], ids=["N23", "AFF3", "SUM"])
+def test_enumeration_raises_past_the_budget(desc):
+    pairs, info = enumerate_equal_length_relations(desc, 3)
+    members = invariants.enumerate_elements(desc, info["weightBound"])
+    top = max(len(factor.factorizations(desc, el).all) for el in members)
+    at_top, _ = enumerate_equal_length_relations(desc, 3, budget=top)
+    assert [p.profile() for p in at_top] == [p.profile() for p in pairs]
+    with pytest.raises(BudgetExceeded):
+        enumerate_equal_length_relations(desc, 3, budget=top - 1)
 
 
 def test_affine_square_swap_is_a_relation_atom():
