@@ -492,6 +492,13 @@ def main(argv: list[str] | None = None) -> int:
         cache_dir=args.cache_dir,
         jobs=args.jobs,
     )
+    for flag, value in (("--bound", config.weight_bound),
+                        ("--length-bound", config.length_bound),
+                        ("--budget", config.budget)):
+        if value is not None and value < 0:
+            print(f"factorlab: {flag} must be nonnegative, got {value}",
+                  file=sys.stderr)
+            return EXIT_INPUT
     handler = _HANDLERS[config.command]
     try:
         descriptor_hash, results, warnings = handler(config, args)

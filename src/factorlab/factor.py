@@ -2,10 +2,14 @@
 
 A factorization of a member a is a multiset of atoms whose product is a,
 stored as sorted (atom id, multiplicity) pairs against a per-element
-AtomTable. Enumeration is a depth-first search over atoms in
-non-decreasing id order, pruned by divisibility of the remainder, so each
-multiset is produced exactly once; weight additivity bounds the depth.
-Product elements are factored compositionally, one slot at a time.
+AtomTable. Enumeration is a depth-first search over atoms in increasing
+id order, taking each atom's multiplicity in turn, so each multiset is
+produced exactly once. On the cancellative value models a table of the
+remainders that each suffix of the atoms can reach, computed per element
+before the search, keeps it out of every branch that cannot finish, so
+its work follows the size of the fiber; sumsets keep a search over the
+divisors of the element. Product elements are factored compositionally,
+one slot at a time.
 
 The distance between two factorizations of the same element removes the
 greatest common subfactorization and takes the larger remaining length:
@@ -21,7 +25,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from operator import and_, sub
+from operator import and_, mul, sub
 
 from . import models
 from .errors import BudgetExceeded, NotAMember, TableMismatch
@@ -60,6 +64,12 @@ class Factorization:
 
 
 def make_factorization(table: AtomTable, pairs) -> Factorization:
+    """A Factorization from (atom id, multiplicity) pairs in any order.
+
+    Pairs with the same id are merged and ids are checked against the
+    table: this is the entry for pairs the searches did not produce, such
+    as cache entries and products of relation pairs.
+    """
     merged: dict[int, int] = {}
     for i, m in pairs:
         if not 0 <= i < len(table.atoms):
@@ -219,52 +229,91 @@ def factorizations(
 
 
 def factor_set(desc: models.MonoidDescriptor, el, atoms, raw) -> FactorSet:
-    """Z(el) in canonical order from raw (atom id, multiplicity) pair lists.
+    """Z(el) in canonical order from raw factorizations.
 
     ``atoms`` are the atoms dividing el in global order; ids index them.
+    Each raw factorization is a sequence of (atom id, multiplicity) pairs
+    with ids strictly increasing and multiplicities positive, the form the
+    searches and the fiber stream produce, so no pair is merged or checked.
     """
     table = AtomTable(desc, tuple(atoms))
-    sols = sorted(
-        (make_factorization(table, pairs) for pairs in raw),
-        key=lambda z: (z.length, z.counts),
-    )
-    return FactorSet(descriptor=desc, element=el, table=table, all=tuple(sols))
+    token = table.token
+    keyed = sorted((sum(m for _, m in z), tuple(z)) for z in raw)
+    sols = tuple(Factorization(counts, length, token) for length, counts in keyed)
+    return FactorSet(descriptor=desc, element=el, table=table, all=sols)
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
 
 
 def _enumerate_value(desc, el, atoms, budget):
-    """DFS for cancellative value models; remainder must stay a member.
+    """DFS for cancellative value models, into remainders that can finish.
 
-    Divisibility of the remainder is monotone in the multiplicity taken,
-    so the inner loop may stop at the first failure.
+    The box of points 0 <= v <= el is numbered in mixed radix (a value is
+    its own number), so taking an atom u from a point r >= u takes a fixed
+    offset from its number. Before the search, one bit mask per atom,
+    from the last atom back, marks reach[i], the points that are sums of
+    atoms[i:], and step[i], the points r >= atoms[i] with r - atoms[i] in
+    reach[i]; each mask is then read through a byte table over the box.
+    The search visits multiplicities in the same order as a search that
+    tests every remainder for membership, but it descends only into
+    remainders that the remaining atoms can still finish, so every node
+    lies on the way to a factorization.
     """
-    ident = models.identity(desc)
+    if isinstance(desc, models.Numerical):
+        el, atoms = (el,), [(u,) for u in atoms]
+    strides = [1]
+    for e in el[:-1]:
+        strides.append(strides[-1] * (e + 1))
+    offsets = [sum(map(mul, u, strides)) for u in atoms]
+    size = strides[-1] * (el[-1] + 1)
+    reach, step = [1], []
+    for u, d in zip(reversed(atoms), reversed(offsets)):
+        room = _box_mask(el, u, strides)
+        # Close under adding u by doubling: after k rounds the mask holds
+        # every point of reach[i + 1] plus at most 2^k - 1 copies of u, and
+        # wide marks the points >= 2^k u, where the next round may land.
+        mask, wide, shift = reach[-1], room, d
+        while wide:
+            mask |= wide & (mask << shift)
+            wide &= wide << shift
+            shift <<= 1
+        reach.append(mask)
+        step.append(room & (mask << d))
+    reach = [_byte_table(m, size) for m in reversed(reach)]
+    step = [_byte_table(m, size) for m in reversed(step)]
     sols: list[tuple[tuple[int, int], ...]] = []
 
-    def subtract(a, u):
-        if isinstance(desc, models.Numerical):
-            return a - u if a >= u else None
-        v = tuple(x - y for x, y in zip(a, u))
-        return v if all(x >= 0 for x in v) else None
-
-    def rec(rem, idx, acc):
-        if rem == ident:
+    def rec(r, idx, acc):
+        if not r:
             if len(sols) >= budget:
                 raise BudgetExceeded(budget)
             sols.append(tuple(acc))
             return
-        if idx >= len(atoms):
-            return
-        rec(rem, idx + 1, acc)
-        r, m = rem, 0
-        while True:
-            r = subtract(r, atoms[idx])
-            if r is None or not models.membership(desc, r):
-                break
+        later, here, d, m = reach[idx + 1], step[idx], offsets[idx], 0
+        if later[r]:
+            rec(r, idx + 1, acc)
+        while here[r]:
+            r -= d
             m += 1
-            rec(r, idx + 1, acc + [(idx, m)])
+            if later[r]:
+                rec(r, idx + 1, acc + [(idx, m)])
 
-    rec(el, 0, [])
+    rec(size - 1, 0, [])
     return sols
+
+
+def _box_mask(el, low, strides) -> int:
+    """Bit mask of the box points v with low <= v <= el, for low <= el."""
+    mask = 1
+    for e, x, s in zip(el, low, strides):
+        mask *= ((1 << (e - x + 1) * s) - 1) // ((1 << s) - 1) << x * s
+    return mask
+
+
+def _byte_table(mask: int, size: int) -> bytes:
+    """Bit i of mask at index i, as 0 or 1, for i < size."""
+    return format(mask, f"0{size}b")[::-1].encode().translate(_BITS)
 
 
 def _enumerate_sumset(desc, el, atoms, budget):
@@ -323,7 +372,7 @@ def product_fiber(desc: models.Product, el, parts, budget: int) -> FactorSet:
         pairs = list(free_pairs)
         for i, z in enumerate(combo):
             pairs.extend((slot_maps[i][j], m) for j, m in z.counts)
-        raw.append(pairs)
+        raw.append(sorted(pairs))
     return factor_set(desc, el, atoms, raw)
 
 

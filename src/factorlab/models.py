@@ -585,35 +585,54 @@ def sumset_divisors(desc: Sumset, a: Vector) -> frozenset[Vector]:
 
 
 @lru_cache(maxsize=None)
+def generator_atoms(desc: Numerical | Affine | Sumset) -> tuple[Element, ...]:
+    """The atoms of a finitely generated model, in weight-then-lex order.
+
+    Every member is a sum of generators, so every atom is a generator. A
+    generator g is not an atom exactly when g = h + c for another
+    generator h and a nonzero member c: split a non-trivial g = b + c
+    and take for h any generator in a sum for b.
+    """
+    atoms = [
+        g for g in desc.generators
+        if not any(_has_cofactor(desc, g, h) for h in desc.generators if h != g)
+    ]
+    return tuple(sorted(atoms, key=lambda u: element_sort_key(desc, u)))
+
+
+def _has_cofactor(desc: Numerical | Affine | Sumset, g: Element, h: Element) -> bool:
+    """True when g = h + c for some nonzero member c."""
+    if isinstance(desc, Numerical):
+        return h < g and _numerical_member(desc, g - h)
+    if isinstance(desc, Affine):
+        c = tuple(x - y for x, y in zip(g, h))
+        return min(c) >= 0 and _affine_member(desc, c)
+    rest = g[-1] - h[-1]
+    return rest > 0 and any(
+        c[-1] == rest and _set_add(h, c) == g for c in sumset_reachable(desc, g)
+    )
+
+
+@lru_cache(maxsize=None)
 def is_atom(desc: MonoidDescriptor, el: Element) -> bool:
-    """True when el is a member that admits no two-part nonzero splitting."""
+    """True when el is a member that admits no two-part nonzero splitting.
+
+    Numerical, affine and sumset models look el up among their
+    ``generator_atoms``. fp-value models, which have infinitely many
+    atoms, try every split inside the box below el. A product atom is an
+    atom of one slot or a free generator.
+    """
+    if isinstance(desc, (Numerical, Affine, Sumset)):
+        return el in generator_atoms(desc)
     if el == identity(desc) or not _is_member(desc, el):
         return False
-    if isinstance(desc, Numerical):
-        return not any(
-            _numerical_member(desc, b) and _numerical_member(desc, el - b)
-            for b in range(1, el)
-        )
-    if isinstance(desc, (Affine, FinitelyPrimaryValue)):
+    if isinstance(desc, FinitelyPrimaryValue):
         ident = identity(desc)
         for b in _box(el):
             if b == ident or b == el:
                 continue
             c = tuple(x - y for x, y in zip(el, b))
             if _is_member(desc, b) and _is_member(desc, c):
-                return False
-        return True
-    if isinstance(desc, Sumset):
-        reach = sumset_reachable(desc, el)
-        parts = [p for p in reach if p != (0,)]
-        by_max: dict[int, list[Vector]] = {}
-        for p in parts:
-            by_max.setdefault(p[-1], []).append(p)
-        for b in parts:
-            rest = el[-1] - b[-1]
-            if rest < 1:
-                continue
-            if any(_set_add(b, c) == el for c in by_max.get(rest, ())):
                 return False
         return True
     comps, free = el
@@ -633,20 +652,28 @@ def _box(el: Vector) -> Iterator[Vector]:
 def atoms_dividing(desc: MonoidDescriptor, a: Element) -> list[Element]:
     """Atoms u with u + c = a solvable, in weight-then-lexicographic order.
 
-    The table is finite for every element of every model even when the
-    monoid has infinitely many atoms overall.
+    Numerical, affine and sumset models test each of their
+    ``generator_atoms`` for a member cofactor; fp-value models scan the
+    box below a; products join the atoms of their slots and the free
+    generators a uses. The table is finite for every element of every
+    model even when the monoid has infinitely many atoms overall.
     """
     a = canon(desc, a)
     if not _is_member(desc, a):
         raise NotAMember(f"{a!r} is not a member")
-    out: list[Element] = []
     if isinstance(desc, Numerical):
-        out = [
-            u
-            for u in range(1, a + 1)
-            if _numerical_member(desc, a - u) and is_atom(desc, u)
+        return [
+            u for u in generator_atoms(desc)
+            if u <= a and _numerical_member(desc, a - u)
         ]
-    elif isinstance(desc, (Affine, FinitelyPrimaryValue)):
+    if isinstance(desc, Affine):
+        rests = ((u, tuple(x - y for x, y in zip(a, u))) for u in generator_atoms(desc))
+        return [u for u, c in rests if min(c) >= 0 and _affine_member(desc, c)]
+    if isinstance(desc, Sumset):
+        divisors = sumset_divisors(desc, a)
+        return [u for u in generator_atoms(desc) if u in divisors]
+    out: list[Element] = []
+    if isinstance(desc, FinitelyPrimaryValue):
         ident = identity(desc)
         for u in _box(a):
             if u == ident:
@@ -654,10 +681,6 @@ def atoms_dividing(desc: MonoidDescriptor, a: Element) -> list[Element]:
             rest = tuple(x - y for x, y in zip(a, u))
             if _is_member(desc, rest) and is_atom(desc, u):
                 out.append(u)
-    elif isinstance(desc, Sumset):
-        out = [
-            u for u in sumset_divisors(desc, a) if u != (0,) and is_atom(desc, u)
-        ]
     else:
         comps, free = a
         for i, (f, c) in enumerate(zip(desc.factors, comps)):
@@ -773,9 +796,8 @@ def non_atom_generators(desc: MonoidDescriptor) -> list | None:
         return [non_atom_generators(f) for f in desc.factors]
     if isinstance(desc, FinitelyPrimaryValue):
         return None
-    return [
-        element_to_json(desc, g) for g in desc.generators if not is_atom(desc, g)
-    ]
+    atoms = generator_atoms(desc)
+    return [element_to_json(desc, g) for g in desc.generators if g not in atoms]
 
 
 def _max_generator_weight(desc: MonoidDescriptor) -> int | None:

@@ -237,6 +237,25 @@ def test_structure_probe_rejects_a_bad_k_range(capsys, n23_path, k_range,
     assert f"--k-range {message}" in err
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["global", "--bound", "-1"], "--bound"),
+    (["structure-probe", "--bound", "-3"], "--bound"),
+    (["relation-atoms", "--length-bound", "-1"], "--length-bound"),
+    (["factorize", "--element", "12", "--budget", "-1"], "--budget"),
+], ids=["global-bound", "probe-bound", "relation-length-bound", "budget"])
+def test_negative_bounds_are_rejected(capsys, n23_path, argv, flag):
+    code, out, err = run(capsys, argv + ["--monoid", n23_path])
+    assert (code, out) == (2, "")
+    assert err == f"factorlab: {flag} must be nonnegative, got {argv[-1]}\n"
+
+
+def test_a_zero_budget_is_still_a_budget(capsys, n23_path):
+    code, out, err = run(capsys, ["factorize", "--monoid", n23_path,
+                                  "--element", "12", "--budget", "0"])
+    assert (code, out) == (3, "")
+    assert "budget 0 exhausted" in err
+
+
 # ---------------------------------------------------------------------------
 # caching
 
