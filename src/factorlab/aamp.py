@@ -152,43 +152,28 @@ def structure_probe(
     top half of the weight range.
     """
     table = invariants.length_table(desc, weight_bound, budget, jobs)
-    good = [
-        {"element": row.element, "weight": models.weight(desc, row.element),
-         "lengths": row.lengths}
-        for row in table
-        if row.lengths is not None
-    ]
+    good = [row for row in table if row.lengths is not None]
     if d_candidates is None:
-        gaps = {g for r in good for g in r["lengths"].delta()}
+        gaps = {g for row in good for g in row.lengths.delta()}
         ds = (1,) if not gaps else tuple(sorted({1, min(gaps)}))
     else:
         ds = tuple(sorted(set(d_candidates)))
     if not ds or any(d < 1 for d in ds):
         raise ValueError("difference candidates must be positive integers")
-    for r in good:
-        r["m"], r["d"] = min((minimal_bound(r["lengths"], d), d) for d in ds)
-    series = []
-    running = 0
-    i = 0
-    for b in range(weight_bound + 1):
-        while i < len(good) and good[i]["weight"] == b:
-            running = max(running, good[i]["m"])
-            i += 1
-        series.append(running)
+    per_element = []
+    for row in good:
+        m, d = min((minimal_bound(row.lengths, d), d) for d in ds)
+        per_element.append(
+            {"element": row.element, "lengths": row.lengths, "m": m, "d": d})
+    m_star, stabilized = invariants.running_maxima(
+        ((models.weight(desc, r["element"]), {"mStar": r["m"]}) for r in per_element),
+        weight_bound, {"mStar": 0})["mStar"]
     return {
-        "mStar": running,
+        "mStar": m_star,
         "bound": weight_bound,
         "dCandidates": ds,
-        "stabilized": len(set(series[weight_bound // 2:])) == 1,
-        "perElement": [
-            {
-                "element": r["element"],
-                "lengths": r["lengths"],
-                "m": r["m"],
-                "d": r["d"],
-            }
-            for r in good
-        ],
+        "stabilized": stabilized,
+        "perElement": per_element,
         "warnings": invariants.table_warnings(desc, table, budget),
     }
 
@@ -207,6 +192,9 @@ def unions_structure_probe(
     informational trend only. Delta, rho and every union come from one
     length table; each overflowed element is warned about once.
     """
+    ks = sorted(set(k_range))
+    if ks and ks[0] < 0:
+        raise ValueError("union indices must be nonnegative")
     table = invariants.length_table(desc, weight_bound, budget, jobs)
     warnings = invariants.table_warnings(desc, table, budget)
     sets = [row.lengths for row in table if row.lengths is not None]
@@ -222,9 +210,7 @@ def unions_structure_probe(
     dmin = delta_set[0]
     rho = max(ls.rho() for ls in sets)
     rows = []
-    for k in sorted(set(k_range)):
-        if k < 0:
-            raise ValueError("union indices must be nonnegative")
+    for k in ks:
         union = invariants.union_containing(table, k)
         best_m, best_d = min((minimal_bound(union, d), d) for d in {1, dmin})
         rows.append(

@@ -15,7 +15,6 @@ Exit codes: 0 success, 2 malformed input or failed validation,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -27,18 +26,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_CLAIM = 4
-
-
-@dataclasses.dataclass(frozen=True)
-class RunConfig:
-    command: str
-    monoid: str | None = None
-    weight_bound: int | None = None
-    length_bound: int | None = None
-    budget: int = factor.DEFAULT_BUDGET
-    output: str = "table"
-    cache_dir: str | None = None
-    jobs: int = 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -207,25 +194,24 @@ def emit(report: dict, output: str) -> None:
         sys.stdout.write("\n".join(_render_table(report)) + "\n")
 
 
-def envelope(config: RunConfig, descriptor_hash: str | None,
-             results, warnings: list) -> dict:
+def envelope(args, descriptor_hash: str | None, results, warnings: list) -> dict:
     return {
-        "command": config.command,
+        "command": args.command,
         "descriptorHash": descriptor_hash,
         "bounds": {
-            "weight": config.weight_bound,
-            "length": config.length_bound,
-            "budget": config.budget,
+            "weight": args.bound,
+            "length": args.length_bound,
+            "budget": args.budget,
         },
         "results": jsonable(results),
         "warnings": jsonable(warnings),
     }
 
 
-def _require_bound(config: RunConfig) -> int:
-    if config.weight_bound is None:
+def _require_bound(args) -> int:
+    if args.bound is None:
         raise errors.MalformedDescriptor("this command requires --bound")
-    return config.weight_bound
+    return args.bound
 
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
@@ -238,16 +224,15 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     return values
 
 
-def _load_fiber(config: RunConfig, desc: models.MonoidDescriptor,
-                element_literal: str) -> factor.FactorSet:
-    el = models.parse_element_literal(desc, element_literal)
-    return cache.load_or_compute(desc, el, config.budget,
-                                 cache.resolve_cache_dir(config.cache_dir))
+def _load_fiber(args, desc: models.MonoidDescriptor) -> factor.FactorSet:
+    el = models.parse_element_literal(desc, args.element)
+    return cache.load_or_compute(desc, el, args.budget,
+                                 cache.resolve_cache_dir(args.cache_dir))
 
 
-def run_validate(config: RunConfig, args) -> tuple[str | None, dict, list]:
+def run_validate(args) -> tuple[str | None, dict, list]:
     desc = load_descriptor(args.monoid)
-    bound = config.weight_bound
+    bound = args.bound
     if bound is None:
         bound = _default_validation_bound(desc)
     report = models.validate(desc, bound)
@@ -264,7 +249,7 @@ def _default_validation_bound(desc: models.MonoidDescriptor) -> int:
     return top if top is not None else 1
 
 
-def run_atoms(config: RunConfig, args) -> tuple[str | None, dict, list]:
+def run_atoms(args) -> tuple[str | None, dict, list]:
     desc = load_descriptor(args.monoid)
     el = models.parse_element_literal(desc, args.element)
     found = models.atoms_dividing(desc, el)
@@ -276,39 +261,39 @@ def run_atoms(config: RunConfig, args) -> tuple[str | None, dict, list]:
     return models.descriptor_hash(desc), results, []
 
 
-def run_factorize(config: RunConfig, args) -> tuple[str | None, dict, list]:
+def run_factorize(args) -> tuple[str | None, dict, list]:
     desc = load_descriptor(args.monoid)
-    fs = _load_fiber(config, desc, args.element)
+    fs = _load_fiber(args, desc)
     results = factor.factor_set_to_json(fs)
     results["lengthSet"] = list(fs.lengths)
     return models.descriptor_hash(desc), results, []
 
 
-def run_invariants(config: RunConfig, args) -> tuple[str | None, dict, list]:
+def run_invariants(args) -> tuple[str | None, dict, list]:
     desc = load_descriptor(args.monoid)
-    fs = _load_fiber(config, desc, args.element)
+    fs = _load_fiber(args, desc)
     report = invariants.element_report(fs)
     return models.descriptor_hash(desc), report.to_json(desc), []
 
 
-def run_global(config: RunConfig, args) -> tuple[str | None, dict, list]:
+def run_global(args) -> tuple[str | None, dict, list]:
     desc = load_descriptor(args.monoid)
-    bound = _require_bound(config)
+    bound = _require_bound(args)
     estimates, warnings = invariants.global_estimates(
-        desc, bound, config.budget, config.jobs)
+        desc, bound, args.budget, args.jobs)
     results = {"estimates": [e.to_json() for e in estimates]}
     return models.descriptor_hash(desc), results, warnings
 
 
-def run_unions(config: RunConfig, args) -> tuple[str | None, dict, list]:
+def run_unions(args) -> tuple[str | None, dict, list]:
     desc = load_descriptor(args.monoid)
-    bound = _require_bound(config)
+    bound = _require_bound(args)
     row, warnings = invariants.unions_of_lengths(
-        desc, args.k, bound, config.budget, config.jobs)
+        desc, args.k, bound, args.budget, args.jobs)
     return models.descriptor_hash(desc), row, warnings
 
 
-def run_aamp_check(config: RunConfig, args) -> tuple[str | None, dict, list]:
+def run_aamp_check(args) -> tuple[str | None, dict, list]:
     values = _parse_int_list(args.length_set, "--set")
     if args.difference < 1:
         raise errors.MalformedDescriptor("--difference must be positive")
@@ -329,21 +314,21 @@ def run_aamp_check(config: RunConfig, args) -> tuple[str | None, dict, list]:
     return None, results, []
 
 
-def run_structure_probe(config: RunConfig, args) -> tuple[str | None, dict, list]:
+def run_structure_probe(args) -> tuple[str | None, dict, list]:
     desc = load_descriptor(args.monoid)
-    bound = _require_bound(config)
+    bound = _require_bound(args)
     if args.target == "unions":
         if args.k_range is None:
             raise errors.MalformedDescriptor("--target unions requires --k-range")
         lo, hi = _parse_k_range(args.k_range)
         report = aamp.unions_structure_probe(
-            desc, range(lo, hi + 1), bound, config.budget, config.jobs)
+            desc, range(lo, hi + 1), bound, args.budget, args.jobs)
     else:
         d_candidates = None
         if args.d_candidates is not None:
             d_candidates = _parse_int_list(args.d_candidates, "--d-candidates")
         report = aamp.structure_probe(
-            desc, bound, d_candidates, config.budget, config.jobs)
+            desc, bound, d_candidates, args.budget, args.jobs)
     warnings = report.pop("warnings", [])
     return models.descriptor_hash(desc), _probe_to_json(desc, report), warnings
 
@@ -375,12 +360,12 @@ def _probe_to_json(desc: models.MonoidDescriptor, report: dict) -> dict:
     return out
 
 
-def run_relation_atoms(config: RunConfig, args) -> tuple[str | None, dict, list]:
+def run_relation_atoms(args) -> tuple[str | None, dict, list]:
     desc = load_descriptor(args.monoid)
-    if config.length_bound is None:
+    if args.length_bound is None:
         raise errors.MalformedDescriptor("this command requires --length-bound")
     found, info = relations.relation_atoms(
-        desc, config.length_bound, config.weight_bound, config.budget)
+        desc, args.length_bound, args.bound, args.budget)
     results = {
         "atoms": [p.to_json(desc) for p in found],
         "count": len(found),
@@ -389,7 +374,7 @@ def run_relation_atoms(config: RunConfig, args) -> tuple[str | None, dict, list]
     return models.descriptor_hash(desc), results, []
 
 
-def run_verify_example(config: RunConfig, args) -> tuple[str | None, dict, list]:
+def run_verify_example(args) -> tuple[str | None, dict, list]:
     if args.name == "3.2":
         k_max = args.k_max if args.k_max is not None else 8
         report = relations.verify_interval_relations(k_max)
@@ -399,12 +384,12 @@ def run_verify_example(config: RunConfig, args) -> tuple[str | None, dict, list]
     return None, report, []
 
 
-def run_probe_growth(config: RunConfig, args) -> tuple[str | None, dict, list]:
+def run_probe_growth(args) -> tuple[str | None, dict, list]:
     desc = load_descriptor(args.monoid)
     if args.n_max < 1:
         raise errors.MalformedDescriptor("--n-max must be at least 1")
     base = _growth_base(desc, args)
-    cache_dir = cache.resolve_cache_dir(config.cache_dir)
+    cache_dir = cache.resolve_cache_dir(args.cache_dir)
     rows = []
     warnings: list = []
     current = models.identity(desc)
@@ -412,7 +397,7 @@ def run_probe_growth(config: RunConfig, args) -> tuple[str | None, dict, list]:
     for n in range(1, args.n_max + 1):
         current = models.multiply(desc, current, base)
         try:
-            fs = cache.load_or_compute(desc, current, config.budget, cache_dir)
+            fs = cache.load_or_compute(desc, current, args.budget, cache_dir)
         except errors.BudgetExceeded as exc:
             warnings.append(invariants.budget_warning(desc, current, exc.limit))
             break
@@ -482,26 +467,18 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        monoid=getattr(args, "monoid", None),
-        weight_bound=args.bound,
-        length_bound=args.length_bound,
-        budget=args.budget,
-        output=args.output,
-        cache_dir=args.cache_dir,
-        jobs=args.jobs,
-    )
-    for flag, value in (("--bound", config.weight_bound),
-                        ("--length-bound", config.length_bound),
-                        ("--budget", config.budget)):
-        if value is not None and value < 0:
-            print(f"factorlab: {flag} must be nonnegative, got {value}",
+    for flag, value, least in (("--bound", args.bound, 0),
+                               ("--length-bound", args.length_bound, 0),
+                               ("--budget", args.budget, 0),
+                               ("--jobs", args.jobs, 1)):
+        if value is not None and value < least:
+            need = "nonnegative" if least == 0 else f"at least {least}"
+            print(f"factorlab: {flag} must be {need}, got {value}",
                   file=sys.stderr)
             return EXIT_INPUT
-    handler = _HANDLERS[config.command]
+    handler = _HANDLERS[args.command]
     try:
-        descriptor_hash, results, warnings = handler(config, args)
+        descriptor_hash, results, warnings = handler(args)
     except errors.BudgetExceeded as exc:
         print(f"factorlab: enumeration budget {exc.limit} exhausted",
               file=sys.stderr)
@@ -513,7 +490,7 @@ def main(argv: list[str] | None = None) -> int:
             errors.ShapeMismatch, errors.NotAMember, ValueError) as exc:
         print(f"factorlab: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    emit(envelope(config, descriptor_hash, results, warnings), config.output)
+    emit(envelope(args, descriptor_hash, results, warnings), args.output)
     return EXIT_OK
 
 

@@ -87,12 +87,7 @@ def make_factorization(table: AtomTable, pairs) -> Factorization:
 
 def pi(table: AtomTable, z: Factorization) -> models.Element:
     """Product of the atoms of z, an element of the monoid."""
-    desc = table.descriptor
-    out = models.identity(desc)
-    for i, m in z.counts:
-        for _ in range(m):
-            out = models.multiply(desc, out, table.atoms[i])
-    return out
+    return models.product_of(table.descriptor, table.atoms, z.counts)
 
 
 def _check_tables(x: Factorization, y: Factorization) -> None:
@@ -393,8 +388,8 @@ def factor_set_to_json(fs: FactorSet) -> dict:
 
 
 def factor_set_from_json(desc: models.MonoidDescriptor, doc: dict) -> FactorSet:
-    el = models.element_from_json(desc, doc["element"])
-    atoms = tuple(models.element_from_json(desc, u) for u in doc["atoms"])
+    el = models.canon(desc, doc["element"])
+    atoms = tuple(models.canon(desc, u) for u in doc["atoms"])
     table = AtomTable(desc, atoms)
     sols = tuple(
         make_factorization(table, [(i, m) for i, m in entry["counts"]])

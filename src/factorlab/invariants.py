@@ -453,18 +453,21 @@ class GlobalEstimate:
         }
 
 
-_ESTIMATE_NAMES = ("delta_set", "rho", "c", "c_eq", "c_adj", "c_mon", "delta", "delta_w")
+# Each estimate's value over no members: the running maxima start here.
+_ESTIMATE_START = {
+    "delta_set": frozenset(), "rho": Fraction(1), "c": 0, "c_eq": 0,
+    "c_adj": 0, "c_mon": 0, "delta": 0, "delta_w": 0,
+}
 
 
-def _summary_worker(item) -> dict:
+def _summary_worker(item):
+    """(member, (weight, estimate values)), or (member, None) on overflow."""
     el, fs = item
     if fs is None:
-        return {"element": el, "overflow": True}
+        return el, None
     rep = element_report(fs)
-    return {
-        "element": el,
-        "weight": models.weight(fs.descriptor, el),
-        "delta_set": rep.lengths.delta(),
+    return el, (models.weight(fs.descriptor, el), {
+        "delta_set": frozenset(rep.lengths.delta()),
         "rho": rep.elasticity,
         "c": rep.c,
         "c_eq": rep.c_eq,
@@ -472,7 +475,31 @@ def _summary_worker(item) -> dict:
         "c_mon": rep.c_mon,
         "delta": rep.delta_elem,
         "delta_w": rep.delta_w,
-    }
+    })
+
+
+def running_maxima(rows, weight_bound: int, start: dict) -> dict:
+    """Fold rows of (weight, values), in weight order, into running maxima.
+
+    ``start`` gives each name's value over no rows; frozenset values
+    accumulate by union, all others by max. Returns name -> (value,
+    stabilized), where stabilized means the value did not change after
+    weight ``weight_bound // 2``. Values never fall, so that is the value
+    at the half weight equalling the final one: one snapshot, taken when
+    the first heavier row arrives, decides it.
+    """
+    half = weight_bound // 2
+    acc = dict(start)
+    at_half = None
+    for weight, values in rows:
+        if at_half is None and weight > half:
+            at_half = dict(acc)
+        for name, value in values.items():
+            old = acc[name]
+            acc[name] = old | value if isinstance(old, frozenset) else max(old, value)
+    if at_half is None:
+        at_half = acc
+    return {name: (value, value == at_half[name]) for name, value in acc.items()}
 
 
 def parallel_map(fn, items, jobs: int = 1) -> list:
@@ -514,38 +541,19 @@ def global_estimates(
     element reports.
     """
     rows = parallel_map(_summary_worker, fibers(desc, weight_bound, budget), jobs)
-    warnings = [
-        budget_warning(desc, r["element"], budget)
-        for r in rows
-        if "overflow" in r
-    ]
-    series: dict[str, list] = {name: [] for name in _ESTIMATE_NAMES}
-    delta_acc: set[int] = set()
-    acc = {"rho": Fraction(1), "c": 0, "c_eq": 0, "c_adj": 0, "c_mon": 0,
-           "delta": 0, "delta_w": 0}
-    good = [r for r in rows if "overflow" not in r]
-    i = 0
-    for b in range(weight_bound + 1):
-        while i < len(good) and good[i]["weight"] == b:
-            row = good[i]
-            delta_acc.update(row["delta_set"])
-            for name in acc:
-                acc[name] = max(acc[name], row[name])
-            i += 1
-        series["delta_set"].append(tuple(sorted(delta_acc)))
-        for name in acc:
-            series[name].append(acc[name])
-    half = weight_bound // 2
+    maxima = running_maxima(
+        (summary for _, summary in rows if summary is not None),
+        weight_bound, _ESTIMATE_START)
     estimates = [
         GlobalEstimate(
             name=name,
-            value=series[name][-1],
+            value=tuple(sorted(value)) if name == "delta_set" else value,
             bound=weight_bound,
-            stabilized=len(set(series[name][half:])) == 1,
+            stabilized=stabilized,
         )
-        for name in _ESTIMATE_NAMES
+        for name, (value, stabilized) in maxima.items()
     ]
-    return estimates, warnings
+    return estimates, table_warnings(desc, rows, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -627,14 +635,16 @@ def _product_masks(slots: list[dict], el) -> tuple[int, int | None]:
     return mask, count
 
 
-def table_warnings(
-    desc: models.MonoidDescriptor, table: list[LengthRow], budget: int
-) -> list[dict]:
-    """One budget-exceeded warning per overflowed row, in table order."""
+def table_warnings(desc: models.MonoidDescriptor, rows, budget: int) -> list[dict]:
+    """One budget-exceeded warning per overflowed row, in row order.
+
+    A row is a LengthRow or any (element, payload) pair; its element
+    overflowed when the payload (a LengthRow's lengths) is None.
+    """
     return [
-        budget_warning(desc, row.element, budget)
-        for row in table
-        if row.lengths is None
+        budget_warning(desc, element, budget)
+        for element, payload, *_ in rows
+        if payload is None
     ]
 
 

@@ -358,6 +358,19 @@ def multiply(desc: MonoidDescriptor, a: Element, b: Element) -> Element:
     )
 
 
+def product_of(desc: MonoidDescriptor, elements, counts) -> Element:
+    """Product of elements[i] ** m over the (i, m) pairs of counts.
+
+    Multiplies one factor at a time from the identity, so it makes one
+    ``multiply`` call per factor.
+    """
+    out = identity(desc)
+    for i, m in counts:
+        for _ in range(m):
+            out = multiply(desc, out, elements[i])
+    return out
+
+
 def weight(desc: MonoidDescriptor, el: Element) -> int:
     if isinstance(desc, Numerical):
         return el
@@ -393,10 +406,6 @@ def element_to_json(desc: MonoidDescriptor, el: Element) -> Any:
         "components": [element_to_json(f, c) for f, c in zip(desc.factors, comps)],
         "free": list(free),
     }
-
-
-def element_from_json(desc: MonoidDescriptor, doc: Any) -> Element:
-    return canon(desc, doc)
 
 
 def element_hash(desc: MonoidDescriptor, el: Element) -> str:
@@ -770,7 +779,7 @@ def validate(desc: MonoidDescriptor, bound: int) -> ValidationReport:
             verified_bound=bound,
             non_minimal_generators=None,
         )
-    min_weight = _max_generator_weight(desc)
+    min_weight = max_generator_weight(desc)
     if min_weight is not None and bound < min_weight:
         raise MalformedDescriptor(
             f"validation bound {bound} below the largest generator weight"
@@ -800,7 +809,8 @@ def non_atom_generators(desc: MonoidDescriptor) -> list | None:
     return [element_to_json(desc, g) for g in desc.generators if g not in atoms]
 
 
-def _max_generator_weight(desc: MonoidDescriptor) -> int | None:
+def max_generator_weight(desc: MonoidDescriptor) -> int | None:
+    """Largest atom weight for finitely generated models, None otherwise."""
     if isinstance(desc, Numerical):
         return max(desc.generators)
     if isinstance(desc, Affine):
@@ -808,14 +818,9 @@ def _max_generator_weight(desc: MonoidDescriptor) -> int | None:
     if isinstance(desc, Sumset):
         return max(g[-1] for g in desc.generators)
     if isinstance(desc, Product):
-        weights = [_max_generator_weight(f) for f in desc.factors]
+        weights = [max_generator_weight(f) for f in desc.factors]
         known = [w for w in weights if w is not None]
         if len(known) < len(weights):
             return None
         return max(known + [1 if desc.free_rank else 0])
     return None
-
-
-def max_generator_weight(desc: MonoidDescriptor) -> int | None:
-    """Largest atom weight for finitely generated models, None otherwise."""
-    return _max_generator_weight(desc)

@@ -149,30 +149,24 @@ def _sub_multisets(z: factor.Factorization):
         yield taken, rest, sum(take)
 
 
-def _product_of(desc, table: factor.AtomTable, counts) -> models.Element:
-    out = models.identity(desc)
-    for i, m in counts:
-        for _ in range(m):
-            out = models.multiply(desc, out, table.atoms[i])
-    return out
-
-
 def is_relation_atom(desc: models.MonoidDescriptor, pair: RelationPair) -> bool:
     """No splitting into two non-identity pairs (diagonal parts allowed)."""
     x, y = pair.left, pair.right
     if x.length != y.length or x.length < 1:
         return False
-    table = pair.table
+    atoms = pair.table.atoms
     by_length: dict[int, set] = {}
     for taken, rest, k in _sub_multisets(y):
         if 0 < k < y.length:
             by_length.setdefault(k, set()).add(
-                (_product_of(desc, table, taken), _product_of(desc, table, rest))
+                (models.product_of(desc, atoms, taken),
+                 models.product_of(desc, atoms, rest))
             )
     for taken, rest, k in _sub_multisets(x):
         if not 0 < k < x.length:
             continue
-        split = (_product_of(desc, table, taken), _product_of(desc, table, rest))
+        split = (models.product_of(desc, atoms, taken),
+                 models.product_of(desc, atoms, rest))
         if split in by_length.get(k, ()):
             return False
     return True
@@ -215,13 +209,6 @@ def _interval(lo: int, hi: int) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1))
 
 
-def _power(desc, base, k):
-    out = models.identity(desc)
-    for _ in range(k):
-        out = models.multiply(desc, out, base)
-    return out
-
-
 def verify_interval_relations(k_max: int, k_atom_max: int | None = None) -> dict:
     """Checks for the three-generator sumset monoid on {0,1} and two gaps.
 
@@ -248,8 +235,8 @@ def verify_interval_relations(k_max: int, k_atom_max: int | None = None) -> dict
 
     for k in range(k_max + 1):
         target = _interval(0, 3 * k + 1)
-        via_a = models.multiply(desc, _UNIT, _power(desc, _GEN_A, k))
-        via_b = models.multiply(desc, _UNIT, _power(desc, _GEN_B, k))
+        via_a = models.product_of(desc, (_UNIT, _GEN_A), ((0, 1), (1, k)))
+        via_b = models.product_of(desc, (_UNIT, _GEN_B), ((0, 1), (1, k)))
         require(
             via_a == target and via_b == target,
             "unit-absorbs-either-gap-power-into-interval",
@@ -258,8 +245,8 @@ def verify_interval_relations(k_max: int, k_atom_max: int | None = None) -> dict
             viaB=list(via_b),
         )
     for k in range(1, k_max + 1):
-        pa = _power(desc, _GEN_A, k)
-        pb = _power(desc, _GEN_B, k)
+        pa = models.product_of(desc, (_GEN_A,), ((0, k),))
+        pb = models.product_of(desc, (_GEN_B,), ((0, k),))
         require(
             pa != _interval(0, pa[-1]) and pb != _interval(0, pb[-1]),
             "gap-powers-are-never-intervals",

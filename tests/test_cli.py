@@ -197,7 +197,7 @@ def test_exit_three_on_budget(capsys, n23_path):
 
 
 def test_exit_four_on_failed_claim(capsys, monkeypatch, n23_path):
-    def broken(config, args):
+    def broken(args):
         raise errors.AssertionFailure("forced failure", {"k": 1})
 
     monkeypatch.setitem(cli._HANDLERS, "verify-example", broken)
@@ -247,6 +247,25 @@ def test_negative_bounds_are_rejected(capsys, n23_path, argv, flag):
     code, out, err = run(capsys, argv + ["--monoid", n23_path])
     assert (code, out) == (2, "")
     assert err == f"factorlab: {flag} must be nonnegative, got {argv[-1]}\n"
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_are_rejected(capsys, n23_path, jobs):
+    code, out, err = run(capsys, ["global", "--monoid", n23_path,
+                                  "--bound", "10", "--jobs", jobs])
+    assert (code, out) == (2, "")
+    assert err == f"factorlab: --jobs must be at least 1, got {jobs}\n"
+
+
+def test_negative_union_index_rejected_without_gaps(capsys, tmp_path):
+    # <2> is half-factorial, so the probe returns before it reads any k.
+    path = tmp_path / "n2.json"
+    path.write_text(json.dumps({"model": "numerical", "generators": [2]}))
+    code, out, err = run(capsys, ["structure-probe", "--monoid", str(path),
+                                  "--bound", "10", "--target", "unions",
+                                  "--k-range=-1,3"])
+    assert (code, out) == (2, "")
+    assert err == "factorlab: union indices must be nonnegative\n"
 
 
 def test_a_zero_budget_is_still_a_budget(capsys, n23_path):

