@@ -189,8 +189,9 @@ def unions_structure_probe(
 
     Also tabulates the density |U_k| / k against the slope
     (rho - 1/rho) / min Delta that the density approaches in k, as an
-    informational trend only. Delta, rho and every union come from one
-    length table; each overflowed element is warned about once.
+    informational trend only; both are exact fractions written as
+    strings ("3/2"). Delta, rho and every union come from one length
+    table; each overflowed element is warned about once.
     """
     ks = sorted(set(k_range))
     if ks and ks[0] < 0:
@@ -219,14 +220,14 @@ def unions_structure_probe(
                 "union": union,
                 "m": best_m,
                 "d": best_d,
-                "density": Fraction(len(union.lengths), k) if k else None,
+                "density": str(Fraction(len(union.lengths), k)) if k else None,
             }
         )
     return {
         "trivial": False,
         "bound": weight_bound,
         "dmin": dmin,
-        "densityTarget": (rho - 1 / rho) / dmin,
+        "densityTarget": str((rho - 1 / rho) / dmin),
         "rows": rows,
         "warnings": warnings,
     }

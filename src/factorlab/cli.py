@@ -18,9 +18,10 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
-from . import aamp, cache, errors, factor, invariants, models, relations
+# Each handler imports the cache, invariants, aamp or relations module it
+# calls, so a request loads only the modules its command runs.
+from . import errors, factor, models
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -135,11 +136,11 @@ def load_descriptor(path: str) -> models.MonoidDescriptor:
 
 
 def jsonable(value):
-    """Rewrite report values into plain JSON types."""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, invariants.LengthSet):
-        return list(value.lengths)
+    """Rewrite report values into plain JSON types.
+
+    Reports convert their own Fractions and length sets, so this needs
+    no class from the modules a command may not have loaded.
+    """
     if isinstance(value, frozenset):
         return sorted(jsonable(v) for v in value)
     if isinstance(value, dict):
@@ -225,6 +226,8 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
 
 
 def _load_fiber(args, desc: models.MonoidDescriptor) -> factor.FactorSet:
+    from . import cache
+
     el = models.parse_element_literal(desc, args.element)
     return cache.load_or_compute(desc, el, args.budget,
                                  cache.resolve_cache_dir(args.cache_dir))
@@ -270,6 +273,8 @@ def run_factorize(args) -> tuple[str | None, dict, list]:
 
 
 def run_invariants(args) -> tuple[str | None, dict, list]:
+    from . import invariants
+
     desc = load_descriptor(args.monoid)
     fs = _load_fiber(args, desc)
     report = invariants.element_report(fs)
@@ -277,6 +282,8 @@ def run_invariants(args) -> tuple[str | None, dict, list]:
 
 
 def run_global(args) -> tuple[str | None, dict, list]:
+    from . import invariants
+
     desc = load_descriptor(args.monoid)
     bound = _require_bound(args)
     estimates, warnings = invariants.global_estimates(
@@ -286,14 +293,19 @@ def run_global(args) -> tuple[str | None, dict, list]:
 
 
 def run_unions(args) -> tuple[str | None, dict, list]:
+    from . import invariants
+
     desc = load_descriptor(args.monoid)
     bound = _require_bound(args)
     row, warnings = invariants.unions_of_lengths(
         desc, args.k, bound, args.budget, args.jobs)
+    row["union"] = list(row["union"].lengths)
     return models.descriptor_hash(desc), row, warnings
 
 
 def run_aamp_check(args) -> tuple[str | None, dict, list]:
+    from . import aamp
+
     values = _parse_int_list(args.length_set, "--set")
     if args.difference < 1:
         raise errors.MalformedDescriptor("--difference must be positive")
@@ -315,6 +327,8 @@ def run_aamp_check(args) -> tuple[str | None, dict, list]:
 
 
 def run_structure_probe(args) -> tuple[str | None, dict, list]:
+    from . import aamp
+
     desc = load_descriptor(args.monoid)
     bound = _require_bound(args)
     if args.target == "unions":
@@ -351,16 +365,21 @@ def _probe_to_json(desc: models.MonoidDescriptor, report: dict) -> dict:
         out["perElement"] = [
             {
                 "element": models.element_to_json(desc, row["element"]),
-                "lengths": jsonable(row["lengths"]),
+                "lengths": list(row["lengths"].lengths),
                 "m": row["m"],
                 "d": row["d"],
             }
             for row in out["perElement"]
         ]
+    if "rows" in out:
+        out["rows"] = [dict(row, union=list(row["union"].lengths))
+                       for row in out["rows"]]
     return out
 
 
 def run_relation_atoms(args) -> tuple[str | None, dict, list]:
+    from . import relations
+
     desc = load_descriptor(args.monoid)
     if args.length_bound is None:
         raise errors.MalformedDescriptor("this command requires --length-bound")
@@ -375,6 +394,8 @@ def run_relation_atoms(args) -> tuple[str | None, dict, list]:
 
 
 def run_verify_example(args) -> tuple[str | None, dict, list]:
+    from . import relations
+
     if args.name == "3.2":
         k_max = args.k_max if args.k_max is not None else 8
         report = relations.verify_interval_relations(k_max)
@@ -385,6 +406,8 @@ def run_verify_example(args) -> tuple[str | None, dict, list]:
 
 
 def run_probe_growth(args) -> tuple[str | None, dict, list]:
+    from . import cache, invariants
+
     desc = load_descriptor(args.monoid)
     if args.n_max < 1:
         raise errors.MalformedDescriptor("--n-max must be at least 1")

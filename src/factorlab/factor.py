@@ -211,7 +211,7 @@ def factorizations(
     """Enumerate Z(element) completely or raise BudgetExceeded."""
     el = models.canon(desc, element)
     if not models.membership(desc, el):
-        raise NotAMember(f"{el!r} is not a member")
+        raise NotAMember(f"{models.format_element(desc, el)} is not a member")
     if isinstance(desc, models.Product):
         parts = [factorizations(f, c, budget) for f, c in zip(desc.factors, el[0])]
         return product_fiber(desc, el, parts, budget)

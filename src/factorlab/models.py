@@ -669,7 +669,7 @@ def atoms_dividing(desc: MonoidDescriptor, a: Element) -> list[Element]:
     """
     a = canon(desc, a)
     if not _is_member(desc, a):
-        raise NotAMember(f"{a!r} is not a member")
+        raise NotAMember(f"{format_element(desc, a)} is not a member")
     if isinstance(desc, Numerical):
         return [
             u for u in generator_atoms(desc)

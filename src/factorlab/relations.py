@@ -327,9 +327,9 @@ def verify_unique_representation(
         rows.append(
             {
                 "k": k,
-                "L1": l1,
-                "L2": l2,
-                "sumset": total,
+                "L1": list(l1.lengths),
+                "L2": list(l2.lengths),
+                "sumset": list(total.lengths),
                 "targets": (t1, t2),
                 "representations": (reps1[0], reps2[0]),
                 "separation": gap,

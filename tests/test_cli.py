@@ -170,6 +170,25 @@ def test_exit_two_on_nonmember(capsys, n23_path):
     assert "member" in err
 
 
+@pytest.mark.parametrize("doc,command,literal", [
+    (N23_DOC, "factorize", "1"),
+    ({"model": "affine", "dim": 2, "generators": [[2, 0], [1, 1], [0, 2]]},
+     "factorize", "1,0"),
+    (FP_DOC, "invariants", "1,0"),
+    ({"model": "sumset", "generators": [[0, 1], [0, 2]]}, "factorize", "{0,5}"),
+    ({"model": "product", "freeRank": 1,
+      "factors": [N23_DOC, dict(FP_DOC, exceptional=[])]},
+     "atoms", "1;1,1;1"),
+], ids=["numerical", "affine", "fp-value", "sumset", "product"])
+def test_nonmember_is_named_as_written(capsys, tmp_path, doc, command, literal):
+    path = tmp_path / "monoid.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, [command, "--monoid", str(path),
+                                  "--element", literal])
+    assert (code, out) == (2, "")
+    assert err == f"factorlab: {literal} is not a member\n"
+
+
 def test_exit_two_on_malformed_descriptor(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"model": "numerical"}')
@@ -369,13 +388,48 @@ def test_repeat_runs_are_byte_identical(capsys, n23_path):
     assert one == two
 
 
-def test_cli_import_loads_no_process_pool():
-    code = ("import sys, factorlab.cli; "
-            "print(sorted(m for m in ('multiprocessing', "
-            "'concurrent.futures.process') if m in sys.modules))")
+# ---------------------------------------------------------------------------
+# start-up: a request imports only the modules its command runs
+
+
+def loaded_after(code: str, modules) -> list[str]:
+    """Those of ``modules`` a fresh interpreter has imported after ``code``."""
+    probe = (f"{code}\nimport json, sys\n"
+             f"print(json.dumps([m for m in {tuple(modules)!r} "
+             "if m in sys.modules]))")
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+SUBMODULES = tuple(f"factorlab.{name}" for name in (
+    "aamp", "cache", "cli", "errors", "factor", "invariants", "models",
+    "relations"))
+SWEEP_UNUSED = ("factorlab.aamp", "factorlab.relations")
+FIBER_UNUSED = ("factorlab.invariants", *SWEEP_UNUSED, "fractions")
+
+
+def test_cli_import_loads_no_process_pool():
+    assert loaded_after("import factorlab.cli", (
+        "multiprocessing", "concurrent.futures.process")) == []
+
+
+def test_package_import_loads_no_submodule():
+    assert loaded_after("import factorlab", SUBMODULES) == []
+
+
+@pytest.mark.parametrize("argv,unused", [
+    (["factorize", "--element", "12"], FIBER_UNUSED),
+    (["atoms", "--element", "12"], FIBER_UNUSED),
+    (["validate"], FIBER_UNUSED),
+    (["global", "--bound", "12"], SWEEP_UNUSED),
+    (["unions", "--bound", "12", "--k", "3"], SWEEP_UNUSED),
+], ids=["factorize", "atoms", "validate", "global", "unions"])
+def test_a_command_loads_only_the_modules_it_runs(n23_path, argv, unused):
+    code = ("from factorlab import cli\n"
+            f"if cli.main({argv + ['--monoid', n23_path]!r}):\n"
+            "    raise SystemExit('the command failed')")
+    assert loaded_after(code, unused) == []
