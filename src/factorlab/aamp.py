@@ -17,15 +17,13 @@ enumerated elements or unions of length sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import factor, invariants, models
 
 
-@dataclass(frozen=True)
-class AAMPWitness:
+class AAMPWitness(NamedTuple):
     shift: int
     difference: int
     period: tuple[int, ...]

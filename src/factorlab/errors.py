@@ -10,13 +10,17 @@ class MalformedDescriptor(FactorlabError):
 
 
 class ClosureViolation(FactorlabError):
-    """Two members whose product falls outside the described monoid."""
+    """Two members whose product falls outside the described monoid.
 
-    def __init__(self, left, right, total):
+    The raiser knows the model, so it writes the message, naming the
+    elements in their literal form; the elements themselves travel along.
+    """
+
+    def __init__(self, message: str, left, right, total):
         self.left = left
         self.right = right
         self.total = total
-        super().__init__(f"{left} + {right} = {total} is not a member")
+        super().__init__(message)
 
 
 class ShapeMismatch(FactorlabError):

@@ -23,9 +23,9 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 from operator import and_, mul, sub
+from typing import NamedTuple
 
 from . import models
 from .errors import BudgetExceeded, NotAMember, TableMismatch
@@ -35,21 +35,21 @@ DEFAULT_BUDGET = 2_000_000
 _TOKENS = itertools.count()
 
 
-@dataclass(frozen=True)
 class AtomTable:
-    """Atoms dividing one element, ids dense in global atom order."""
+    """Atoms dividing one element, ids dense in global atom order.
 
-    descriptor: models.MonoidDescriptor
-    atoms: tuple[models.Element, ...]
-    token: int = -1
+    Each table takes a fresh token, which its factorizations carry, so a
+    table equals only itself.
+    """
 
-    def __post_init__(self):
-        if self.token < 0:
-            object.__setattr__(self, "token", next(_TOKENS))
+    def __init__(self, descriptor: models.MonoidDescriptor,
+                 atoms: tuple[models.Element, ...]):
+        self.descriptor = descriptor
+        self.atoms = atoms
+        self.token = next(_TOKENS)
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(NamedTuple):
     """Sorted (atom id, multiplicity) pairs plus the total length."""
 
     counts: tuple[tuple[int, int], ...]
@@ -136,7 +136,6 @@ def dist_sup(xs, ys) -> int:
     return best
 
 
-@dataclass(frozen=True)
 class FactorSet:
     """The complete set Z(a) for one element, canonically ordered.
 
@@ -144,14 +143,15 @@ class FactorSet:
     contiguous run of indices into `all`.
     """
 
-    descriptor: models.MonoidDescriptor
-    element: models.Element
-    table: AtomTable
-    all: tuple[Factorization, ...]
-
-    def __post_init__(self):
-        if any(x.length > y.length for x, y in zip(self.all, self.all[1:])):
+    def __init__(self, descriptor: models.MonoidDescriptor,
+                 element: models.Element, table: AtomTable,
+                 all: tuple[Factorization, ...]):
+        if any(x.length > y.length for x, y in zip(all, all[1:])):
             raise ValueError("factorizations must be sorted by length")
+        self.descriptor = descriptor
+        self.element = element
+        self.table = table
+        self.all = all
 
     @cached_property
     def spans(self) -> dict[int, range]:

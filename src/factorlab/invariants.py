@@ -41,7 +41,6 @@ the free exponents.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import sub
 from typing import Iterable, NamedTuple
@@ -50,8 +49,7 @@ from . import factor, models
 from .errors import BudgetExceeded
 
 
-@dataclass(frozen=True)
-class LengthSet:
+class LengthSet(NamedTuple):
     lengths: tuple[int, ...]
 
     def delta(self) -> tuple[int, ...]:
@@ -190,8 +188,7 @@ def pair_tables(fs: factor.FactorSet):
 # element report
 
 
-@dataclass(frozen=True)
-class InvariantReport:
+class InvariantReport(NamedTuple):
     element: models.Element
     lengths: LengthSet
     elasticity: Fraction
@@ -430,8 +427,7 @@ def _with_atom(z: tuple, k: int) -> tuple:
 # global estimates
 
 
-@dataclass(frozen=True)
-class GlobalEstimate:
+class GlobalEstimate(NamedTuple):
     """Lower estimate of a global invariant at a finite weight bound."""
 
     name: str

@@ -29,9 +29,8 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Iterator
+from typing import Any, Iterator, NamedTuple
 
 from .errors import (
     ClosureViolation,
@@ -48,8 +47,7 @@ Vector = tuple[int, ...]
 # descriptors
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(NamedTuple):
     """Per-coordinate constraint describing exceptional low vectors.
 
     ``entries`` holds one ("exact", n) or ("atLeast", n) pair per
@@ -68,31 +66,26 @@ class Pattern:
         return True
 
 
-@dataclass(frozen=True)
-class Numerical:
+class Numerical(NamedTuple):
     generators: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Affine:
+class Affine(NamedTuple):
     dim: int
     generators: tuple[Vector, ...]
 
 
-@dataclass(frozen=True)
-class FinitelyPrimaryValue:
+class FinitelyPrimaryValue(NamedTuple):
     rank: int
     exponent: int
     exceptional: tuple[Pattern, ...]
 
 
-@dataclass(frozen=True)
-class Sumset:
+class Sumset(NamedTuple):
     generators: tuple[Vector, ...]
 
 
-@dataclass(frozen=True)
-class Product:
+class Product(NamedTuple):
     factors: tuple["MonoidDescriptor", ...]
     free_rank: int
 
@@ -715,8 +708,7 @@ def free_generator(desc: Product, j: int) -> Element:
 # validation
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     valid: bool
     cancellative: bool
     strongly_ring_like_candidate: bool | None
@@ -765,7 +757,9 @@ def validate(desc: MonoidDescriptor, bound: int) -> ValidationReport:
                 if all(x >= desc.exponent for x in s):
                     continue
                 if not _fp_member(desc, s):
-                    raise ClosureViolation(e, f, s)
+                    shown = (format_element(desc, v) for v in (e, f, s))
+                    raise ClosureViolation(
+                        "{} + {} = {} is not a member".format(*shown), e, f, s)
         mu = None
         if members:
             low = tuple(min(v[i] for v in members) for i in range(desc.rank))

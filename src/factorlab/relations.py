@@ -16,7 +16,7 @@ verdict.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import factor, invariants, models
 from .errors import AssertionFailure, BudgetExceeded
@@ -24,8 +24,7 @@ from .errors import AssertionFailure, BudgetExceeded
 Profile = frozenset
 
 
-@dataclass(frozen=True)
-class RelationPair:
+class RelationPair(NamedTuple):
     element: models.Element
     left: factor.Factorization
     right: factor.Factorization

@@ -235,6 +235,15 @@ def test_exit_two_on_closure_violation(capsys, tmp_path):
     assert "not a member" in err
 
 
+def test_closure_violation_names_elements_as_written(capsys, tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(dict(FP_DOC, exponent=3)))
+    code, out, err = run(capsys, ["validate", "--monoid", str(path),
+                                  "--bound", "6"])
+    assert (code, out) == (2, "")
+    assert err == "factorlab: 1,1 + 1,1 = 2,2 is not a member\n"
+
+
 def test_unions_rejects_a_negative_k(capsys, n23_path):
     code, out, err = run(capsys, ["unions", "--monoid", n23_path,
                                   "--bound", "10", "--k", "-1"])
@@ -380,6 +389,29 @@ def test_jobs_do_not_change_bytes(capsys, n23_path):
     assert one == two
 
 
+DESCRIPTORS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
+                           "descriptors")
+
+
+@pytest.mark.parametrize("model,argv", [
+    ("numerical", ["global", "--bound", "24"]),
+    ("affine", ["global", "--bound", "6"]),
+    ("fp-value", ["global", "--bound", "8"]),
+    ("sumset", ["global", "--bound", "6"]),
+    ("product", ["global", "--bound", "5"]),
+    ("sumset", ["structure-probe", "--bound", "8"]),
+], ids=["numerical", "affine", "fp-value", "sumset", "product",
+        "sumset-structure-probe"])
+def test_jobs_do_not_change_bytes_on_any_model(capsys, model, argv):
+    """Descriptors, patterns and fibers pickle across the worker boundary."""
+    argv = argv + ["--monoid", os.path.join(DESCRIPTORS, f"{model}.json"),
+                   "--output", "json"]
+    one = run(capsys, argv + ["--jobs", "1"])
+    two = run(capsys, argv + ["--jobs", "2"])
+    assert one[0] == 0, one[2]
+    assert one == two
+
+
 def test_repeat_runs_are_byte_identical(capsys, n23_path):
     argv = ["invariants", "--monoid", n23_path, "--element", "30",
             "--output", "json"]
@@ -410,6 +442,9 @@ SUBMODULES = tuple(f"factorlab.{name}" for name in (
     "relations"))
 SWEEP_UNUSED = ("factorlab.aamp", "factorlab.relations")
 FIBER_UNUSED = ("factorlab.invariants", *SWEEP_UNUSED, "fractions")
+# The records are NamedTuples and plain classes: no command needs the
+# dataclass machinery, or the inspect, ast and dis modules it pulls in.
+NEVER_USED = ("dataclasses", "inspect")
 
 
 def test_cli_import_loads_no_process_pool():
@@ -427,9 +462,13 @@ def test_package_import_loads_no_submodule():
     (["validate"], FIBER_UNUSED),
     (["global", "--bound", "12"], SWEEP_UNUSED),
     (["unions", "--bound", "12", "--k", "3"], SWEEP_UNUSED),
-], ids=["factorize", "atoms", "validate", "global", "unions"])
+    (["invariants", "--element", "12"], SWEEP_UNUSED),
+    (["structure-probe", "--bound", "12"], ("factorlab.relations",)),
+    (["relation-atoms", "--length-bound", "3"], ("factorlab.aamp",)),
+], ids=["factorize", "atoms", "validate", "global", "unions", "invariants",
+        "structure-probe", "relation-atoms"])
 def test_a_command_loads_only_the_modules_it_runs(n23_path, argv, unused):
     code = ("from factorlab import cli\n"
             f"if cli.main({argv + ['--monoid', n23_path]!r}):\n"
             "    raise SystemExit('the command failed')")
-    assert loaded_after(code, unused) == []
+    assert loaded_after(code, unused + NEVER_USED) == []
