@@ -416,7 +416,6 @@ def run_probe_growth(args) -> tuple[str | None, dict, list]:
     rows = []
     warnings: list = []
     current = models.identity(desc)
-    series: dict[str, list] = {name: [] for name in _GROWTH_KEYS}
     for n in range(1, args.n_max + 1):
         current = models.multiply(desc, current, base)
         try:
@@ -436,13 +435,11 @@ def run_probe_growth(args) -> tuple[str | None, dict, list]:
             "deltaW": report.delta_w,
         }
         rows.append(row)
-        for name in _GROWTH_KEYS:
-            series[name].append(row[name])
-    verdicts = {}
-    for name in _GROWTH_KEYS:
-        values = series[name]
-        half = values[len(values) // 2:]
-        verdicts[name] = bool(half) and len({json.dumps(v) for v in half}) == 1
+    half = rows[len(rows) // 2:]
+    verdicts = {
+        name: bool(half) and len({json.dumps(row[name]) for row in half}) == 1
+        for name in _GROWTH_KEYS
+    }
     results = {
         "family": args.family,
         "base": models.element_to_json(desc, base),

@@ -7,9 +7,10 @@ id order, taking each atom's multiplicity in turn, so each multiset is
 produced exactly once. On the cancellative value models a table of the
 remainders that each suffix of the atoms can reach, computed per element
 before the search, keeps it out of every branch that cannot finish, so
-its work follows the size of the fiber; sumsets keep a search over the
-divisors of the element. Product elements are factored compositionally,
-one slot at a time.
+its work follows the size of the fiber. The table is a set of bit masks
+over the box below the element, numbered in ``models`` as in the fp-value
+atom pass; sumsets keep a search over the divisors of the element.
+Product elements are factored compositionally, one slot at a time.
 
 The distance between two factorizations of the same element removes the
 greatest common subfactorization and takes the larger remaining length:
@@ -244,12 +245,13 @@ _BITS = bytes.maketrans(b"01", b"\0\1")
 def _enumerate_value(desc, el, atoms, budget):
     """DFS for cancellative value models, into remainders that can finish.
 
-    The box of points 0 <= v <= el is numbered in mixed radix (a value is
-    its own number), so taking an atom u from a point r >= u takes a fixed
-    offset from its number. Before the search, one bit mask per atom,
-    from the last atom back, marks reach[i], the points that are sums of
-    atoms[i:], and step[i], the points r >= atoms[i] with r - atoms[i] in
-    reach[i]; each mask is then read through a byte table over the box.
+    The box of points 0 <= v <= el is numbered by ``models.box_strides``
+    (a value is its own number), so taking an atom u from a point r >= u
+    takes a fixed offset from its number. Before the search, one bit mask
+    per atom, from the last atom back, marks reach[i], the points that are
+    sums of atoms[i:], and step[i], the points r >= atoms[i] with
+    r - atoms[i] in reach[i]; each mask is then read through a byte table
+    over the box.
     The search visits multiplicities in the same order as a search that
     tests every remainder for membership, but it descends only into
     remainders that the remaining atoms can still finish, so every node
@@ -257,14 +259,12 @@ def _enumerate_value(desc, el, atoms, budget):
     """
     if isinstance(desc, models.Numerical):
         el, atoms = (el,), [(u,) for u in atoms]
-    strides = [1]
-    for e in el[:-1]:
-        strides.append(strides[-1] * (e + 1))
+    strides = models.box_strides(el)
     offsets = [sum(map(mul, u, strides)) for u in atoms]
     size = strides[-1] * (el[-1] + 1)
     reach, step = [1], []
     for u, d in zip(reversed(atoms), reversed(offsets)):
-        room = _box_mask(el, u, strides)
+        room = models.box_mask(el, u, strides)
         # Close under adding u by doubling: after k rounds the mask holds
         # every point of reach[i + 1] plus at most 2^k - 1 copies of u, and
         # wide marks the points >= 2^k u, where the next round may land.
@@ -296,14 +296,6 @@ def _enumerate_value(desc, el, atoms, budget):
 
     rec(size - 1, 0, [])
     return sols
-
-
-def _box_mask(el, low, strides) -> int:
-    """Bit mask of the box points v with low <= v <= el, for low <= el."""
-    mask = 1
-    for e, x, s in zip(el, low, strides):
-        mask *= ((1 << (e - x + 1) * s) - 1) // ((1 << s) - 1) << x * s
-    return mask
 
 
 def _byte_table(mask: int, size: int) -> bytes:

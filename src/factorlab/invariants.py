@@ -253,11 +253,8 @@ def enumerate_elements(
     elif isinstance(desc, models.Affine):
         out = list(_closure(desc, weight_bound))
     elif isinstance(desc, models.FinitelyPrimaryValue):
-        out = [
-            v
-            for v in itertools.product(*(range(weight_bound + 1),) * desc.rank)
-            if sum(v) <= weight_bound and models._fp_member(desc, v)
-        ]
+        box = models.fp_members(desc, (weight_bound,) * desc.rank)
+        out = [models.identity(desc)] + [v for v in box if sum(v) <= weight_bound]
     elif isinstance(desc, models.Sumset):
         out = list(_closure(desc, weight_bound))
     else:

@@ -30,7 +30,8 @@ import hashlib
 import itertools
 import json
 from functools import lru_cache
-from typing import Any, Iterator, NamedTuple
+from operator import mul
+from typing import Any, NamedTuple
 
 from .errors import (
     ClosureViolation,
@@ -543,6 +544,12 @@ def _fp_member(desc: FinitelyPrimaryValue, v: Vector) -> bool:
     return any(pat.matches(v) for pat in desc.exceptional)
 
 
+def fp_members(desc: FinitelyPrimaryValue, top: Vector) -> list[Vector]:
+    """The nonzero members v <= top, in lexicographic order."""
+    box = itertools.product(*(range(1, x + 1) for x in top))
+    return [v for v in box if _fp_member(desc, v)]
+
+
 def _set_add(a: Vector, b: Vector) -> Vector:
     return tuple(sorted({x + y for x in a for y in b}))
 
@@ -583,6 +590,29 @@ def sumset_divisors(desc: Sumset, a: Vector) -> frozenset[Vector]:
 
 
 # ---------------------------------------------------------------------------
+# the box below a vector
+
+
+def box_strides(top: Vector) -> list[int]:
+    """Mixed-radix place values: v <= top is numbered sum(v[i] * strides[i]).
+
+    Adding a point u <= top - v to v adds the number of u.
+    """
+    strides = [1]
+    for e in top[:-1]:
+        strides.append(strides[-1] * (e + 1))
+    return strides
+
+
+def box_mask(top: Vector, low: Vector, strides: list[int]) -> int:
+    """Bit mask of the box points v with low <= v <= top, for low <= top."""
+    mask = 1
+    for e, x, s in zip(top, low, strides):
+        mask *= ((1 << (e - x + 1) * s) - 1) // ((1 << s) - 1) << x * s
+    return mask
+
+
+# ---------------------------------------------------------------------------
 # atoms
 
 
@@ -591,100 +621,68 @@ def generator_atoms(desc: Numerical | Affine | Sumset) -> tuple[Element, ...]:
     """The atoms of a finitely generated model, in weight-then-lex order.
 
     Every member is a sum of generators, so every atom is a generator. A
-    generator g is not an atom exactly when g = h + c for another
-    generator h and a nonzero member c: split a non-trivial g = b + c
-    and take for h any generator in a sum for b.
+    generator g is not an atom exactly when another generator h divides
+    it: split a non-trivial g = b + c and take for h any generator in a
+    sum for b.
     """
     atoms = [
         g for g in desc.generators
-        if not any(_has_cofactor(desc, g, h) for h in desc.generators if h != g)
+        if not any(_divides(desc, h, g) for h in desc.generators if h != g)
     ]
     return tuple(sorted(atoms, key=lambda u: element_sort_key(desc, u)))
 
 
-def _has_cofactor(desc: Numerical | Affine | Sumset, g: Element, h: Element) -> bool:
-    """True when g = h + c for some nonzero member c."""
+def _divides(desc: MonoidDescriptor, u: Element, a: Element) -> bool:
+    """True when u + c = a for some member c, for a base model."""
     if isinstance(desc, Numerical):
-        return h < g and _numerical_member(desc, g - h)
-    if isinstance(desc, Affine):
-        c = tuple(x - y for x, y in zip(g, h))
-        return min(c) >= 0 and _affine_member(desc, c)
-    rest = g[-1] - h[-1]
-    return rest > 0 and any(
-        c[-1] == rest and _set_add(h, c) == g for c in sumset_reachable(desc, g)
-    )
+        return u <= a and _numerical_member(desc, a - u)
+    if isinstance(desc, Sumset):
+        return u in sumset_divisors(desc, a)
+    c = tuple(x - y for x, y in zip(a, u))
+    return min(c) >= 0 and _is_member(desc, c)
 
 
-@lru_cache(maxsize=None)
 def is_atom(desc: MonoidDescriptor, el: Element) -> bool:
     """True when el is a member that admits no two-part nonzero splitting.
 
-    Numerical, affine and sumset models look el up among their
-    ``generator_atoms``. fp-value models, which have infinitely many
-    atoms, try every split inside the box below el. A product atom is an
-    atom of one slot or a free generator.
+    An atom divides itself, so this looks el up in ``atoms_dividing``.
     """
-    if isinstance(desc, (Numerical, Affine, Sumset)):
-        return el in generator_atoms(desc)
-    if el == identity(desc) or not _is_member(desc, el):
-        return False
-    if isinstance(desc, FinitelyPrimaryValue):
-        ident = identity(desc)
-        for b in _box(el):
-            if b == ident or b == el:
-                continue
-            c = tuple(x - y for x, y in zip(el, b))
-            if _is_member(desc, b) and _is_member(desc, c):
-                return False
-        return True
-    comps, free = el
-    slots = [
-        (i, c) for i, c in enumerate(comps) if c != identity(desc.factors[i])
-    ]
-    if sum(free) == 0 and len(slots) == 1:
-        i, c = slots[0]
-        return is_atom(desc.factors[i], c)
-    return sum(free) == 1 and not slots
-
-
-def _box(el: Vector) -> Iterator[Vector]:
-    return itertools.product(*(range(x + 1) for x in el))
+    el = canon(desc, el)
+    return (el != identity(desc) and _is_member(desc, el)
+            and el in atoms_dividing(desc, el))
 
 
 def atoms_dividing(desc: MonoidDescriptor, a: Element) -> list[Element]:
     """Atoms u with u + c = a solvable, in weight-then-lexicographic order.
 
-    Numerical, affine and sumset models test each of their
-    ``generator_atoms`` for a member cofactor; fp-value models scan the
-    box below a; products join the atoms of their slots and the free
-    generators a uses. The table is finite for every element of every
-    model even when the monoid has infinitely many atoms overall.
+    Numerical, affine and sumset models keep those of their
+    ``generator_atoms`` that divide a. fp-value models take one bit mask
+    pass over the box below a, numbered by ``box_strides``: the atoms are
+    the nonzero members that are not sums of two of them. Products join
+    the atoms of their slots and the free generators a uses. The table is
+    finite for every element of every model even when the monoid has
+    infinitely many atoms overall.
     """
     a = canon(desc, a)
     if not _is_member(desc, a):
         raise NotAMember(f"{format_element(desc, a)} is not a member")
-    if isinstance(desc, Numerical):
-        return [
-            u for u in generator_atoms(desc)
-            if u <= a and _numerical_member(desc, a - u)
-        ]
-    if isinstance(desc, Affine):
-        rests = ((u, tuple(x - y for x, y in zip(a, u))) for u in generator_atoms(desc))
-        return [u for u, c in rests if min(c) >= 0 and _affine_member(desc, c)]
-    if isinstance(desc, Sumset):
-        divisors = sumset_divisors(desc, a)
-        return [u for u in generator_atoms(desc) if u in divisors]
-    out: list[Element] = []
+    if isinstance(desc, (Numerical, Affine, Sumset)):
+        return [u for u in generator_atoms(desc) if _divides(desc, u, a)]
     if isinstance(desc, FinitelyPrimaryValue):
-        ident = identity(desc)
-        for u in _box(a):
-            if u == ident:
-                continue
-            rest = tuple(x - y for x, y in zip(a, u))
-            if _is_member(desc, rest) and is_atom(desc, u):
-                out.append(u)
+        # Both parts of a split of a point u <= a lie in the box, so the
+        # sums of two members are the member mask shifted by each member
+        # u and cut to the points >= u.
+        strides = box_strides(a)
+        members = fp_members(desc, a)
+        offsets = [sum(map(mul, u, strides)) for u in members]
+        mask, sums = sum(1 << d for d in offsets), 0
+        for u, d in zip(members, offsets):
+            sums |= (mask << d) & box_mask(a, u, strides)
+        out = [u for u, d in zip(members, offsets)
+               if not sums >> d & 1 and _divides(desc, u, a)]
     else:
         comps, free = a
+        out = []
         for i, (f, c) in enumerate(zip(desc.factors, comps)):
             out.extend(embed_component(desc, i, u) for u in atoms_dividing(f, c))
         out.extend(free_generator(desc, j) for j, e in enumerate(free) if e >= 1)
@@ -746,11 +744,7 @@ def validate(desc: MonoidDescriptor, bound: int) -> ValidationReport:
             raise MalformedDescriptor(
                 f"validation bound {bound} below twice the exponent"
             )
-        members = [
-            v
-            for v in itertools.product(*(range(bound + 1),) * desc.rank)
-            if any(v) and _fp_member(desc, v)
-        ]
+        members = fp_members(desc, (bound,) * desc.rank)
         for e in members:
             for f in members:
                 s = tuple(x + y for x, y in zip(e, f))

@@ -1,13 +1,14 @@
 """Atoms from generators and the reachability-pruned search, against oracles."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bruteforce
 from factorlab import factor, models
-from factorlab.errors import BudgetExceeded
+from factorlab.errors import BudgetExceeded, ClosureViolation, MalformedDescriptor
 from test_length_table import FIXED, FIXED_IDS
+from test_models import FP22, N23
 
 N234 = models.Numerical(generators=(2, 3, 4))
 N_WIDE = models.Numerical(generators=(4, 6, 7, 10, 13))
@@ -19,8 +20,10 @@ NON_MINIMAL = [
     (models.Product(factors=(N234, SUM_EXTRA), free_rank=1), 5),
 ]
 NON_MINIMAL_IDS = ["N234", "N_WIDE", "AFF_EXTRA", "AFF3", "SUM_EXTRA", "PROD_EXTRA"]
-CASES = FIXED + NON_MINIMAL
-CASE_IDS = FIXED_IDS + NON_MINIMAL_IDS
+# A product whose fp-value slot has a pattern.
+FP_SLOT = (models.Product(factors=(FP22, N23), free_rank=1), 6)
+CASES = FIXED + NON_MINIMAL + [FP_SLOT]
+CASE_IDS = FIXED_IDS + NON_MINIMAL_IDS + ["FP_SLOT"]
 
 
 def check_against_oracle(desc, bound):
@@ -54,6 +57,30 @@ vectors = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any)
 @given(st.sets(vectors, min_size=1, max_size=4))
 def test_affine_models_match_oracle(gens):
     check_against_oracle(models.Affine(dim=2, generators=tuple(sorted(gens))), 7)
+
+
+@st.composite
+def fp_value_models(draw):
+    """fp-value descriptors of rank 1-3, exponent 1-3 and 0-2 patterns."""
+    rank = draw(st.integers(1, 3))
+    exponent = draw(st.integers(1, 3))
+    entry = st.tuples(st.sampled_from(["exact", "atLeast"]),
+                      st.integers(1, exponent + 1))
+    patterns = draw(st.lists(st.tuples(*[entry] * rank), max_size=2, unique=True))
+    desc = models.FinitelyPrimaryValue(
+        rank=rank, exponent=exponent,
+        exceptional=tuple(models.Pattern(entries=p) for p in patterns))
+    try:
+        models.validate(desc, 2 * exponent)
+    except (MalformedDescriptor, ClosureViolation):
+        assume(False)
+    return desc
+
+
+@settings(max_examples=30, deadline=None)
+@given(fp_value_models())
+def test_fp_value_models_match_oracle(desc):
+    check_against_oracle(desc, 12 - 2 * desc.rank)
 
 
 GENERATED = [(d, i) for (d, _), i in zip(CASES, CASE_IDS)

@@ -13,7 +13,24 @@ from pathlib import Path
 
 import pytest
 
+from factorlab import factor, models
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_traced(tmp_path, descriptor, argv):
+    """Run one request under trace_child.py: (its JSON report, the trace)."""
+    monoid = tmp_path / "monoid.json"
+    monoid.write_text(json.dumps(descriptor))
+    out = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "trace_child.py"), str(out),
+         *argv, "--monoid", str(monoid), "--output", "json"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout), json.loads(out.read_text())
 
 
 @pytest.mark.parametrize("generators,argv,multiplies", [
@@ -24,19 +41,34 @@ ROOT = Path(__file__).resolve().parent.parent
 ], ids=["global", "relation-atoms"])
 def test_trace_child_records_spans_and_counts(tmp_path, generators, argv,
                                               multiplies):
-    monoid = tmp_path / "monoid.json"
-    monoid.write_text(json.dumps({"model": "numerical", "generators": generators}))
-    out = tmp_path / "trace.json"
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "trace_child.py"), str(out),
-         *argv, "--monoid", str(monoid), "--output", "json"],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["command"] == argv[0]
-    doc = json.loads(out.read_text())
+    report, doc = run_traced(
+        tmp_path, {"model": "numerical", "generators": generators}, argv)
+    assert report["command"] == argv[0]
     assert doc["spans"]
     assert doc["counts"]["models.membership.calls"] > 0
     if multiplies:
         assert doc["counts"]["models.multiply.calls"] > 0
+
+
+FP_VALUE = {"model": "fp-value", "rank": 2, "exponent": 2,
+            "exceptional": [[{"exact": 1}, {"atLeast": 1}]]}
+
+
+@pytest.mark.parametrize("descriptor,element", [
+    (FP_VALUE, "14,14"),
+    ({"model": "product", "freeRank": 1,
+      "factors": [{"model": "numerical", "generators": [2, 3]}, FP_VALUE]},
+     "7;6,6;1"),
+], ids=["fp-value", "product"])
+def test_fp_value_atoms_take_no_per_point_atom_test(tmp_path, descriptor,
+                                                    element):
+    report, doc = run_traced(tmp_path, descriptor,
+                             ["factorize", "--element", element])
+    assert doc["counts"].get("models.is_atom.calls", 0) == 0
+    desc = models.descriptor_from_json(descriptor)
+    el = models.parse_element_literal(desc, element)
+    # A product fiber is built from one enumerated fiber per slot.
+    slots = zip(desc.factors, el[0]) if isinstance(desc, models.Product) else ()
+    enumerated = len(report["results"]["factorizations"]) + sum(
+        len(factor.factorizations(f, c).all) for f, c in slots)
+    assert doc["counts"]["factor.factorizations"] == enumerated
