@@ -8,8 +8,8 @@ produced exactly once. On the cancellative value models a table of the
 remainders that each suffix of the atoms can reach, computed per element
 before the search, keeps it out of every branch that cannot finish, so
 its work follows the size of the fiber. The table is a set of bit masks
-over the box below the element, numbered in ``models`` as in the fp-value
-atom pass; sumsets keep a search over the divisors of the element.
+over the box below the element, closed by ``models.close_under``, the pass
+behind numerical and affine membership; sumsets search the divisors.
 Product elements are factored compositionally, one slot at a time.
 
 The distance between two factorizations of the same element removes the
@@ -249,9 +249,9 @@ def _enumerate_value(desc, el, atoms, budget):
     (a value is its own number), so taking an atom u from a point r >= u
     takes a fixed offset from its number. Before the search, one bit mask
     per atom, from the last atom back, marks reach[i], the points that are
-    sums of atoms[i:], and step[i], the points r >= atoms[i] with
-    r - atoms[i] in reach[i]; each mask is then read through a byte table
-    over the box.
+    sums of atoms[i:] (reach[i + 1] closed under atoms[i] by
+    ``models.close_under``), and step[i], the points r >= atoms[i] with
+    r - atoms[i] in reach[i]; each mask is read through a byte table.
     The search visits multiplicities in the same order as a search that
     tests every remainder for membership, but it descends only into
     remainders that the remaining atoms can still finish, so every node
@@ -265,16 +265,8 @@ def _enumerate_value(desc, el, atoms, budget):
     reach, step = [1], []
     for u, d in zip(reversed(atoms), reversed(offsets)):
         room = models.box_mask(el, u, strides)
-        # Close under adding u by doubling: after k rounds the mask holds
-        # every point of reach[i + 1] plus at most 2^k - 1 copies of u, and
-        # wide marks the points >= 2^k u, where the next round may land.
-        mask, wide, shift = reach[-1], room, d
-        while wide:
-            mask |= wide & (mask << shift)
-            wide &= wide << shift
-            shift <<= 1
-        reach.append(mask)
-        step.append(room & (mask << d))
+        reach.append(models.close_under(reach[-1], room, d))
+        step.append(room & (reach[-1] << d))
     reach = [_byte_table(m, size) for m in reversed(reach)]
     step = [_byte_table(m, size) for m in reversed(step)]
     sols: list[tuple[tuple[int, int], ...]] = []

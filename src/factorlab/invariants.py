@@ -249,11 +249,12 @@ def enumerate_elements(
     if weight_bound < 0:
         return []
     if isinstance(desc, models.Numerical):
-        out = [n for n in range(weight_bound + 1) if models.membership(desc, n)]
+        bits = bin(models.member_mask(desc, (weight_bound,)))[:1:-1]
+        out = [n for n, bit in enumerate(bits) if bit == "1"]
     elif isinstance(desc, models.Affine):
         out = list(_closure(desc, weight_bound))
     elif isinstance(desc, models.FinitelyPrimaryValue):
-        box = models.fp_members(desc, (weight_bound,) * desc.rank)
+        box = models.fp_box(desc, (weight_bound,) * desc.rank)[0]
         out = [models.identity(desc)] + [v for v in box if sum(v) <= weight_bound]
     elif isinstance(desc, models.Sumset):
         out = list(_closure(desc, weight_bound))

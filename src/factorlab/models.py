@@ -16,7 +16,9 @@ Five models are supported, all written additively:
 Elements are canonical hashable values: an int, a tuple of ints, a
 strictly increasing tuple starting at 0 for sumsets, or a
 (components, free exponents) pair of tuples for products. Every function
-here is pure, so results are memoised freely.
+here is pure. Numerical and affine membership reads a bit mask of the box
+below the element, built per call; only ``generator_atoms``,
+``sumset_reachable`` and ``sumset_divisors`` keep ``lru_cache`` memos.
 
 The ``weight`` of an element (value, coordinate sum, maximum, or the sum
 over product slots) is additive under multiplication and strictly
@@ -30,7 +32,7 @@ import hashlib
 import itertools
 import json
 from functools import lru_cache
-from operator import mul
+from operator import le, mul
 from typing import Any, NamedTuple
 
 from .errors import (
@@ -469,69 +471,12 @@ def membership(desc: MonoidDescriptor, candidate: Any) -> bool:
 
 
 def _is_member(desc: MonoidDescriptor, el: Element) -> bool:
-    if isinstance(desc, Numerical):
-        return _numerical_member(desc, el)
-    if isinstance(desc, Affine):
-        return _affine_member(desc, el)
+    if isinstance(desc, (Numerical, Affine, Sumset)):
+        return _divisors(desc, el)(identity(desc))
     if isinstance(desc, FinitelyPrimaryValue):
         return _fp_member(desc, el)
-    if isinstance(desc, Sumset):
-        return el == (0,) or el in sumset_reachable(desc, el)
     comps, _ = el
     return all(_is_member(f, c) for f, c in zip(desc.factors, comps))
-
-
-_NUMERICAL_TABLES: dict[Numerical, list[bool]] = {}
-
-
-def _numerical_member(desc: Numerical, n: int) -> bool:
-    table = _NUMERICAL_TABLES.setdefault(desc, [True])
-    while len(table) <= n:
-        m = len(table)
-        table.append(any(m >= g and table[m - g] for g in desc.generators))
-    return table[n]
-
-
-_AFFINE_MEMBERS: dict[Affine, dict[Vector, bool]] = {}
-
-
-def _affine_member(desc: Affine, v: Vector) -> bool:
-    """Depth-first search for a chain of generator steps from v down to 0.
-
-    An explicit stack replaces recursion, so the depth of the search (the
-    length of a factorization) is not bounded by the interpreter. Each
-    vector is settled once per descriptor: it is a member as soon as one
-    step lands on a member, and a non-member once every step is settled.
-    """
-    memo = _AFFINE_MEMBERS.get(desc)
-    if memo is None:
-        memo = _AFFINE_MEMBERS[desc] = {(0,) * desc.dim: True}
-    known = memo.get(v)
-    if known is not None:
-        return known
-    stack = [v]
-    while stack:
-        u = stack[-1]
-        if u in memo:
-            stack.pop()
-            continue
-        pending = None
-        for g in desc.generators:
-            w = tuple(x - y for x, y in zip(u, g))
-            if min(w) < 0:
-                continue
-            known = memo.get(w)
-            if known is None:
-                pending = w
-                break
-            if known:
-                memo[u] = True
-                break
-        else:
-            memo[u] = False
-        if pending is not None:
-            stack.append(pending)
-    return memo[v]
 
 
 def _fp_member(desc: FinitelyPrimaryValue, v: Vector) -> bool:
@@ -542,12 +487,6 @@ def _fp_member(desc: FinitelyPrimaryValue, v: Vector) -> bool:
     if all(x >= desc.exponent for x in v):
         return True
     return any(pat.matches(v) for pat in desc.exceptional)
-
-
-def fp_members(desc: FinitelyPrimaryValue, top: Vector) -> list[Vector]:
-    """The nonzero members v <= top, in lexicographic order."""
-    box = itertools.product(*(range(1, x + 1) for x in top))
-    return [v for v in box if _fp_member(desc, v)]
 
 
 def _set_add(a: Vector, b: Vector) -> Vector:
@@ -608,8 +547,73 @@ def box_mask(top: Vector, low: Vector, strides: list[int]) -> int:
     """Bit mask of the box points v with low <= v <= top, for low <= top."""
     mask = 1
     for e, x, s in zip(top, low, strides):
-        mask *= ((1 << (e - x + 1) * s) - 1) // ((1 << s) - 1) << x * s
+        # e - x + 1 copies of the mask so far, s apart, by doubling
+        width, shift = (e - x + 1) * s, x * s
+        while s < width:
+            mask |= mask << s
+            s <<= 1
+        mask = (mask & ((1 << width) - 1)) << shift
     return mask
+
+
+def close_under(mask: int, room: int, shift: int) -> int:
+    """mask closed under adding the point u numbered shift, within room,
+    the box points >= u. By doubling: after k rounds the mask holds the
+    input plus at most 2^k - 1 copies of u, and wide marks the points
+    >= 2^k u, where the next round may land."""
+    wide = room
+    while wide:
+        mask |= wide & (mask << shift)
+        wide &= wide << shift
+        shift <<= 1
+    return mask
+
+
+def member_mask(desc: Numerical | Affine, top: Vector) -> int:
+    """Bit mask of the members v <= top, numbered by ``box_strides(top)``:
+    the identity closed under each generator (a numerical n is (n,))."""
+    strides = box_strides(top)
+    mask = 1
+    for g in desc.generators:
+        g = (g,) if isinstance(desc, Numerical) else g
+        if all(map(le, g, top)):
+            mask = close_under(mask, box_mask(top, g, strides),
+                               sum(map(mul, g, strides)))
+    return mask
+
+
+def _divisors(desc: Numerical | Affine | Sumset, a: Element):
+    """u -> whether u + c = a for some member c; the identity tests a.
+    Numerical and affine models read a - u off one ``member_mask`` below a."""
+    if isinstance(desc, Sumset):
+        return sumset_divisors(desc, a).__contains__
+    top = (a,) if isinstance(desc, Numerical) else a
+    strides = box_strides(top)
+    mask, last = member_mask(desc, top), sum(map(mul, top, strides))
+
+    def divides(u: Element) -> bool:
+        u = (u,) if isinstance(desc, Numerical) else u
+        return all(map(le, u, top)) and (
+            mask >> (last - sum(map(mul, u, strides)))) & 1 == 1
+    return divides
+
+
+def fp_box(desc: FinitelyPrimaryValue, top: Vector):
+    """(members, their numbers, member mask, sums mask) of the box below top:
+    the nonzero members in lexicographic order, and the member mask shifted
+    by each member and cut to the points >= it, which marks the sums of two
+    members in the box. Raises ClosureViolation, as ``validate`` does, when
+    one of those sums is not a member."""
+    strides = box_strides(top)
+    box = itertools.product(*(range(1, x + 1) for x in top))
+    members = [v for v in box if _fp_member(desc, v)]
+    offsets = [sum(map(mul, u, strides)) for u in members]
+    mask, sums = sum(1 << d for d in offsets), 0
+    for u, d in zip(members, offsets):
+        sums |= (mask << d) & box_mask(top, u, strides)
+    if sums & ~mask:
+        _check_closure(desc, members)
+    return members, offsets, mask, sums
 
 
 # ---------------------------------------------------------------------------
@@ -627,19 +631,9 @@ def generator_atoms(desc: Numerical | Affine | Sumset) -> tuple[Element, ...]:
     """
     atoms = [
         g for g in desc.generators
-        if not any(_divides(desc, h, g) for h in desc.generators if h != g)
+        if not any(map(_divisors(desc, g), (h for h in desc.generators if h != g)))
     ]
     return tuple(sorted(atoms, key=lambda u: element_sort_key(desc, u)))
-
-
-def _divides(desc: MonoidDescriptor, u: Element, a: Element) -> bool:
-    """True when u + c = a for some member c, for a base model."""
-    if isinstance(desc, Numerical):
-        return u <= a and _numerical_member(desc, a - u)
-    if isinstance(desc, Sumset):
-        return u in sumset_divisors(desc, a)
-    c = tuple(x - y for x, y in zip(a, u))
-    return min(c) >= 0 and _is_member(desc, c)
 
 
 def is_atom(desc: MonoidDescriptor, el: Element) -> bool:
@@ -664,22 +658,20 @@ def atoms_dividing(desc: MonoidDescriptor, a: Element) -> list[Element]:
     infinitely many atoms overall.
     """
     a = canon(desc, a)
+    if isinstance(desc, (Numerical, Affine, Sumset)):
+        divides = _divisors(desc, a)
+        if not divides(identity(desc)):
+            raise NotAMember(f"{format_element(desc, a)} is not a member")
+        return [u for u in generator_atoms(desc) if divides(u)]
     if not _is_member(desc, a):
         raise NotAMember(f"{format_element(desc, a)} is not a member")
-    if isinstance(desc, (Numerical, Affine, Sumset)):
-        return [u for u in generator_atoms(desc) if _divides(desc, u, a)]
     if isinstance(desc, FinitelyPrimaryValue):
-        # Both parts of a split of a point u <= a lie in the box, so the
-        # sums of two members are the member mask shifted by each member
-        # u and cut to the points >= u.
-        strides = box_strides(a)
-        members = fp_members(desc, a)
-        offsets = [sum(map(mul, u, strides)) for u in members]
-        mask, sums = sum(1 << d for d in offsets), 0
-        for u, d in zip(members, offsets):
-            sums |= (mask << d) & box_mask(a, u, strides)
+        # Both parts of a split of u <= a lie in the box. a is the last
+        # member; a - u is the identity (bit 0, not in the mask) or one.
+        members, offsets, mask, sums = fp_box(desc, a)
+        mask |= 1
         out = [u for u, d in zip(members, offsets)
-               if not sums >> d & 1 and _divides(desc, u, a)]
+               if not sums >> d & 1 and (mask >> (offsets[-1] - d)) & 1]
     else:
         comps, free = a
         out = []
@@ -744,16 +736,8 @@ def validate(desc: MonoidDescriptor, bound: int) -> ValidationReport:
             raise MalformedDescriptor(
                 f"validation bound {bound} below twice the exponent"
             )
-        members = fp_members(desc, (bound,) * desc.rank)
-        for e in members:
-            for f in members:
-                s = tuple(x + y for x, y in zip(e, f))
-                if all(x >= desc.exponent for x in s):
-                    continue
-                if not _fp_member(desc, s):
-                    shown = (format_element(desc, v) for v in (e, f, s))
-                    raise ClosureViolation(
-                        "{} + {} = {} is not a member".format(*shown), e, f, s)
+        members = fp_box(desc, (bound,) * desc.rank)[0]
+        _check_closure(desc, members)
         mu = None
         if members:
             low = tuple(min(v[i] for v in members) for i in range(desc.rank))
@@ -782,6 +766,19 @@ def validate(desc: MonoidDescriptor, bound: int) -> ValidationReport:
     )
 
 
+def _check_closure(desc: FinitelyPrimaryValue, members: list[Vector]) -> None:
+    """Raise ClosureViolation for the first pair of members whose sum is not one."""
+    for e in members:
+        for f in members:
+            s = tuple(x + y for x, y in zip(e, f))
+            if all(x >= desc.exponent for x in s):
+                continue
+            if not _fp_member(desc, s):
+                shown = (format_element(desc, v) for v in (e, f, s))
+                raise ClosureViolation(
+                    "{} + {} = {} is not a member".format(*shown), e, f, s)
+
+
 def non_atom_generators(desc: MonoidDescriptor) -> list | None:
     """Generators that are sums of other generators, as JSON values.
 
@@ -798,7 +795,7 @@ def non_atom_generators(desc: MonoidDescriptor) -> list | None:
 
 
 def max_generator_weight(desc: MonoidDescriptor) -> int | None:
-    """Largest atom weight for finitely generated models, None otherwise."""
+    """Largest generator weight (a bound on atom weights); None without generators."""
     if isinstance(desc, Numerical):
         return max(desc.generators)
     if isinstance(desc, Affine):

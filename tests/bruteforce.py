@@ -1,8 +1,10 @@
 """Independent brute-force oracles used to cross-check the library.
 
 Everything here recomputes results straight from definitions: members
-come from box scans filtered by the membership primitive, atoms from
-exhaustive two-part splits, factorizations from multiplicity search with
+come from box scans, filtered by ``generated`` for numerical and affine
+models (the package decides those with bit masks, which this shares no
+code with) and by the closed-form membership primitive otherwise, atoms
+from exhaustive two-part splits, factorizations from multiplicity search with
 a leaf product-equality check, and the chain invariants from explicit
 threshold-graph connectivity. None of the enumeration or graph logic in
 the package is reused.
@@ -22,6 +24,26 @@ from factorlab import factor, models
 
 
 @functools.lru_cache(maxsize=None)
+def generated(desc: models.Numerical | models.Affine, v) -> bool:
+    """v is a member when v = 0 or v - g is one for a generator g <= v."""
+    if isinstance(desc, models.Numerical):
+        return v == 0 or any(generated(desc, v - g)
+                             for g in desc.generators if g <= v)
+    return not any(v) or any(
+        generated(desc, tuple(x - y for x, y in zip(v, g)))
+        for g in desc.generators if all(y <= x for x, y in zip(v, g)))
+
+
+def is_member(desc: models.MonoidDescriptor, el) -> bool:
+    """Membership of a canonical element, by ``generated`` where it applies."""
+    if isinstance(desc, (models.Numerical, models.Affine)):
+        return generated(desc, el)
+    if isinstance(desc, models.Product):
+        return all(is_member(f, c) for f, c in zip(desc.factors, el[0]))
+    return models.membership(desc, el)
+
+
+@functools.lru_cache(maxsize=None)
 def brute_members(desc: models.MonoidDescriptor, bound: int) -> list:
     """All members of weight <= bound, by scanning a raw candidate box."""
     out = []
@@ -30,7 +52,7 @@ def brute_members(desc: models.MonoidDescriptor, bound: int) -> list:
             el = models.canon(desc, cand)
         except Exception:
             continue
-        if models.weight(desc, el) <= bound and models.membership(desc, el):
+        if models.weight(desc, el) <= bound and is_member(desc, el):
             out.append(el)
     return sorted(set(out), key=lambda e: models.element_sort_key(desc, e))
 
@@ -81,7 +103,7 @@ def leq(desc: models.MonoidDescriptor, u, v) -> bool:
 @functools.lru_cache(maxsize=None)
 def brute_is_atom(desc: models.MonoidDescriptor, u) -> bool:
     ident = models.identity(desc)
-    if u == ident or not models.membership(desc, u):
+    if u == ident or not is_member(desc, u):
         return False
     w = models.weight(desc, u)
     pool = [v for v in brute_members(desc, w) if v != ident and leq(desc, v, u)]

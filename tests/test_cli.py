@@ -244,6 +244,21 @@ def test_closure_violation_names_elements_as_written(capsys, tmp_path):
     assert err == "factorlab: 1,1 + 1,1 = 2,2 is not a member\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["factorize", "--element", "4,6"],
+    ["atoms", "--element", "4,6"],
+    ["global", "--bound", "10"],
+    ["unions", "--bound", "10", "--k", "2"],
+], ids=["factorize", "atoms", "global", "unions"])
+def test_every_request_rejects_an_unclosed_fp_value_box(capsys, tmp_path, argv):
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(dict(FP_DOC, exponent=3, exceptional=[
+        [{"exact": 1}, {"atLeast": 2}], [{"exact": 2}, {"exact": 2}]])))
+    code, out, err = run(capsys, [*argv, "--monoid", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "factorlab: 1,2 + 1,2 = 2,4 is not a member\n"
+
+
 def test_unions_rejects_a_negative_k(capsys, n23_path):
     code, out, err = run(capsys, ["unions", "--monoid", n23_path,
                                   "--bound", "10", "--k", "-1"])

@@ -1,5 +1,6 @@
 """Descriptor, element, membership and atom layer."""
 
+import itertools
 import json
 import random
 
@@ -281,6 +282,40 @@ def test_atoms_dividing_against_bruteforce():
         el = canon(desc, a)
         lib = atoms_dividing(desc, el)
         assert sorted(lib) == sorted(bruteforce.brute_atoms_dividing(desc, el))
+
+
+NUMERICAL = st.builds(
+    Numerical,
+    st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True).map(tuple))
+
+
+@st.composite
+def affine_and_top(draw):
+    dim = draw(st.integers(2, 3))
+    point = st.tuples(*[st.integers(0, 3)] * dim).filter(any)
+    gens = draw(st.lists(point, min_size=1, max_size=4, unique=True))
+    top = draw(st.tuples(*[st.integers(0, 6 if dim == 2 else 4)] * dim))
+    return Affine(dim=dim, generators=tuple(gens)), top
+
+
+@given(st.one_of(st.tuples(NUMERICAL, st.integers(0, 40)), affine_and_top()))
+@settings(max_examples=60, deadline=None)
+def test_box_masks_agree_with_the_generated_oracle(case):
+    """Membership of every point of a small box, and the atoms dividing
+    its top, against the definition: v = 0 or v - g a member."""
+    desc, top = case
+    if isinstance(desc, Numerical):
+        box = range(top + 1)
+    else:
+        box = itertools.product(*(range(x + 1) for x in top))
+    for v in box:
+        assert membership(desc, v) == bruteforce.generated(desc, v), v
+    if bruteforce.generated(desc, top):
+        assert sorted(atoms_dividing(desc, top)) == sorted(
+            bruteforce.brute_atoms_dividing(desc, top))
+    else:
+        with pytest.raises(NotAMember):
+            atoms_dividing(desc, top)
 
 
 def test_atoms_dividing_requires_member():

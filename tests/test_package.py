@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import factorlab
+from factorlab import models
 
 # Defining submodule -> the names the package re-exports from it.
 EXPORTS = {
@@ -75,3 +76,19 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
         factorlab.not_a_name
     assert not hasattr(factorlab, "cli_main")
+
+
+def test_membership_keeps_no_process_global_memo():
+    """Numerical and affine membership is decided per call, from a mask."""
+    for desc, elements in [
+        (models.Numerical((2, 3)), [0, 1, 7, 12]),
+        (models.Numerical((6, 9, 20)), [43, 44, 600]),
+        (models.Affine(2, ((2, 0), (1, 1), (0, 2))), [(1, 0), (3, 3), (8, 5)]),
+        (models.Affine(3, ((1, 0, 2), (0, 3, 1))), [(1, 3, 3), (2, 3, 4)]),
+    ]:
+        for el in elements:
+            if models.membership(desc, el):
+                models.atoms_dividing(desc, el)
+    memos = [name for name, value in vars(models).items()
+             if not name.startswith("__") and isinstance(value, (dict, list, set))]
+    assert memos == []

@@ -61,12 +61,26 @@ def test_affine_models_match_oracle(gens):
 
 @st.composite
 def fp_value_models(draw):
-    """fp-value descriptors of rank 1-3, exponent 1-3 and 0-2 patterns."""
+    """fp-value descriptors of rank 1-3, exponent 1-3 and 0-2 patterns.
+
+    Each pattern gets the exact entry below the exponent that
+    ``check_descriptor`` asks for, so the filter below drops only
+    descriptors that are not closed.
+    """
     rank = draw(st.integers(1, 3))
     exponent = draw(st.integers(1, 3))
     entry = st.tuples(st.sampled_from(["exact", "atLeast"]),
                       st.integers(1, exponent + 1))
-    patterns = draw(st.lists(st.tuples(*[entry] * rank), max_size=2, unique=True))
+
+    @st.composite
+    def pattern(draw):
+        entries = list(draw(st.tuples(*[entry] * rank)))
+        entries[draw(st.integers(0, rank - 1))] = (
+            "exact", draw(st.integers(1, exponent - 1)))
+        return tuple(entries)
+
+    patterns = draw(st.lists(pattern(), max_size=2 if exponent > 1 else 0,
+                             unique=True))
     desc = models.FinitelyPrimaryValue(
         rank=rank, exponent=exponent,
         exceptional=tuple(models.Pattern(entries=p) for p in patterns))

@@ -33,19 +33,22 @@ def run_traced(tmp_path, descriptor, argv):
     return json.loads(proc.stdout), json.loads(out.read_text())
 
 
-@pytest.mark.parametrize("generators,argv,multiplies", [
-    ([2, 3], ["global", "--bound", "12"], False),
+# Sweeps read their members off one mask and call membership never;
+# factorize checks its element once.
+@pytest.mark.parametrize("generators,argv,memberships,multiplies", [
+    ([2, 3], ["global", "--bound", "12"], 0, False),
     # <2,3> has one factorization per length, so no relation pair is
     # ever split; <3,4,5> has 3+5 = 4+4.
-    ([3, 4, 5], ["relation-atoms", "--length-bound", "3"], True),
-], ids=["global", "relation-atoms"])
+    ([3, 4, 5], ["relation-atoms", "--length-bound", "3"], 0, True),
+    ([2, 3], ["factorize", "--element", "12"], 1, False),
+], ids=["global", "relation-atoms", "factorize"])
 def test_trace_child_records_spans_and_counts(tmp_path, generators, argv,
-                                              multiplies):
+                                              memberships, multiplies):
     report, doc = run_traced(
         tmp_path, {"model": "numerical", "generators": generators}, argv)
     assert report["command"] == argv[0]
     assert doc["spans"]
-    assert doc["counts"]["models.membership.calls"] > 0
+    assert doc["counts"].get("models.membership.calls", 0) == memberships
     if multiplies:
         assert doc["counts"]["models.multiply.calls"] > 0
 
