@@ -246,10 +246,8 @@ def _default_validation_bound(desc: models.MonoidDescriptor) -> int:
     if isinstance(desc, models.FinitelyPrimaryValue):
         return 2 * desc.exponent
     if isinstance(desc, models.Product):
-        return max(_default_validation_bound(f) for f in desc.factors) \
-            if desc.factors else 1
-    top = models.max_generator_weight(desc)
-    return top if top is not None else 1
+        return max(_default_validation_bound(f) for f in desc.factors)
+    return models.max_generator_weight(desc)
 
 
 def run_atoms(args) -> tuple[str | None, dict, list]:

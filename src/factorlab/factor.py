@@ -57,12 +57,6 @@ class Factorization(NamedTuple):
     length: int
     table_token: int
 
-    def multiplicity(self, atom_id: int) -> int:
-        for i, m in self.counts:
-            if i == atom_id:
-                return m
-        return 0
-
 
 def make_factorization(table: AtomTable, pairs) -> Factorization:
     """A Factorization from (atom id, multiplicity) pairs in any order.
@@ -209,11 +203,15 @@ def factorizations(
     element,
     budget: int = DEFAULT_BUDGET,
 ) -> FactorSet:
-    """Enumerate Z(element) completely or raise BudgetExceeded."""
+    """Enumerate Z(element) completely or raise BudgetExceeded.
+
+    ``models.atoms_dividing`` decides membership (NotAMember); a product is
+    checked whole, so that the message names the product element.
+    """
     el = models.canon(desc, element)
-    if not models.membership(desc, el):
-        raise NotAMember(f"{models.format_element(desc, el)} is not a member")
     if isinstance(desc, models.Product):
+        if not models.membership(desc, el):
+            raise NotAMember(f"{models.format_element(desc, el)} is not a member")
         parts = [factorizations(f, c, budget) for f, c in zip(desc.factors, el[0])]
         return product_fiber(desc, el, parts, budget)
     atoms = models.atoms_dividing(desc, el)

@@ -75,7 +75,7 @@ def length_set_of(values: Iterable[int]) -> LengthSet:
 
 
 def length_set(fs: factor.FactorSet) -> LengthSet:
-    return length_set_of(z.length for z in fs.all)
+    return LengthSet(fs.lengths)
 
 
 def length_set_sumset(a: LengthSet, b: LengthSet) -> LengthSet:

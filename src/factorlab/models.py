@@ -17,8 +17,8 @@ Elements are canonical hashable values: an int, a tuple of ints, a
 strictly increasing tuple starting at 0 for sumsets, or a
 (components, free exponents) pair of tuples for products. Every function
 here is pure. Numerical and affine membership reads a bit mask of the box
-below the element, built per call; only ``generator_atoms``,
-``sumset_reachable`` and ``sumset_divisors`` keep ``lru_cache`` memos.
+below the element, built per call; only ``generator_atoms`` and
+``sumset_divisors`` keep ``lru_cache`` memos.
 
 The ``weight`` of an element (value, coordinate sum, maximum, or the sum
 over product slots) is additive under multiplication and strictly
@@ -32,7 +32,7 @@ import hashlib
 import itertools
 import json
 from functools import lru_cache
-from operator import le, mul
+from operator import add, le, mul
 from typing import Any, NamedTuple
 
 from .errors import (
@@ -493,7 +493,6 @@ def _set_add(a: Vector, b: Vector) -> Vector:
     return tuple(sorted({x + y for x in a for y in b}))
 
 
-@lru_cache(maxsize=None)
 def sumset_reachable(desc: Sumset, target: Vector) -> frozenset[Vector]:
     """All generator products contained in target (as subsets).
 
@@ -724,11 +723,10 @@ class ValidationReport(NamedTuple):
 def validate(desc: MonoidDescriptor, bound: int) -> ValidationReport:
     """Check structure, generator minimality, closure (fp-value) and flags.
 
-    For fp-value models closure is verified exhaustively on all pairs of
-    members with every coordinate <= bound; sums landing in the
-    all-coordinates->exponent region are accepted without lookup. The
-    smallest-value check is likewise truncated at the bound, which is why
-    the report records it.
+    For fp-value models closure is verified on every pair of members with
+    every coordinate <= bound, decided by one mask pass over the box below
+    twice the bound (``_check_closure``). The smallest-value check is
+    likewise truncated at the bound, which is why the report records it.
     """
     check_descriptor(desc)
     if isinstance(desc, FinitelyPrimaryValue):
@@ -738,11 +736,8 @@ def validate(desc: MonoidDescriptor, bound: int) -> ValidationReport:
             )
         members = fp_box(desc, (bound,) * desc.rank)[0]
         _check_closure(desc, members)
-        mu = None
-        if members:
-            low = tuple(min(v[i] for v in members) for i in range(desc.rank))
-            if _fp_member(desc, low):
-                mu = low
+        low = tuple(map(min, zip(*members)))
+        mu = low if _fp_member(desc, low) else None
         return ValidationReport(
             valid=True,
             cancellative=True,
@@ -767,16 +762,24 @@ def validate(desc: MonoidDescriptor, bound: int) -> ValidationReport:
 
 
 def _check_closure(desc: FinitelyPrimaryValue, members: list[Vector]) -> None:
-    """Raise ClosureViolation for the first pair of members whose sum is not one."""
-    for e in members:
-        for f in members:
-            s = tuple(x + y for x, y in zip(e, f))
-            if all(x >= desc.exponent for x in s):
-                continue
-            if not _fp_member(desc, s):
-                shown = (format_element(desc, v) for v in (e, f, s))
-                raise ClosureViolation(
-                    "{} + {} = {} is not a member".format(*shown), e, f, s)
+    """Raise ClosureViolation for the first pair (e, f) of members, in their
+    order, whose sum is not one. One mask pass over the box below twice the
+    members' maximum decides: the mask of the members shifted by e marks the
+    sums e + f, and f is looked for only when one misses the box's members."""
+    top = tuple(2 * max(x) for x in zip(*members))
+    strides = box_strides(top)
+    box = itertools.product(*(range(1, x + 1) for x in top))
+    holes = ~sum(1 << sum(map(mul, v, strides)) for v in box if _fp_member(desc, v))
+    offsets = [sum(map(mul, u, strides)) for u in members]
+    mask = sum(1 << d for d in offsets)
+    for e, d in zip(members, offsets):
+        if (mask << d) & holes:
+            for f in members:
+                s = tuple(map(add, e, f))
+                if not _fp_member(desc, s):
+                    shown = (format_element(desc, v) for v in (e, f, s))
+                    raise ClosureViolation(
+                        "{} + {} = {} is not a member".format(*shown), e, f, s)
 
 
 def non_atom_generators(desc: MonoidDescriptor) -> list | None:

@@ -129,6 +129,27 @@ def brute_atoms_dividing(desc: models.MonoidDescriptor, a) -> list:
 
 
 # ---------------------------------------------------------------------------
+# closure of fp-value descriptors
+
+
+def brute_first_closure_violation(desc: models.FinitelyPrimaryValue, members):
+    """The first (e, f, e + f) over ordered pairs of members, in their order,
+    whose sum is not a member; None when there is none.
+
+    A pair with a part whose every coordinate reaches the exponent sums to
+    a member (every coordinate of the sum passes it), so only pairs of the
+    other members are tried.
+    """
+    low = [v for v in members if min(v) < desc.exponent]
+    for e in low:
+        for f in low:
+            s = tuple(x + y for x, y in zip(e, f))
+            if not models.membership(desc, s):
+                return e, f, s
+    return None
+
+
+# ---------------------------------------------------------------------------
 # factorizations as multisets of atom elements
 
 

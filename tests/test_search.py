@@ -8,7 +8,7 @@ import bruteforce
 from factorlab import factor, models
 from factorlab.errors import BudgetExceeded, ClosureViolation, MalformedDescriptor
 from test_length_table import FIXED, FIXED_IDS
-from test_models import FP22, N23
+from test_models import AFF, FP22, N23, fp_value_descriptors
 
 N234 = models.Numerical(generators=(2, 3, 4))
 N_WIDE = models.Numerical(generators=(4, 6, 7, 10, 13))
@@ -61,31 +61,11 @@ def test_affine_models_match_oracle(gens):
 
 @st.composite
 def fp_value_models(draw):
-    """fp-value descriptors of rank 1-3, exponent 1-3 and 0-2 patterns.
-
-    Each pattern gets the exact entry below the exponent that
-    ``check_descriptor`` asks for, so the filter below drops only
-    descriptors that are not closed.
-    """
-    rank = draw(st.integers(1, 3))
-    exponent = draw(st.integers(1, 3))
-    entry = st.tuples(st.sampled_from(["exact", "atLeast"]),
-                      st.integers(1, exponent + 1))
-
-    @st.composite
-    def pattern(draw):
-        entries = list(draw(st.tuples(*[entry] * rank)))
-        entries[draw(st.integers(0, rank - 1))] = (
-            "exact", draw(st.integers(1, exponent - 1)))
-        return tuple(entries)
-
-    patterns = draw(st.lists(pattern(), max_size=2 if exponent > 1 else 0,
-                             unique=True))
-    desc = models.FinitelyPrimaryValue(
-        rank=rank, exponent=exponent,
-        exceptional=tuple(models.Pattern(entries=p) for p in patterns))
+    """fp-value descriptors of rank 1-3, exponent 1-3 and 0-2 patterns,
+    kept when they are closed."""
+    desc = draw(fp_value_descriptors(max_exponent=3, max_patterns=2))
     try:
-        models.validate(desc, 2 * exponent)
+        models.validate(desc, 2 * desc.exponent)
     except (MalformedDescriptor, ClosureViolation):
         assume(False)
     return desc
@@ -143,4 +123,20 @@ def test_search_makes_no_membership_call_per_node(monkeypatch):
     monkeypatch.setattr(models, "membership", counted)
     fs = factor.factorizations(models.Numerical(generators=(6, 9, 20)), 1000)
     assert len(fs.all) == 465
-    assert calls == [1000]
+    # atoms_dividing decides membership from the mask it builds anyway.
+    assert calls == []
+
+
+def test_factorize_builds_one_member_mask_per_element(monkeypatch):
+    tops = []
+    member_mask = models.member_mask
+
+    def counted(desc, top):
+        tops.append(top)
+        return member_mask(desc, top)
+
+    models.generator_atoms(AFF)  # memoised: its masks are built once per process
+    monkeypatch.setattr(models, "member_mask", counted)
+    fs = factor.factorizations(AFF, (24, 24))
+    assert len(fs.all) == 189
+    assert tops == [(24, 24)]

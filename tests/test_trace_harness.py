@@ -33,19 +33,30 @@ def run_traced(tmp_path, descriptor, argv):
     return json.loads(proc.stdout), json.loads(out.read_text())
 
 
+def numerical(*generators):
+    return {"model": "numerical", "generators": list(generators)}
+
+
+FP_VALUE = {"model": "fp-value", "rank": 2, "exponent": 2,
+            "exceptional": [[{"exact": 1}, {"atLeast": 1}]]}
+PRODUCT = {"model": "product", "freeRank": 1,
+           "factors": [numerical(2, 3), FP_VALUE]}
+
+
 # Sweeps read their members off one mask and call membership never;
-# factorize checks its element once.
-@pytest.mark.parametrize("generators,argv,memberships,multiplies", [
-    ([2, 3], ["global", "--bound", "12"], 0, False),
+# factorize leaves membership to atoms_dividing, except that a product
+# element is checked whole once, so that NotAMember names the product.
+@pytest.mark.parametrize("descriptor,argv,memberships,multiplies", [
+    (numerical(2, 3), ["global", "--bound", "12"], 0, False),
     # <2,3> has one factorization per length, so no relation pair is
     # ever split; <3,4,5> has 3+5 = 4+4.
-    ([3, 4, 5], ["relation-atoms", "--length-bound", "3"], 0, True),
-    ([2, 3], ["factorize", "--element", "12"], 1, False),
-], ids=["global", "relation-atoms", "factorize"])
-def test_trace_child_records_spans_and_counts(tmp_path, generators, argv,
+    (numerical(3, 4, 5), ["relation-atoms", "--length-bound", "3"], 0, True),
+    (numerical(2, 3), ["factorize", "--element", "12"], 0, False),
+    (PRODUCT, ["factorize", "--element", "7;6,6;1"], 1, False),
+], ids=["global", "relation-atoms", "factorize", "factorize-product"])
+def test_trace_child_records_spans_and_counts(tmp_path, descriptor, argv,
                                               memberships, multiplies):
-    report, doc = run_traced(
-        tmp_path, {"model": "numerical", "generators": generators}, argv)
+    report, doc = run_traced(tmp_path, descriptor, argv)
     assert report["command"] == argv[0]
     assert doc["spans"]
     assert doc["counts"].get("models.membership.calls", 0) == memberships
@@ -53,15 +64,9 @@ def test_trace_child_records_spans_and_counts(tmp_path, generators, argv,
         assert doc["counts"]["models.multiply.calls"] > 0
 
 
-FP_VALUE = {"model": "fp-value", "rank": 2, "exponent": 2,
-            "exceptional": [[{"exact": 1}, {"atLeast": 1}]]}
-
-
 @pytest.mark.parametrize("descriptor,element", [
     (FP_VALUE, "14,14"),
-    ({"model": "product", "freeRank": 1,
-      "factors": [{"model": "numerical", "generators": [2, 3]}, FP_VALUE]},
-     "7;6,6;1"),
+    (PRODUCT, "7;6,6;1"),
 ], ids=["fp-value", "product"])
 def test_fp_value_atoms_take_no_per_point_atom_test(tmp_path, descriptor,
                                                     element):
