@@ -19,30 +19,33 @@ one-sided dist_sup, which yield the adjacent-length degree, the
 successive distance and its weak form. The monotone catenary degree is
 the larger of the equal-length and adjacent-length degrees.
 
-Both sweeps over the members below a weight bound, global estimates and
-equal-length relations, read one fiber stream (``fibers``) instead of
-enumerating each member's Z(a) on its own. On the cancellative base
-models one weight-order pass over the members finds the atoms (a nonzero
-member that no smaller atom divides is itself an atom) and fills the
-length sets by the recurrence L(a) = U {1 + L(a - u) : u an atom dividing
-a} (Barron, O'Neill and Pelayo; García-Sánchez, O'Neill and Webb for
-affine semigroups), each held as an integer bit mask. Then, coin-change
-style with the atoms outermost, it counts |Z(a)| and builds
-Z(a) = U {z + u : z in Z(a - u), every atom of z <= u}, so a member
-overflows the budget exactly when enumerating it would. Product fibers
-combine slot fibers computed once per slot component; sumsets are not
-cancellative, so their fibers are still enumerated, once per member.
-Questions about lengths alone (structure probes, unions of length sets)
-read the length sets and counts of the same pass, once per request;
-product length sets are the sumsets of the slot length sets, shifted by
-the free exponents.
+Every question about the members below a weight bound reads one sweep
+(``sweep``): global estimates and equal-length relations take its fibers
+(``fibers``), length-set questions (structure probes, unions of length
+sets) its length sets and counts (``length_table``). It lists the members
+once and dispatches on the model once. On the cancellative base models
+one weight-order pass over the members finds the atoms (a nonzero member
+that no smaller atom divides is itself an atom) and fills the length sets
+by the recurrence L(a) = U {1 + L(a - u) : u an atom dividing a} (Barron,
+O'Neill and Pelayo; García-Sánchez, O'Neill and Webb for affine
+semigroups), each held as an integer bit mask. Then, coin-change style
+with the atoms outermost, it counts |Z(a)| and, when fibers are asked
+for, builds Z(a) = U {z + u : z in Z(a - u), every atom of z <= u}, so a
+member overflows the budget exactly when enumerating it would. Sumsets
+are not cancellative, so each member's fiber is enumerated once. A
+product row composes the rows of its slot components, each swept once:
+slot length sets add, shifted by the free exponents, and slot counts
+multiply; a product fiber is built only when asked for and within the
+budget.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from fractions import Fraction
-from operator import sub
+from operator import or_, sub
 from typing import Iterable, NamedTuple
 
 from . import factor, models
@@ -248,34 +251,24 @@ def enumerate_elements(
     """Every member of weight <= bound, once, weight-then-lex ordered."""
     if weight_bound < 0:
         return []
-    if isinstance(desc, models.Numerical):
-        bits = bin(models.member_mask(desc, (weight_bound,)))[:1:-1]
-        out = [n for n, bit in enumerate(bits) if bit == "1"]
-    elif isinstance(desc, models.Affine):
-        out = list(_closure(desc, weight_bound))
+    if isinstance(desc, (models.Numerical, models.Affine)):
+        # member_mask numbers the box with the first coordinate lowest, the
+        # order in which product() yields the reversed points
+        dim = getattr(desc, "dim", 1)
+        bits = bin(models.member_mask(desc, (weight_bound,) * dim))[:1:-1]
+        box = itertools.product(range(weight_bound + 1), repeat=dim)
+        out = [v[::-1] if dim > 1 else v[0]
+               for v in itertools.compress(box, map("1".__eq__, bits))
+               if sum(v) <= weight_bound]
     elif isinstance(desc, models.FinitelyPrimaryValue):
         box = models.fp_box(desc, (weight_bound,) * desc.rank)[0]
         out = [models.identity(desc)] + [v for v in box if sum(v) <= weight_bound]
     elif isinstance(desc, models.Sumset):
-        out = list(_closure(desc, weight_bound))
+        out = list(models.sumset_reachable(desc, tuple(range(weight_bound + 1))))
     else:
         out = list(_product_elements(desc, weight_bound))
     out.sort(key=lambda el: models.element_sort_key(desc, el))
     return out
-
-
-def _closure(desc, weight_bound):
-    """Members of a finitely generated model, by saturation."""
-    seen = {models.identity(desc)}
-    stack = list(seen)
-    while stack:
-        el = stack.pop()
-        for g in desc.generators:
-            q = models.multiply(desc, el, g)
-            if q not in seen and models.weight(desc, q) <= weight_bound:
-                seen.add(q)
-                stack.append(q)
-    return seen
 
 
 def _product_elements(desc: models.Product, weight_bound: int):
@@ -284,79 +277,102 @@ def _product_elements(desc: models.Product, weight_bound: int):
         v
         for v in itertools.product(*(range(weight_bound + 1),) * desc.free_rank)
         if sum(v) <= weight_bound
-    ] or [()]
+    ]
     for combo in itertools.product(*factor_lists):
         used = sum(models.weight(f, c) for f, c in zip(desc.factors, combo))
         if used > weight_bound:
             continue
         for fv in free_vectors:
             if used + sum(fv) <= weight_bound:
-                yield (tuple(combo), fv)
+                yield (combo, fv)
 
 
 # ---------------------------------------------------------------------------
-# fiber stream
+# the sweep
+
+# The row of a member with more factorizations than the budget allows.
+_OVERFLOW = (0, None, None)
 
 
-def fibers(
+def sweep(
     desc: models.MonoidDescriptor,
     weight_bound: int,
-    budget: int = factor.DEFAULT_BUDGET,
+    budget: int,
+    fibers: bool,
+    jobs: int = 1,
 ):
-    """Yield (member, Z(member)) for every member of weight <= bound.
+    """Yield (member, length mask, |Z(member)|, Z(member)) in weight order.
 
-    Members come in weight order. Z(member) is None exactly when
-    factor.factorizations would raise BudgetExceeded for it at this
-    budget; otherwise it equals what factor.factorizations returns: the
-    same atoms, factorizations and order. Each FactorSet is built when its
-    member is reached, so a consumer that drops it holds one at a time.
-    """
-    if isinstance(desc, models.Sumset):
-        for el in enumerate_elements(desc, weight_bound):
-            try:
-                fs = factor.factorizations(desc, el, budget)
-            except BudgetExceeded:
-                fs = None
-            yield el, fs
-    elif isinstance(desc, models.Product):
-        yield from _product_fibers(desc, weight_bound, budget)
-    else:
-        yield from _value_fibers(desc, weight_bound, budget)
-
-
-def _value_fibers(desc, weight_bound, budget):
-    """FactorSets from the recurrence's raw fibers, released as reached.
-
-    A FactorSet numbers the atoms dividing its member, which are the
-    atoms its factorizations use, in global order.
+    Bit k of the mask is set when k is a length. A member overflows, and
+    comes as (member, 0, None, None), exactly when factor.factorizations
+    would raise BudgetExceeded for it at this budget. Otherwise Z(member)
+    is what factor.factorizations returns when ``fibers`` is set, built
+    when its member is reached, and None when it is not. Rows without
+    fibers of sumsets and sumset product slots go to ``jobs`` processes.
     """
     members = enumerate_elements(desc, weight_bound)
-    atoms, _, _, raw = _value_recurrence(desc, members, budget)
+    if isinstance(desc, models.Sumset):
+        row = functools.partial(_sumset_row, desc, budget, fibers)
+        rows = parallel_map(row, members, 1 if fibers else jobs)
+    elif isinstance(desc, models.Product):
+        slots = [{el: row for el, *row in sweep(f, weight_bound, budget, fibers, jobs)}
+                 for f in desc.factors]
+        rows = (_product_row(desc, slots, el, budget, fibers) for el in members)
+    else:
+        rows = _value_rows(desc, members, budget, fibers)
+    for el, (mask, count, fs) in zip(members, rows):
+        yield el, mask, count, fs
+
+
+def _sumset_row(desc, budget, fibers, el):
+    try:
+        fs = factor.factorizations(desc, el, budget)
+    except BudgetExceeded:
+        return _OVERFLOW
+    return sum(1 << k for k in fs.lengths), len(fs.all), fs if fibers else None
+
+
+def _value_rows(desc, members, budget, fibers):
+    """Rows of the recurrence, each fiber released when yielded. A
+    FactorSet numbers the atoms its factorizations use in global order."""
+    atoms, masks, counts, raw = _value_recurrence(
+        desc, members, budget if fibers else None)
     for i, el in enumerate(members):
-        zs, raw[i] = raw[i], None
-        if zs is None:
-            yield el, None
-            continue
-        ids = sorted({k for z in zs for k, _ in z})
-        local = {k: n for n, k in enumerate(ids)}
-        yield el, factor.factor_set(
-            desc, el, [members[atoms[k]] for k in ids],
-            [[(local[k], m) for k, m in z] for z in zs],
-        )
+        if counts[i] > budget:
+            yield _OVERFLOW
+        elif not fibers:
+            yield masks[i], counts[i], None
+        else:
+            zs, raw[i] = raw[i], None
+            ids = sorted({k for z in zs for k, _ in z})
+            local = {k: n for n, k in enumerate(ids)}
+            yield masks[i], counts[i], factor.factor_set(
+                desc, el, [members[atoms[k]] for k in ids],
+                [[(local[k], m) for k, m in z] for z in zs])
 
 
-def _product_fibers(desc, weight_bound, budget):
-    """Product fibers composed from slot fibers, one per slot component."""
-    slots = [dict(fibers(f, weight_bound, budget)) for f in desc.factors]
-    for el in enumerate_elements(desc, weight_bound):
-        parts = [slot[c] for slot, c in zip(slots, el[0])]
-        fs = None
-        if all(p is not None for p in parts):
-            try:
-                fs = factor.product_fiber(desc, el, parts, budget)
-            except BudgetExceeded:
-                pass
-        yield el, fs
+def _product_row(desc, slots: list[dict], el, budget, fibers):
+    """Slot length sets add and slot counts multiply; free exponents shift."""
+    comps, free = el
+    parts = [slot[c] for slot, c in zip(slots, comps)]
+    counts = [count for _, count, _ in parts]
+    if None in counts or math.prod(counts) > budget:
+        return _OVERFLOW
+    mask = 1 << sum(free)
+    for slot_mask, _, _ in parts:
+        mask = functools.reduce(or_, (mask << k for k in _bits(slot_mask)))
+    fs = factor.product_fiber(desc, el, [p for *_, p in parts], budget) if fibers else None
+    return mask, math.prod(counts), fs
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+
+
+def fibers(desc: models.MonoidDescriptor, weight_bound: int,
+           budget: int = factor.DEFAULT_BUDGET):
+    """(member, Z(member)) in weight order, None on overflow: ``sweep``'s fibers."""
+    return ((el, fs) for el, _, _, fs in sweep(desc, weight_bound, budget, True))
 
 
 def _value_recurrence(desc, members: list, budget: int | None = None):
@@ -496,16 +512,18 @@ def running_maxima(rows, weight_bound: int, start: dict) -> dict:
     return {name: (value, value == at_half[name]) for name, value in acc.items()}
 
 
-def parallel_map(fn, items, jobs: int = 1) -> list:
+def parallel_map(fn, items, jobs: int = 1):
     """Deterministic order-preserving map, forking only when asked to.
 
-    Items are read lazily, at most 64 per worker at a time, so a stream
-    is never held whole. The process pool is imported only here: it
-    loads multiprocessing, which no serial run needs.
+    With one job it is the lazy built-in ``map``, so a stream of fibers is
+    mapped one item at a time in this process. With more, items are read
+    lazily, at most 64 per worker at a time, and the results come back as
+    a list. The process pool is imported only here: it loads
+    multiprocessing, which no serial run needs.
     """
-    items = iter(items)
     if jobs <= 1:
-        return [fn(x) for x in items]
+        return map(fn, items)
+    items = iter(items)
     size = 64 * jobs
     batch = list(itertools.islice(items, size))
     if len(batch) < 2:
@@ -534,7 +552,7 @@ def global_estimates(
     fibers come from one stream in this process; ``jobs`` spreads the
     element reports.
     """
-    rows = parallel_map(_summary_worker, fibers(desc, weight_bound, budget), jobs)
+    rows = list(parallel_map(_summary_worker, fibers(desc, weight_bound, budget), jobs))
     maxima = running_maxima(
         (summary for _, summary in rows if summary is not None),
         weight_bound, _ESTIMATE_START)
@@ -572,61 +590,14 @@ def length_table(
     budget: int = factor.DEFAULT_BUDGET,
     jobs: int = 1,
 ) -> list[LengthRow]:
-    """Every member of weight <= bound with its length set, in weight order.
-
-    A member overflows exactly when factor.factorizations would raise
-    BudgetExceeded for it at this budget. Only sumset fibers (and sumset
-    product slots) are enumerated, spread over ``jobs`` processes.
-    """
-    rows = []
-    for el, (mask, count) in _length_masks(desc, weight_bound, budget, jobs).items():
-        if count is None or count > budget:
-            rows.append(LengthRow(el, None, None))
-        else:
-            ls = tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
-            rows.append(LengthRow(el, LengthSet(ls), count))
-    return rows
-
-
-def _length_masks(desc, weight_bound, budget, jobs) -> dict:
-    """Member -> (bit mask of its lengths, |Z(member)| or None if unknown)."""
-    members = enumerate_elements(desc, weight_bound)
-    if isinstance(desc, models.Sumset):
-        rows = parallel_map(_enumerated_masks,
-                            [(desc, el, budget) for el in members], jobs)
-    elif isinstance(desc, models.Product):
-        slots = [_length_masks(f, weight_bound, budget, jobs) for f in desc.factors]
-        rows = [_product_masks(slots, el) for el in members]
-    else:
-        _, masks, counts, _ = _value_recurrence(desc, members)
-        rows = zip(masks, counts)
-    return dict(zip(members, rows))
-
-
-def _enumerated_masks(args):
-    desc, el, budget = args
-    try:
-        fs = factor.factorizations(desc, el, budget)
-    except BudgetExceeded:
-        return 0, None
-    return sum(1 << k for k in fs.lengths), len(fs.all)
-
-
-def _product_masks(slots: list[dict], el) -> tuple[int, int | None]:
-    """Slot length sets add and slot counts multiply; free exponents shift."""
-    comps, free = el
-    mask, count = 1 << sum(free), 1
-    for table, c in zip(slots, comps):
-        slot_mask, slot_count = table[c]
-        if slot_count is None:
-            return 0, None
-        total = 0
-        while slot_mask:
-            low = slot_mask & -slot_mask
-            total |= mask << (low.bit_length() - 1)
-            slot_mask ^= low
-        mask, count = total, count * slot_count
-    return mask, count
+    """Every member of weight <= bound with its length set, in weight order:
+    the rows of ``sweep`` without fibers, spread over ``jobs`` processes
+    where they are enumerated (sumsets and sumset product slots)."""
+    return [
+        LengthRow(el, None, None) if count is None
+        else LengthRow(el, LengthSet(_bits(mask)), count)
+        for el, mask, count, _ in sweep(desc, weight_bound, budget, False, jobs)
+    ]
 
 
 def table_warnings(desc: models.MonoidDescriptor, rows, budget: int) -> list[dict]:

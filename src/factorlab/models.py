@@ -638,11 +638,14 @@ def generator_atoms(desc: Numerical | Affine | Sumset) -> tuple[Element, ...]:
 def is_atom(desc: MonoidDescriptor, el: Element) -> bool:
     """True when el is a member that admits no two-part nonzero splitting.
 
-    An atom divides itself, so this looks el up in ``atoms_dividing``.
+    An atom divides itself, so this looks el up in ``atoms_dividing``,
+    which also decides membership.
     """
     el = canon(desc, el)
-    return (el != identity(desc) and _is_member(desc, el)
-            and el in atoms_dividing(desc, el))
+    try:
+        return el != identity(desc) and el in atoms_dividing(desc, el)
+    except NotAMember:
+        return False
 
 
 def atoms_dividing(desc: MonoidDescriptor, a: Element) -> list[Element]:

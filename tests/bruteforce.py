@@ -2,8 +2,9 @@
 
 Everything here recomputes results straight from definitions: members
 come from box scans, filtered by ``generated`` for numerical and affine
-models (the package decides those with bit masks, which this shares no
-code with) and by the closed-form membership primitive otherwise, atoms
+models and by ``sumset_products`` for sumsets (the package decides those
+with bit masks and reachability, which this shares no code with) and by
+the closed-form fp-value membership primitive otherwise, atoms
 from exhaustive two-part splits, factorizations from multiplicity search with
 a leaf product-equality check, and the chain invariants from explicit
 threshold-graph connectivity. None of the enumeration or graph logic in
@@ -34,10 +35,27 @@ def generated(desc: models.Numerical | models.Affine, v) -> bool:
         for g in desc.generators if all(y <= x for x, y in zip(v, g)))
 
 
+@functools.lru_cache(maxsize=None)
+def sumset_products(desc: models.Sumset, bound: int) -> frozenset:
+    """Every sum of generators whose largest entry is at most bound."""
+    seen, frontier = {(0,)}, [(0,)]
+    while frontier:
+        p = frontier.pop()
+        for g in desc.generators:
+            q = tuple(sorted({x + y for x in p for y in g}))
+            if q[-1] <= bound and q not in seen:
+                seen.add(q)
+                frontier.append(q)
+    return frozenset(seen)
+
+
 def is_member(desc: models.MonoidDescriptor, el) -> bool:
-    """Membership of a canonical element, by ``generated`` where it applies."""
+    """Membership of a canonical element, by ``generated`` or
+    ``sumset_products`` where they apply."""
     if isinstance(desc, (models.Numerical, models.Affine)):
         return generated(desc, el)
+    if isinstance(desc, models.Sumset):
+        return el in sumset_products(desc, el[-1])
     if isinstance(desc, models.Product):
         return all(is_member(f, c) for f, c in zip(desc.factors, el[0]))
     return models.membership(desc, el)

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from factorlab import cli, errors, factor, models
+from test_length_table import SUM_PROD
 
 N23_DOC = {"model": "numerical", "generators": [2, 3]}
 FP_DOC = {
@@ -415,12 +416,18 @@ DESCRIPTORS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
     ("sumset", ["global", "--bound", "6"]),
     ("product", ["global", "--bound", "5"]),
     ("sumset", ["structure-probe", "--bound", "8"]),
+    (SUM_PROD, ["unions", "--bound", "5", "--k", "3"]),
 ], ids=["numerical", "affine", "fp-value", "sumset", "product",
-        "sumset-structure-probe"])
-def test_jobs_do_not_change_bytes_on_any_model(capsys, model, argv):
-    """Descriptors, patterns and fibers pickle across the worker boundary."""
-    argv = argv + ["--monoid", os.path.join(DESCRIPTORS, f"{model}.json"),
-                   "--output", "json"]
+        "sumset-structure-probe", "sumset-slot-unions"])
+def test_jobs_do_not_change_bytes_on_any_model(capsys, tmp_path, model, argv):
+    """Descriptors, patterns, fibers and slot rows pickle across the worker
+    boundary. ``model`` names a bench descriptor or is a descriptor."""
+    if isinstance(model, str):
+        path = os.path.join(DESCRIPTORS, f"{model}.json")
+    else:
+        path = tmp_path / "desc.json"
+        path.write_text(json.dumps(models.descriptor_to_json(model)))
+    argv = argv + ["--monoid", str(path), "--output", "json"]
     one = run(capsys, argv + ["--jobs", "1"])
     two = run(capsys, argv + ["--jobs", "2"])
     assert one[0] == 0, one[2]

@@ -10,7 +10,7 @@ import bruteforce
 from factorlab import cli, factor, invariants, models
 from factorlab.errors import BudgetExceeded
 from test_length_table import FIXED, FIXED_IDS
-from test_models import N23, PROD, SUM
+from test_models import AFF, N23, PROD, SUM
 
 
 def shape(fs: factor.FactorSet):
@@ -59,6 +59,42 @@ def test_overflow_exactly_where_enumeration_raises(desc, bound):
                 assert fs is None, (budget, el)
             else:
                 assert fs is not None and shape(fs) == shape(want), (budget, el)
+
+
+# ((2,2), {0,...,4}; 0) has 2 and 3 factorizations in its slots: at budgets
+# 3 to 5 the product overflows while neither slot does.
+AFF_SUM = models.Product(factors=(AFF, SUM), free_rank=1)
+
+
+@pytest.mark.parametrize("desc,bound", FIXED + [(AFF_SUM, 8)],
+                         ids=FIXED_IDS + ["AFF_SUM"])
+def test_length_table_rows_match_the_fibers(desc, bound):
+    """Both views of the one sweep agree at every budget edge c - 1, c."""
+    counts = {row.count for row in invariants.length_table(desc, bound)}
+    for budget in sorted({n for c in counts for n in (c - 1, c)}):
+        table = invariants.length_table(desc, bound, budget)
+        stream = list(invariants.fibers(desc, bound, budget))
+        assert [row.element for row in table] == [el for el, _ in stream]
+        for row, (el, fs) in zip(table, stream):
+            if fs is None:
+                assert row.lengths is None and row.count is None, (budget, el)
+            else:
+                assert row.lengths == invariants.length_set(fs), (budget, el)
+                assert row.count == len(fs.all), (budget, el)
+
+
+def test_sumset_fibers_are_built_one_at_a_time(monkeypatch):
+    built = []
+    factorizations = factor.factorizations
+
+    def counted(desc, el, budget):
+        built.append(el)
+        return factorizations(desc, el, budget)
+
+    monkeypatch.setattr(factor, "factorizations", counted)
+    stream = invariants.fibers(SUM, 6)
+    assert next(stream)[0] == (0,)
+    assert built == [(0,)]
 
 
 def test_identity_overflows_a_zero_budget():

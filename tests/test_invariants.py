@@ -4,6 +4,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bruteforce
 from factorlab import (
@@ -238,6 +240,25 @@ def test_enumerate_elements_matches_bruteforce():
         assert len(got) == len(set(got))
         keys = [models.element_sort_key(desc, e) for e in got]
         assert keys == sorted(keys)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sets(st.tuples(*[st.integers(0, 3)] * 3).filter(any), min_size=1,
+               max_size=4), st.integers(0, 6))
+def test_affine_dim_three_members_match_bruteforce(gens, bound):
+    desc = models.Affine(dim=3, generators=tuple(sorted(gens)))
+    assert enumerate_elements(desc, bound) == bruteforce.brute_members(desc, bound)
+
+
+sumset_generators = st.sets(st.integers(1, 5), min_size=1, max_size=3).map(
+    lambda rest: (0, *sorted(rest)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sets(sumset_generators, min_size=1, max_size=3), st.integers(0, 9))
+def test_sumset_members_match_bruteforce(gens, bound):
+    desc = models.Sumset(generators=tuple(sorted(gens)))
+    assert enumerate_elements(desc, bound) == bruteforce.brute_members(desc, bound)
 
 
 def test_enumerate_elements_sumset_reaches_composite_sets():

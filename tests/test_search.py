@@ -127,7 +127,9 @@ def test_search_makes_no_membership_call_per_node(monkeypatch):
     assert calls == []
 
 
-def test_factorize_builds_one_member_mask_per_element(monkeypatch):
+@pytest.fixture
+def mask_tops(monkeypatch):
+    """The tops of the member masks built after set-up, in order."""
     tops = []
     member_mask = models.member_mask
 
@@ -137,6 +139,15 @@ def test_factorize_builds_one_member_mask_per_element(monkeypatch):
 
     models.generator_atoms(AFF)  # memoised: its masks are built once per process
     monkeypatch.setattr(models, "member_mask", counted)
+    return tops
+
+
+def test_factorize_builds_one_member_mask_per_element(mask_tops):
     fs = factor.factorizations(AFF, (24, 24))
     assert len(fs.all) == 189
-    assert tops == [(24, 24)]
+    assert mask_tops == [(24, 24)]
+
+
+def test_is_atom_builds_one_member_mask(mask_tops):
+    assert not models.is_atom(AFF, (24, 24))
+    assert mask_tops == [(24, 24)]
