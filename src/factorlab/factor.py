@@ -63,7 +63,7 @@ def make_factorization(table: AtomTable, pairs) -> Factorization:
 
     Pairs with the same id are merged and ids are checked against the
     table: this is the entry for pairs the searches did not produce, such
-    as cache entries and products of relation pairs.
+    as cache entries.
     """
     merged: dict[int, int] = {}
     for i, m in pairs:

@@ -33,10 +33,10 @@ with the atoms outermost, it counts |Z(a)| and, when fibers are asked
 for, builds Z(a) = U {z + u : z in Z(a - u), every atom of z <= u}, so a
 member overflows the budget exactly when enumerating it would. Sumsets
 are not cancellative, so each member's fiber is enumerated once. A
-product row composes the rows of its slot components, each swept once:
-slot length sets add, shifted by the free exponents, and slot counts
-multiply; a product fiber is built only when asked for and within the
-budget.
+product lists its members from its slot sweeps, each run once, and
+composes their rows: slot length sets add, shifted by the free
+exponents, and slot counts multiply; a product fiber is built only when
+asked for and within the budget.
 """
 
 from __future__ import annotations
@@ -251,6 +251,9 @@ def enumerate_elements(
     """Every member of weight <= bound, once, weight-then-lex ordered."""
     if weight_bound < 0:
         return []
+    if isinstance(desc, models.Product):
+        slots = [enumerate_elements(f, weight_bound) for f in desc.factors]
+        return _product_elements(desc, weight_bound, slots)
     if isinstance(desc, (models.Numerical, models.Affine)):
         # member_mask numbers the box with the first coordinate lowest, the
         # order in which product() yields the reversed points
@@ -263,28 +266,22 @@ def enumerate_elements(
     elif isinstance(desc, models.FinitelyPrimaryValue):
         box = models.fp_box(desc, (weight_bound,) * desc.rank)[0]
         out = [models.identity(desc)] + [v for v in box if sum(v) <= weight_bound]
-    elif isinstance(desc, models.Sumset):
-        out = list(models.sumset_reachable(desc, tuple(range(weight_bound + 1))))
     else:
-        out = list(_product_elements(desc, weight_bound))
+        out = list(models.sumset_reachable(desc, tuple(range(weight_bound + 1))))
     out.sort(key=lambda el: models.element_sort_key(desc, el))
     return out
 
 
-def _product_elements(desc: models.Product, weight_bound: int):
-    factor_lists = [enumerate_elements(f, weight_bound) for f in desc.factors]
-    free_vectors = [
-        v
-        for v in itertools.product(*(range(weight_bound + 1),) * desc.free_rank)
-        if sum(v) <= weight_bound
-    ]
-    for combo in itertools.product(*factor_lists):
+def _product_elements(desc: models.Product, weight_bound: int, slot_members) -> list:
+    """Product members of weight <= bound from each slot's members, sorted."""
+    free = itertools.product(range(weight_bound + 1), repeat=desc.free_rank)
+    free_vectors = [v for v in free if sum(v) <= weight_bound]
+    out = []
+    for combo in itertools.product(*slot_members):
         used = sum(models.weight(f, c) for f, c in zip(desc.factors, combo))
-        if used > weight_bound:
-            continue
-        for fv in free_vectors:
-            if used + sum(fv) <= weight_bound:
-                yield (combo, fv)
+        out.extend((combo, fv) for fv in free_vectors if used + sum(fv) <= weight_bound)
+    out.sort(key=lambda el: models.element_sort_key(desc, el))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -310,15 +307,17 @@ def sweep(
     when its member is reached, and None when it is not. Rows without
     fibers of sumsets and sumset product slots go to ``jobs`` processes.
     """
-    members = enumerate_elements(desc, weight_bound)
-    if isinstance(desc, models.Sumset):
-        row = functools.partial(_sumset_row, desc, budget, fibers)
-        rows = parallel_map(row, members, 1 if fibers else jobs)
-    elif isinstance(desc, models.Product):
+    if isinstance(desc, models.Product):
         slots = [{el: row for el, *row in sweep(f, weight_bound, budget, fibers, jobs)}
                  for f in desc.factors]
+        members = _product_elements(desc, weight_bound, slots)
         rows = (_product_row(desc, slots, el, budget, fibers) for el in members)
+    elif isinstance(desc, models.Sumset):
+        members = enumerate_elements(desc, weight_bound)
+        row = functools.partial(_sumset_row, desc, budget, fibers)
+        rows = parallel_map(row, members, 1 if fibers else jobs)
     else:
+        members = enumerate_elements(desc, weight_bound)
         rows = _value_rows(desc, members, budget, fibers)
     for el, (mask, count, fs) in zip(members, rows):
         yield el, mask, count, fs

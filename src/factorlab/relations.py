@@ -1,12 +1,13 @@
 """Equal-length factorization relations and their atoms.
 
 A relation pair for an element a is a pair (x, y) of factorizations of a
-with |x| = |y|. Pairs multiply componentwise (concatenation in the free
-monoid over a merged atom table), so they form a monoid whose identity is
-the empty pair. A pair is an atom when it is not the product of two
-non-identity pairs; candidate splittings are sub-multiset pairs (x', y')
-of equal length whose products match and whose complements also match.
-The complement check matters: without cancellativity it is not implied.
+with |x| = |y|. Pairs multiply componentwise, so they form a monoid whose
+identity is the empty pair. A pair is an atom when it is not the product
+of two non-identity pairs (w, w')(x - w, y - w'). Each factorization z
+gets one split set of (|w|, pi(w), pi(z - w)) over its sub-multisets w,
+and (x, y) splits exactly when the split sets of x and y share an entry
+with 0 < |w| < |x|. The complement pi(z - w) matters: without
+cancellativity (sumsets) it does not follow from pi(w).
 
 The atomicity test is local to a pair, which keeps relation-atom lists
 exact: raising the enumeration bound only adds pairs, never changes a
@@ -58,32 +59,6 @@ class RelationPair(NamedTuple):
         }
 
 
-def pair_product(
-    desc: models.MonoidDescriptor, p: RelationPair, q: RelationPair
-) -> RelationPair:
-    """Componentwise product over a merged atom table."""
-    element = models.multiply(desc, p.element, q.element)
-    merged = sorted(
-        set(p.table.atoms) | set(q.table.atoms),
-        key=lambda u: models.element_sort_key(desc, u),
-    )
-    table = factor.AtomTable(desc, tuple(merged))
-    index = {u: i for i, u in enumerate(merged)}
-
-    def remap(pair_table, z, acc):
-        for i, m in z.counts:
-            j = index[pair_table.atoms[i]]
-            acc[j] = acc.get(j, 0) + m
-
-    sides = []
-    for pick in (lambda r: r.left, lambda r: r.right):
-        acc: dict[int, int] = {}
-        remap(p.table, pick(p), acc)
-        remap(q.table, pick(q), acc)
-        sides.append(factor.make_factorization(table, acc.items()))
-    return RelationPair(element=element, left=sides[0], right=sides[1], table=table)
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -96,6 +71,17 @@ def _default_weight_bound(desc: models.MonoidDescriptor, length_bound: int) -> i
             "element weight bound"
         )
     return length_bound * top
+
+
+def _length_fibers(desc, length_bound: int, weight_bound: int, budget: int):
+    """(element, Z(element), Z_k(element)) for each k <= length_bound, in
+    weight order; BudgetExceeded at the first fiber past the budget."""
+    for el, fs in invariants.fibers(desc, weight_bound, budget):
+        if fs is None:
+            raise BudgetExceeded(budget)
+        for k in fs.lengths:
+            if k <= length_bound:
+                yield el, fs, fs.by_length(k)
 
 
 def enumerate_equal_length_relations(
@@ -114,38 +100,40 @@ def enumerate_equal_length_relations(
     """
     if weight_bound is None:
         weight_bound = _default_weight_bound(desc, length_bound)
-    pairs: list[RelationPair] = []
-    for el, fs in invariants.fibers(desc, weight_bound, budget):
-        if fs is None:
-            raise BudgetExceeded(budget)
-        for k in fs.lengths:
-            if k > length_bound:
-                continue
-            fiber = fs.by_length(k)
-            for x, y in itertools.combinations_with_replacement(fiber, 2):
-                pairs.append(
-                    RelationPair(element=el, left=x, right=y, table=fs.table)
-                )
-    info = {"lengthBound": length_bound, "weightBound": weight_bound}
-    return pairs, info
+    pairs = [
+        RelationPair(element=el, left=x, right=y, table=fs.table)
+        for el, fs, zs in _length_fibers(desc, length_bound, weight_bound, budget)
+        for x, y in itertools.combinations_with_replacement(zs, 2)
+    ]
+    return pairs, {"lengthBound": length_bound, "weightBound": weight_bound}
 
 
 # ---------------------------------------------------------------------------
 # atoms
 
 
-def _sub_multisets(z: factor.Factorization):
-    """(take, rest, take_length) over all sub-multisets of z."""
-    ids = [i for i, _ in z.counts]
-    mults = [m for _, m in z.counts]
-    for take in itertools.product(*(range(m + 1) for m in mults)):
-        taken = tuple(
-            (i, t) for i, t in zip(ids, take) if t > 0
-        )
-        rest = tuple(
-            (i, m - t) for i, m, t in zip(ids, mults, take) if m - t > 0
-        )
-        yield taken, rest, sum(take)
+def _splits(desc: models.MonoidDescriptor, atoms, z: factor.Factorization) -> set:
+    """{(|w|, pi(w), pi(z - w)) : w <= z}, None standing for the identity.
+
+    Grown one atom at a time from the empty split, multiplying by the
+    atom's powers; equal partial products merge as the set grows.
+    """
+    def times(p, q):
+        return q if p is None else p if q is None else models.multiply(desc, p, q)
+
+    out = {(0, None, None)}
+    for i, m in z.counts:
+        powers = [None, atoms[i]]
+        for _ in range(m - 1):
+            powers.append(times(powers[-1], atoms[i]))
+        out = {(k + t, times(p, powers[t]), times(q, powers[m - t]))
+               for k, p, q in out for t in range(m + 1)}
+    return out
+
+
+def _splits_apart(x_splits: set, y_splits: set, n: int) -> bool:
+    """The split sets of two sides of length n share a proper cut."""
+    return any(0 < k < n for k, _, _ in x_splits & y_splits)
 
 
 def is_relation_atom(desc: models.MonoidDescriptor, pair: RelationPair) -> bool:
@@ -153,22 +141,8 @@ def is_relation_atom(desc: models.MonoidDescriptor, pair: RelationPair) -> bool:
     x, y = pair.left, pair.right
     if x.length != y.length or x.length < 1:
         return False
-    atoms = pair.table.atoms
-    by_length: dict[int, set] = {}
-    for taken, rest, k in _sub_multisets(y):
-        if 0 < k < y.length:
-            by_length.setdefault(k, set()).add(
-                (models.product_of(desc, atoms, taken),
-                 models.product_of(desc, atoms, rest))
-            )
-    for taken, rest, k in _sub_multisets(x):
-        if not 0 < k < x.length:
-            continue
-        split = (models.product_of(desc, atoms, taken),
-                 models.product_of(desc, atoms, rest))
-        if split in by_length.get(k, ()):
-            return False
-    return True
+    sx, sy = (_splits(desc, pair.table.atoms, z) for z in (x, y))
+    return not _splits_apart(sx, sy, x.length)
 
 
 def relation_atoms(
@@ -179,18 +153,22 @@ def relation_atoms(
 ):
     """Nontrivial (off-diagonal) pairs admitting no splitting.
 
-    Returns (atoms, info). Verdicts are local to each pair, so the list
-    only grows with the bounds.
+    Returns (atoms, info). Each factorization's split set is built once
+    per length fiber, and pairs are tested as the fibers stream by.
+    Verdicts are local to each pair, so the list only grows with the
+    bounds.
     """
-    pairs, info = enumerate_equal_length_relations(
-        desc, length_bound, weight_bound, budget
-    )
-    atoms = [
-        p
-        for p in pairs
-        if p.left != p.right and is_relation_atom(desc, p)
-    ]
-    return atoms, info
+    if weight_bound is None:
+        weight_bound = _default_weight_bound(desc, length_bound)
+    found = []
+    for el, fs, zs in _length_fibers(desc, length_bound, weight_bound, budget):
+        if len(zs) < 2:
+            continue
+        splits = [_splits(desc, fs.table.atoms, z) for z in zs]
+        for (x, sx), (y, sy) in itertools.combinations(zip(zs, splits), 2):
+            if not _splits_apart(sx, sy, x.length):
+                found.append(RelationPair(element=el, left=x, right=y, table=fs.table))
+    return found, {"lengthBound": length_bound, "weightBound": weight_bound}
 
 
 # ---------------------------------------------------------------------------

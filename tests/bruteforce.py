@@ -6,7 +6,8 @@ models and by ``sumset_products`` for sumsets (the package decides those
 with bit masks and reachability, which this shares no code with) and by
 the closed-form fp-value membership primitive otherwise, atoms
 from exhaustive two-part splits, factorizations from multiplicity search with
-a leaf product-equality check, and the chain invariants from explicit
+a leaf product-equality check, relation atoms from every sub-multiset of
+both sides multiplied out, and the chain invariants from explicit
 threshold-graph connectivity. None of the enumeration or graph logic in
 the package is reused.
 """
@@ -213,6 +214,38 @@ def factor_set_as_multisets(fs: factor.FactorSet) -> set:
             )
         )
     return out
+
+
+# ---------------------------------------------------------------------------
+# equal-length relation atoms, from the definition
+
+
+def _sub_multisets(z: factor.Factorization):
+    """(taken, rest, |taken|) over every sub-multiset of z."""
+    ids = [i for i, _ in z.counts]
+    mults = [m for _, m in z.counts]
+    for take in itertools.product(*(range(m + 1) for m in mults)):
+        yield (tuple(zip(ids, take)),
+               tuple((i, m - t) for i, m, t in zip(ids, mults, take)),
+               sum(take))
+
+
+def brute_is_relation_atom(desc: models.MonoidDescriptor, pair) -> bool:
+    """An equal-length pair (x, y), |x| >= 1, with no sub-multisets w <= x
+    and w' <= y of one length 0 < j < |x| such that pi(w) = pi(w') and
+    pi(x - w) = pi(y - w'); every product is multiplied out from the
+    identity."""
+    x, y = pair.left, pair.right
+    if x.length != y.length or x.length < 1:
+        return False
+    atoms = pair.table.atoms
+
+    def splits(z):
+        return {(k, models.product_of(desc, atoms, taken),
+                 models.product_of(desc, atoms, rest))
+                for taken, rest, k in _sub_multisets(z) if 0 < k < z.length}
+
+    return not splits(x) & splits(y)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """The fiber stream against enumeration and the brute-force oracle."""
 
 import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -95,6 +96,23 @@ def test_sumset_fibers_are_built_one_at_a_time(monkeypatch):
     stream = invariants.fibers(SUM, 6)
     assert next(stream)[0] == (0,)
     assert built == [(0,)]
+
+
+def test_product_sweep_lists_each_slot_once(monkeypatch):
+    """A product's members come from the rows of its slot sweeps."""
+    path = Path(__file__).parent.parent / "perfbench" / "descriptors" / "product.json"
+    desc = models.descriptor_from_json(json.loads(path.read_text()))
+    listed = []
+    enumerate_elements = invariants.enumerate_elements
+
+    def counted(d, bound):
+        listed.append(d)
+        return enumerate_elements(d, bound)
+
+    monkeypatch.setattr(invariants, "enumerate_elements", counted)
+    table = invariants.length_table(desc, 10)
+    assert listed == list(desc.factors)
+    assert [row.element for row in table] == enumerate_elements(desc, 10)
 
 
 def test_identity_overflows_a_zero_budget():

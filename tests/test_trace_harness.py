@@ -46,19 +46,23 @@ PRODUCT = {"model": "product", "freeRank": 1,
 # Sweeps read their members off one mask and call membership never;
 # factorize leaves membership to atoms_dividing, except that a product
 # element is checked whole once, so that NotAMember names the product.
-@pytest.mark.parametrize("descriptor,argv,memberships,multiplies", [
-    (numerical(2, 3), ["global", "--bound", "12"], 0, False),
+@pytest.mark.parametrize("descriptor,argv,span,memberships,multiplies", [
+    (numerical(2, 3), ["global", "--bound", "12"], "invariants.aggregate", 0,
+     False),
     # <2,3> has one factorization per length, so no relation pair is
     # ever split; <3,4,5> has 3+5 = 4+4.
-    (numerical(3, 4, 5), ["relation-atoms", "--length-bound", "3"], 0, True),
-    (numerical(2, 3), ["factorize", "--element", "12"], 0, False),
-    (PRODUCT, ["factorize", "--element", "7;6,6;1"], 1, False),
+    (numerical(3, 4, 5), ["relation-atoms", "--length-bound", "3"],
+     "relations.atoms", 0, True),
+    (numerical(2, 3), ["factorize", "--element", "12"], "factor.enumerate", 0,
+     False),
+    (PRODUCT, ["factorize", "--element", "7;6,6;1"], "factor.enumerate", 1,
+     False),
 ], ids=["global", "relation-atoms", "factorize", "factorize-product"])
-def test_trace_child_records_spans_and_counts(tmp_path, descriptor, argv,
+def test_trace_child_records_spans_and_counts(tmp_path, descriptor, argv, span,
                                               memberships, multiplies):
     report, doc = run_traced(tmp_path, descriptor, argv)
     assert report["command"] == argv[0]
-    assert doc["spans"]
+    assert span in {name for name, *_ in doc["spans"]}
     assert doc["counts"].get("models.membership.calls", 0) == memberships
     if multiplies:
         assert doc["counts"]["models.multiply.calls"] > 0
