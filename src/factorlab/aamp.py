@@ -141,7 +141,6 @@ def structure_probe(
     weight_bound: int,
     d_candidates: Iterable[int] | None = None,
     budget: int = factor.DEFAULT_BUDGET,
-    jobs: int = 1,
 ) -> dict:
     """Minimal AAMP bound per element and its running maximum M*.
 
@@ -149,7 +148,7 @@ def structure_probe(
     sweep. M* is flagged stabilized when it stopped changing over the
     top half of the weight range.
     """
-    table = invariants.length_table(desc, weight_bound, budget, jobs)
+    table = invariants.length_table(desc, weight_bound, budget)
     good = [row for row in table if row.lengths is not None]
     if d_candidates is None:
         gaps = {g for row in good for g in row.lengths.delta()}
@@ -181,7 +180,6 @@ def unions_structure_probe(
     k_range: Iterable[int],
     weight_bound: int,
     budget: int = factor.DEFAULT_BUDGET,
-    jobs: int = 1,
 ) -> dict:
     """Fit unions of length sets as AAMPs with difference 1 or min Delta.
 
@@ -194,7 +192,7 @@ def unions_structure_probe(
     ks = sorted(set(k_range))
     if ks and ks[0] < 0:
         raise ValueError("union indices must be nonnegative")
-    table = invariants.length_table(desc, weight_bound, budget, jobs)
+    table = invariants.length_table(desc, weight_bound, budget)
     warnings = invariants.table_warnings(desc, table, budget)
     sets = [row.lengths for row in table if row.lengths is not None]
     delta_set = sorted({g for ls in sets for g in ls.delta()})

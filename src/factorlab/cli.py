@@ -8,8 +8,9 @@ rendered either as canonical JSON (sorted keys, compact separators) or
 as an indented plain-text table. Report bytes depend only on the
 request, never on the parallelism degree.
 
-Exit codes: 0 success, 2 malformed input or failed validation,
-3 enumeration budget exhausted, 4 a verification scenario's claim failed.
+Exit codes: 0 success, 2 malformed input, failed validation or an
+unusable file such as the cache directory, 3 enumeration budget
+exhausted, 4 a verification scenario's claim failed.
 """
 
 from __future__ import annotations
@@ -48,8 +49,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(default: $FACTORLAB_CACHE)")
     common.add_argument("--jobs", type=int, default=1,
                         help="worker processes for the element reports of "
-                             "global, and for the sumset fibers of "
-                             "structure-probe and unions")
+                             "global; other commands ignore it")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -296,7 +296,7 @@ def run_unions(args) -> tuple[str | None, dict, list]:
     desc = load_descriptor(args.monoid)
     bound = _require_bound(args)
     row, warnings = invariants.unions_of_lengths(
-        desc, args.k, bound, args.budget, args.jobs)
+        desc, args.k, bound, args.budget)
     row["union"] = list(row["union"].lengths)
     return models.descriptor_hash(desc), row, warnings
 
@@ -334,13 +334,13 @@ def run_structure_probe(args) -> tuple[str | None, dict, list]:
             raise errors.MalformedDescriptor("--target unions requires --k-range")
         lo, hi = _parse_k_range(args.k_range)
         report = aamp.unions_structure_probe(
-            desc, range(lo, hi + 1), bound, args.budget, args.jobs)
+            desc, range(lo, hi + 1), bound, args.budget)
     else:
         d_candidates = None
         if args.d_candidates is not None:
             d_candidates = _parse_int_list(args.d_candidates, "--d-candidates")
         report = aamp.structure_probe(
-            desc, bound, d_candidates, args.budget, args.jobs)
+            desc, bound, d_candidates, args.budget)
     warnings = report.pop("warnings", [])
     return models.descriptor_hash(desc), _probe_to_json(desc, report), warnings
 
@@ -505,7 +505,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"factorlab: claim failed: {exc}", file=sys.stderr)
         return EXIT_CLAIM
     except (errors.MalformedDescriptor, errors.ClosureViolation,
-            errors.ShapeMismatch, errors.NotAMember, ValueError) as exc:
+            errors.ShapeMismatch, errors.NotAMember, ValueError, OSError) as exc:
         print(f"factorlab: {exc}", file=sys.stderr)
         return EXIT_INPUT
     emit(envelope(args, descriptor_hash, results, warnings), args.output)

@@ -61,18 +61,18 @@ class Factorization(NamedTuple):
 def make_factorization(table: AtomTable, pairs) -> Factorization:
     """A Factorization from (atom id, multiplicity) pairs in any order.
 
-    Pairs with the same id are merged and ids are checked against the
-    table: this is the entry for pairs the searches did not produce, such
-    as cache entries.
+    Each pair is checked against the table and for a negative
+    multiplicity before pairs with the same id are merged: this is the
+    entry for pairs the searches did not produce, such as cache entries.
     """
     merged: dict[int, int] = {}
     for i, m in pairs:
         if not 0 <= i < len(table.atoms):
             raise IndexError(f"atom id {i} outside table")
+        if m < 0:
+            raise ValueError("negative multiplicity")
         merged[i] = merged.get(i, 0) + m
     counts = tuple(sorted((i, m) for i, m in merged.items() if m > 0))
-    if any(m < 0 for _, m in counts):
-        raise ValueError("negative multiplicity")
     return Factorization(
         counts=counts,
         length=sum(m for _, m in counts),

@@ -23,33 +23,35 @@ Every question about the members below a weight bound reads one sweep
 (``sweep``): global estimates and equal-length relations take its fibers
 (``fibers``), length-set questions (structure probes, unions of length
 sets) its length sets and counts (``length_table``). It lists the members
-once and dispatches on the model once. On the cancellative base models
-one weight-order pass over the members finds the atoms (a nonzero member
-that no smaller atom divides is itself an atom) and fills the length sets
-by the recurrence L(a) = U {1 + L(a - u) : u an atom dividing a} (Barron,
+once and dispatches on the model once. On every base model one
+weight-order pass over the members runs the atom recurrence (Barron,
 O'Neill and Pelayo; García-Sánchez, O'Neill and Webb for affine
-semigroups), each held as an integer bit mask. Then, coin-change style
-with the atoms outermost, it counts |Z(a)| and, when fibers are asked
-for, builds Z(a) = U {z + u : z in Z(a - u), every atom of z <= u}, so a
-member overflows the budget exactly when enumerating it would. Sumsets
-are not cancellative, so each member's fiber is enumerated once. A
-product lists its members from its slot sweeps, each run once, and
-composes their rows: slot length sets add, shifted by the free
-exponents, and slot counts multiply; a product fiber is built only when
-asked for and within the budget.
+semigroups): a nonzero member that no lighter atom's pass reached is
+itself an atom, and the pass of each atom u pushes into every listed
+a + u the length set of a, held as an integer bit mask and shifted by
+one, so L(a + u) gathers 1 + L(a). Coin-change style, with the atoms
+outermost, the same pass counts |Z(a)| and, when fibers are asked for,
+builds Z(a) = U {z + u : z in Z(c), c + u = a, every atom of z <= u}, so
+a member overflows the budget exactly when enumerating it would. The
+pass needs products and the weight order, not subtraction, so sumsets,
+which are not cancellative, take it as well. A product lists its members
+from its slot sweeps, each run once, and composes their rows: slot
+length sets add, shifted by the free exponents, and slot counts
+multiply; a product fiber is built only when asked for and within the
+budget.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
 from fractions import Fraction
-from operator import or_, sub
+from operator import or_
 from typing import Iterable, NamedTuple
 
 from . import factor, models
-from .errors import BudgetExceeded
 
 
 class LengthSet(NamedTuple):
@@ -260,7 +262,7 @@ def enumerate_elements(
         dim = getattr(desc, "dim", 1)
         bits = bin(models.member_mask(desc, (weight_bound,) * dim))[:1:-1]
         box = itertools.product(range(weight_bound + 1), repeat=dim)
-        out = [v[::-1] if dim > 1 else v[0]
+        out = [v[0] if isinstance(desc, models.Numerical) else v[::-1]
                for v in itertools.compress(box, map("1".__eq__, bits))
                if sum(v) <= weight_bound]
     elif isinstance(desc, models.FinitelyPrimaryValue):
@@ -296,7 +298,6 @@ def sweep(
     weight_bound: int,
     budget: int,
     fibers: bool,
-    jobs: int = 1,
 ):
     """Yield (member, length mask, |Z(member)|, Z(member)) in weight order.
 
@@ -304,37 +305,25 @@ def sweep(
     comes as (member, 0, None, None), exactly when factor.factorizations
     would raise BudgetExceeded for it at this budget. Otherwise Z(member)
     is what factor.factorizations returns when ``fibers`` is set, built
-    when its member is reached, and None when it is not. Rows without
-    fibers of sumsets and sumset product slots go to ``jobs`` processes.
+    when its member is reached, and None when it is not. Every base model
+    takes its rows from the one atom recurrence, in this process.
     """
     if isinstance(desc, models.Product):
-        slots = [{el: row for el, *row in sweep(f, weight_bound, budget, fibers, jobs)}
+        slots = [{el: row for el, *row in sweep(f, weight_bound, budget, fibers)}
                  for f in desc.factors]
         members = _product_elements(desc, weight_bound, slots)
         rows = (_product_row(desc, slots, el, budget, fibers) for el in members)
-    elif isinstance(desc, models.Sumset):
-        members = enumerate_elements(desc, weight_bound)
-        row = functools.partial(_sumset_row, desc, budget, fibers)
-        rows = parallel_map(row, members, 1 if fibers else jobs)
     else:
         members = enumerate_elements(desc, weight_bound)
-        rows = _value_rows(desc, members, budget, fibers)
+        rows = _recurrence_rows(desc, members, budget, fibers)
     for el, (mask, count, fs) in zip(members, rows):
         yield el, mask, count, fs
 
 
-def _sumset_row(desc, budget, fibers, el):
-    try:
-        fs = factor.factorizations(desc, el, budget)
-    except BudgetExceeded:
-        return _OVERFLOW
-    return sum(1 << k for k in fs.lengths), len(fs.all), fs if fibers else None
-
-
-def _value_rows(desc, members, budget, fibers):
+def _recurrence_rows(desc, members, budget, fibers):
     """Rows of the recurrence, each fiber released when yielded. A
     FactorSet numbers the atoms its factorizations use in global order."""
-    atoms, masks, counts, raw = _value_recurrence(
+    atoms, masks, counts, raw = _atom_recurrence(
         desc, members, budget if fibers else None)
     for i, el in enumerate(members):
         if counts[i] > budget:
@@ -374,58 +363,54 @@ def fibers(desc: models.MonoidDescriptor, weight_bound: int,
     return ((el, fs) for el, _, _, fs in sweep(desc, weight_bound, budget, True))
 
 
-def _value_recurrence(desc, members: list, budget: int | None = None):
-    """The atom recurrence over a cancellative model's members, in weight order.
+def _atom_recurrence(desc, members: list, budget: int | None = None):
+    """The atom recurrence over a base model's members, in weight order.
 
-    members is closed under division, so a - u is a member exactly when
-    it is listed. A nonzero member that no smaller atom divides is an
-    atom; the length set of any other is the union of 1 + L(a - u) over
-    the atoms u dividing it. Counts are coin-change sums with the atoms
-    outermost, which counts every multiset of atoms once. Given a budget,
-    the same loop builds Z(a) as tuples of (atom number, multiplicity):
-    in the pass of atom k, Z(a - u_k) holds exactly the factorizations
-    whose atoms are at most k, so each gains u_k once. A member's fiber is
-    dropped (None) as soon as its count passes the budget; z -> z + u is
-    injective in a cancellative monoid, so every member it divides passes
-    it too, and no kept fiber is built from a dropped one.
+    members holds every member up to a weight, so a + u is a member of
+    that weight or less exactly when it is listed. Walking the members, a
+    nonzero member whose count is still 0 when it is reached is an atom:
+    every lighter atom's pass has run, and any other member is c + u with
+    c and u nonzero and lighter. The pass of atom u, run right then, goes
+    up the members a light enough for a + u to be listed and pushes a's
+    lengths, shifted by one, and count into a + u. With the atoms
+    outermost this counts every multiset of atoms once, even without
+    cancellation: a factorization z of a + u whose largest atom is u comes
+    from a = pi(z - u) alone. Given a budget, the same loop builds Z(a) as
+    tuples of (atom number, multiplicity): in the pass of atom k, Z(a)
+    holds exactly the factorizations whose atoms are at most k, so each
+    gains u_k once. A member's fiber is dropped (None) as soon as its
+    count passes the budget; z -> z + u is injective on multisets, so
+    every member pushed from it passes it too, and no kept fiber is built
+    from a dropped one.
 
     Returns (atom member indices, length masks, counts, fibers or None).
     """
-    if isinstance(desc, models.Numerical):
-        minus = sub
-    else:
-        def minus(a, u):
-            return tuple(map(sub, a, u))
     index = {a: i for i, a in enumerate(members)}
+    weights = [models.weight(desc, a) for a in members]
     masks = [1] + [0] * (len(members) - 1)
-    atoms = []
-    for i in range(1, len(members)):
-        mask = 0
-        for u in atoms:
-            j = index.get(minus(members[i], members[u]))
-            if j is not None:
-                mask |= masks[j]
-        if not mask:
-            atoms.append(i)
-            mask = 1
-        masks[i] = mask << 1
     counts = [1] + [0] * (len(members) - 1)
     zs = None
     if budget is not None:
         zs = [[()] if budget >= 1 else None] + [[] for _ in members[1:]]
-    for k, u in enumerate(atoms):
-        atom = members[u]
-        for i in range(u, len(members)):
-            j = index.get(minus(members[i], atom))
-            if j is None:
+    atoms = []
+    for u in range(1, len(members)):
+        if counts[u]:
+            continue
+        k, atom = len(atoms), members[u]
+        atoms.append(u)
+        light = bisect.bisect_right(weights, weights[-1] - weights[u])
+        for a in range(light):
+            i = index.get(models.multiply(desc, members[a], atom))
+            if i is None:
                 continue
-            counts[i] += counts[j]
+            masks[i] |= masks[a] << 1
+            counts[i] += counts[a]
             if zs is None:
                 continue
             if counts[i] > budget:
                 zs[i] = None
             else:
-                zs[i].extend(_with_atom(z, k) for z in zs[j])
+                zs[i].extend(_with_atom(z, k) for z in zs[a])
     return atoms, masks, counts, zs
 
 
@@ -587,15 +572,13 @@ def length_table(
     desc: models.MonoidDescriptor,
     weight_bound: int,
     budget: int = factor.DEFAULT_BUDGET,
-    jobs: int = 1,
 ) -> list[LengthRow]:
     """Every member of weight <= bound with its length set, in weight order:
-    the rows of ``sweep`` without fibers, spread over ``jobs`` processes
-    where they are enumerated (sumsets and sumset product slots)."""
+    the rows of ``sweep`` without fibers."""
     return [
         LengthRow(el, None, None) if count is None
         else LengthRow(el, LengthSet(_bits(mask)), count)
-        for el, mask, count, _ in sweep(desc, weight_bound, budget, False, jobs)
+        for el, mask, count, _ in sweep(desc, weight_bound, budget, False)
     ]
 
 
@@ -634,7 +617,6 @@ def unions_of_lengths(
     k: int,
     weight_bound: int,
     budget: int = factor.DEFAULT_BUDGET,
-    jobs: int = 1,
 ):
     """Union of all length sets below the bound containing k, with k itself.
 
@@ -644,7 +626,7 @@ def unions_of_lengths(
     """
     if k < 0:
         raise ValueError("union indices must be nonnegative")
-    table = length_table(desc, weight_bound, budget, jobs)
+    table = length_table(desc, weight_bound, budget)
     union = union_containing(table, k)
     report = {
         "k": k,

@@ -122,7 +122,7 @@ def check_descriptor(desc: MonoidDescriptor) -> None:
         if len(set(gens)) != len(gens):
             raise MalformedDescriptor("generators must be pairwise distinct")
     elif isinstance(desc, FinitelyPrimaryValue):
-        if desc.rank not in (1, 2, 3):
+        if not _is_int(desc.rank) or desc.rank not in (1, 2, 3):
             raise MalformedDescriptor("fp-value rank must be 1, 2 or 3")
         if not _is_int(desc.exponent) or desc.exponent < 1:
             raise MalformedDescriptor("fp-value exponent must be a positive integer")

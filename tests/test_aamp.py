@@ -159,7 +159,7 @@ def test_constructed_progressions_are_recognized_and_closed():
 
 
 def test_structure_probe_on_interval_sets():
-    report = aamp.structure_probe(N23, 16, jobs=1)
+    report = aamp.structure_probe(N23, 16)
     assert report["mStar"] == 0
     assert report["stabilized"]
     assert report["dCandidates"] == (1,)
@@ -169,7 +169,7 @@ def test_structure_probe_on_interval_sets():
 
 def test_structure_probe_with_explicit_candidates():
     # intervals absorb any difference via the full period [0, d]
-    report = aamp.structure_probe(N23, 14, d_candidates=(2, 3), jobs=1)
+    report = aamp.structure_probe(N23, 14, d_candidates=(2, 3))
     assert report["dCandidates"] == (2, 3)
     assert report["mStar"] == 0
     assert all(row["d"] == 2 for row in report["perElement"])
@@ -177,14 +177,8 @@ def test_structure_probe_with_explicit_candidates():
 
 def test_structure_probe_interval_models_need_no_fuzz():
     free = Affine(dim=2, generators=((1, 0), (0, 1)))
-    assert aamp.structure_probe(free, 6, jobs=1)["mStar"] == 0
-    assert aamp.structure_probe(FP21, 12, jobs=1)["mStar"] == 0
-
-
-def test_structure_probe_deterministic_across_jobs():
-    a = aamp.structure_probe(SUM, 6, jobs=1)
-    b = aamp.structure_probe(SUM, 6, jobs=2)
-    assert a == b
+    assert aamp.structure_probe(free, 6)["mStar"] == 0
+    assert aamp.structure_probe(FP21, 12)["mStar"] == 0
 
 
 def test_unions_probe_trivial_when_no_gaps():

@@ -154,6 +154,20 @@ def test_atoms_of_a_deep_affine_element(capsys, tmp_path):
     assert doc["results"]["atoms"] == [[2], [3]]
 
 
+@pytest.mark.parametrize("argv", [
+    ["global", "--bound", "30"],
+    ["unions", "--bound", "30", "--k", "4"],
+], ids=["global", "unions"])
+def test_one_dimensional_affine_sweeps_match_numerical(capsys, tmp_path,
+                                                       n23_path, argv):
+    path = tmp_path / "a23.json"
+    path.write_text(json.dumps({"model": "affine", "dim": 1,
+                                "generators": [[2], [3]]}))
+    affine = run_json(capsys, [*argv, "--monoid", str(path)])
+    numerical = run_json(capsys, [*argv, "--monoid", n23_path])
+    assert affine["results"] == numerical["results"]
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -207,6 +221,17 @@ def test_exit_two_on_missing_required_bound(capsys, n23_path):
     code, _, err = run(capsys, ["global", "--monoid", n23_path])
     assert code == 2
     assert "--bound" in err
+
+
+def test_exit_two_on_an_unusable_cache_dir(capsys, n23_path, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run(capsys, ["factorize", "--monoid", n23_path,
+                                  "--element", "12", "--cache-dir",
+                                  str(blocker / "sub")])
+    assert (code, out) == (2, "")
+    assert err.startswith("factorlab: ") and err.count("\n") == 1
+    assert "Not a directory" in err
 
 
 def test_exit_three_on_budget(capsys, n23_path):
@@ -346,8 +371,9 @@ def test_cache_roundtrip_bytes(capsys, n23_path, tmp_path):
     '{"element": 12, "atoms": [2, 3], "factorizations": [{"counts": [[7, 1]]}]}',
     '{"element": 12, "atoms": [2, 3], "factorizations": '
     '[{"counts": [[0, 6]]}, {"counts": [[1, 4]]}]}',
+    '{"element": 12, "atoms": [2, 3], "factorizations": [{"counts": [[0, -1]]}]}',
 ], ids=["empty", "not-json", "list", "missing-keys", "atom-outside-table",
-        "unsorted"])
+        "unsorted", "negative-multiplicity"])
 def test_damaged_cache_entry_is_a_miss(capsys, n23_path, tmp_path, garbage):
     cache_dir = str(tmp_path / "cache")
     argv = ["invariants", "--monoid", n23_path, "--element", "12",
@@ -420,8 +446,9 @@ DESCRIPTORS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
 ], ids=["numerical", "affine", "fp-value", "sumset", "product",
         "sumset-structure-probe", "sumset-slot-unions"])
 def test_jobs_do_not_change_bytes_on_any_model(capsys, tmp_path, model, argv):
-    """Descriptors, patterns, fibers and slot rows pickle across the worker
-    boundary. ``model`` names a bench descriptor or is a descriptor."""
+    """Descriptors, patterns and fibers pickle across the worker boundary,
+    and commands that fork nothing accept --jobs. ``model`` names a bench
+    descriptor or is a descriptor."""
     if isinstance(model, str):
         path = os.path.join(DESCRIPTORS, f"{model}.json")
     else:

@@ -11,7 +11,7 @@ import bruteforce
 from factorlab import cli, factor, invariants, models
 from factorlab.errors import BudgetExceeded
 from test_length_table import FIXED, FIXED_IDS
-from test_models import AFF, N23, PROD, SUM
+from test_models import AFF, N23, PROD, SUM, SUMSETS, affine_models
 
 
 def shape(fs: factor.FactorSet):
@@ -39,13 +39,16 @@ def test_numerical_models_match_enumeration_and_oracle(gens):
     check_stream(models.Numerical(generators=tuple(sorted(gens))), 24)
 
 
-vectors = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any)
-
-
 @settings(max_examples=20, deadline=None)
-@given(st.sets(vectors, min_size=1, max_size=4))
-def test_affine_models_match_enumeration_and_oracle(gens):
-    check_stream(models.Affine(dim=2, generators=tuple(sorted(gens))), 7)
+@given(affine_models(max_dim=2))
+def test_affine_models_match_enumeration_and_oracle(desc):
+    check_stream(desc, 7)
+
+
+@settings(max_examples=25, deadline=None)
+@given(SUMSETS, st.integers(0, 9))
+def test_sumset_models_match_enumeration_and_oracle(desc, bound):
+    check_stream(desc, bound)
 
 
 @pytest.mark.parametrize("desc,bound", FIXED, ids=FIXED_IDS)
@@ -82,20 +85,6 @@ def test_length_table_rows_match_the_fibers(desc, bound):
             else:
                 assert row.lengths == invariants.length_set(fs), (budget, el)
                 assert row.count == len(fs.all), (budget, el)
-
-
-def test_sumset_fibers_are_built_one_at_a_time(monkeypatch):
-    built = []
-    factorizations = factor.factorizations
-
-    def counted(desc, el, budget):
-        built.append(el)
-        return factorizations(desc, el, budget)
-
-    monkeypatch.setattr(factor, "factorizations", counted)
-    stream = invariants.fibers(SUM, 6)
-    assert next(stream)[0] == (0,)
-    assert built == [(0,)]
 
 
 def test_product_sweep_lists_each_slot_once(monkeypatch):

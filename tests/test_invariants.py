@@ -27,7 +27,7 @@ from factorlab import (
     weak_successive_distance,
 )
 from factorlab import factor, invariants, models
-from test_models import AFF, FP21, FP22, N23, PROD, SUM
+from test_models import AFF, FP21, FP22, N23, PROD, SUM, SUMSETS
 
 N6920 = models.Numerical(generators=(6, 9, 20))
 
@@ -250,14 +250,9 @@ def test_affine_dim_three_members_match_bruteforce(gens, bound):
     assert enumerate_elements(desc, bound) == bruteforce.brute_members(desc, bound)
 
 
-sumset_generators = st.sets(st.integers(1, 5), min_size=1, max_size=3).map(
-    lambda rest: (0, *sorted(rest)))
-
-
 @settings(max_examples=25, deadline=None)
-@given(st.sets(sumset_generators, min_size=1, max_size=3), st.integers(0, 9))
-def test_sumset_members_match_bruteforce(gens, bound):
-    desc = models.Sumset(generators=tuple(sorted(gens)))
+@given(SUMSETS, st.integers(0, 9))
+def test_sumset_members_match_bruteforce(desc, bound):
     assert enumerate_elements(desc, bound) == bruteforce.brute_members(desc, bound)
 
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import bruteforce
 from factorlab import factor, invariants, models
 from factorlab.errors import BudgetExceeded
-from test_models import AFF, FP21, FP22, N23, PROD, SUM
+from test_models import AFF, FP21, FP22, N23, PROD, SUM, SUMSETS, affine_models
 
 SUM_PROD = models.Product(factors=(SUM, N23), free_rank=1)
 
@@ -44,13 +44,16 @@ def test_numerical_models_match_oracle(gens):
     check_against_oracle(models.Numerical(generators=tuple(sorted(gens))), 24)
 
 
-vectors = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any)
-
-
 @settings(max_examples=20, deadline=None)
-@given(st.sets(vectors, min_size=1, max_size=4))
-def test_affine_models_match_oracle(gens):
-    check_against_oracle(models.Affine(dim=2, generators=tuple(sorted(gens))), 7)
+@given(affine_models(max_dim=2))
+def test_affine_models_match_oracle(desc):
+    check_against_oracle(desc, 7)
+
+
+@settings(max_examples=25, deadline=None)
+@given(SUMSETS, st.integers(0, 9))
+def test_sumset_models_match_oracle(desc, bound):
+    check_against_oracle(desc, bound)
 
 
 @pytest.mark.parametrize("desc,bound", FIXED, ids=FIXED_IDS)
@@ -84,7 +87,3 @@ def test_budget_boundary_of_one_element():
                             "budget": n - 1}
     with pytest.raises(BudgetExceeded):
         factor.factorizations(N23, 12, n - 1)
-
-
-def test_sumset_table_is_the_same_for_any_jobs():
-    assert invariants.length_table(SUM, 6, jobs=2) == invariants.length_table(SUM, 6)

@@ -90,6 +90,70 @@ def test_sumset_generators_must_be_canonical():
         check_descriptor(Sumset(generators=((1, 2),)))
 
 
+N23_DOC = {"model": "numerical", "generators": [2, 3]}
+FP_DOC = {"model": "fp-value", "rank": 2, "exponent": 2}
+
+
+@pytest.mark.parametrize("parse,raw,message", [
+    (descriptor_from_json, {"model": "numerical", "generators": [2, 2]},
+     "generators must be pairwise distinct"),
+    (descriptor_from_json, {"model": "affine", "dim": 0, "generators": [[1]]},
+     "affine dimension must be a positive integer"),
+    (descriptor_from_json, {"model": "affine", "dim": 1, "generators": []},
+     "affine model needs at least one generator"),
+    (descriptor_from_json, {"model": "affine", "dim": 2, "generators": [[1]]},
+     "bad affine generator (1,)"),
+    (descriptor_from_json, {"model": "affine", "dim": 1, "generators": [[0]]},
+     "affine generators must be nonzero"),
+    (descriptor_from_json, {"model": "affine", "dim": 1, "generators": [[2], [2]]},
+     "generators must be pairwise distinct"),
+    (descriptor_from_json, dict(FP_DOC, rank=4), "fp-value rank must be 1, 2 or 3"),
+    (descriptor_from_json, dict(FP_DOC, rank=True), "fp-value rank must be 1, 2 or 3"),
+    (descriptor_from_json, dict(FP_DOC, exponent=0),
+     "fp-value exponent must be a positive integer"),
+    (descriptor_from_json, dict(FP_DOC, exceptional=[[{"exact": 1}]]),
+     "pattern Pattern(entries=(('exact', 1),)) does not match the rank"),
+    (descriptor_from_json, dict(FP_DOC, exceptional=[[{"exact": 1}, {"atLeast": 0}]]),
+     "bad pattern entry ('atLeast', 0)"),
+    (descriptor_from_json, dict(FP_DOC, exceptional=[[{"exact": 1}, {"upTo": 1}]]),
+     "bad pattern entry {'upTo': 1}"),
+    (descriptor_from_json, dict(FP_DOC, exceptional=[[{"exact": 1}, {"exact": 1}]] * 2),
+     "patterns must be pairwise distinct"),
+    (descriptor_from_json, {"model": "sumset", "generators": []},
+     "sumset model needs at least one generator"),
+    (check_descriptor, Sumset(generators=((0, 2, 1),)),
+     "sumset generator (0, 2, 1) is not canonical"),
+    (descriptor_from_json, {"model": "sumset", "generators": [[0, 1], [1, 0]]},
+     "generators must be pairwise distinct"),
+    (descriptor_from_json, {"model": "product", "factors": [], "freeRank": 0},
+     "product model needs at least one factor"),
+    (descriptor_from_json, {"model": "product", "factors": [N23_DOC], "freeRank": -1},
+     "product free rank must be a nonnegative integer"),
+    (check_descriptor, None, "unknown descriptor None"),
+    (descriptor_to_json, None, "unknown descriptor None"),
+    (descriptor_from_json, [], "descriptor must be an object with a 'model' field"),
+    (descriptor_from_json, {"model": "ring"}, "unknown model 'ring'"),
+    (lambda raw: canon(SUM, raw), [0, -1], "sumset elements hold nonnegative ints"),
+    (lambda raw: canon(PROD, raw), 5, "bad product element 5"),
+    (lambda raw: canon(PROD, raw), {"components": [2]},
+     "product element needs one entry per factor"),
+    (lambda raw: canon(PROD, raw), {"components": [2, [1, 1]], "free": [-1]},
+     "free part must have 1 entries >= 0"),
+    (lambda raw: canon(None, raw), 5, "unknown descriptor None"),
+    (lambda raw: canon(AFF, raw), "ab", "expected a sequence of ints, got 'ab'"),
+    (lambda text: models.parse_element_literal(SUM, text), "0,1",
+     "sumset literals look like {0,1,3}"),
+    (lambda text: models.parse_element_literal(PROD, text), "2;1,1",
+     "product literal needs 3 ';'-separated parts, got 2"),
+    (lambda text: models.parse_element_literal(N23, text), "x",
+     "cannot parse element literal 'x': invalid literal for int() with base 10: 'x'"),
+])
+def test_malformed_input_gets_its_message(parse, raw, message):
+    with pytest.raises((MalformedDescriptor, ShapeMismatch)) as exc:
+        parse(raw)
+    assert str(exc.value) == message
+
+
 def test_product_factors_must_be_base_models():
     nested = Product(factors=(PROD,), free_rank=0)
     with pytest.raises(MalformedDescriptor):
@@ -287,15 +351,25 @@ def test_atoms_dividing_against_bruteforce():
 NUMERICAL = st.builds(
     Numerical,
     st.lists(st.integers(1, 12), min_size=1, max_size=4, unique=True).map(tuple))
+sumset_generators = st.sets(st.integers(1, 5), min_size=1, max_size=3).map(
+    lambda rest: (0, *sorted(rest)))
+SUMSETS = st.builds(
+    Sumset, st.sets(sumset_generators, min_size=1, max_size=3).map(sorted).map(tuple))
+
+
+@st.composite
+def affine_models(draw, max_dim=3):
+    dim = draw(st.integers(1, max_dim))
+    point = st.tuples(*[st.integers(0, 3)] * dim).filter(any)
+    gens = draw(st.sets(point, min_size=1, max_size=4))
+    return Affine(dim=dim, generators=tuple(sorted(gens)))
 
 
 @st.composite
 def affine_and_top(draw):
-    dim = draw(st.integers(2, 3))
-    point = st.tuples(*[st.integers(0, 3)] * dim).filter(any)
-    gens = draw(st.lists(point, min_size=1, max_size=4, unique=True))
-    top = draw(st.tuples(*[st.integers(0, 6 if dim == 2 else 4)] * dim))
-    return Affine(dim=dim, generators=tuple(gens)), top
+    desc = draw(affine_models())
+    top = draw(st.tuples(*[st.integers(0, (12, 6, 4)[desc.dim - 1])] * desc.dim))
+    return desc, top
 
 
 @given(st.one_of(st.tuples(NUMERICAL, st.integers(0, 40)), affine_and_top()))

@@ -17,9 +17,8 @@ from factorlab import (
 from factorlab import factor, invariants, models
 from factorlab.errors import BudgetExceeded
 from test_fibers import AFF_SUM
-from test_invariants import sumset_generators
 from test_length_table import SUM_PROD
-from test_models import FP21, N23, NUMERICAL, PROD, SUM, affine_and_top
+from test_models import FP21, N23, NUMERICAL, PROD, SUM, affine_and_top, sumset_generators
 from test_search import fp_value_models
 
 AFF3 = Affine(dim=2, generators=((2, 0), (1, 1), (0, 2)))

@@ -5,10 +5,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bruteforce
-from factorlab import factor, models
+from factorlab import factor, invariants, models
 from factorlab.errors import BudgetExceeded, ClosureViolation, MalformedDescriptor
 from test_length_table import FIXED, FIXED_IDS
-from test_models import AFF, FP22, N23, fp_value_descriptors
+from test_models import (
+    AFF, FP22, N23, NUMERICAL, SUMSETS, affine_models, fp_value_descriptors)
 
 N234 = models.Numerical(generators=(2, 3, 4))
 N_WIDE = models.Numerical(generators=(4, 6, 7, 10, 13))
@@ -50,13 +51,10 @@ def test_numerical_models_match_oracle(gens):
                    if not models.membership(desc, n))
 
 
-vectors = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(any)
-
-
 @settings(max_examples=20, deadline=None)
-@given(st.sets(vectors, min_size=1, max_size=4))
-def test_affine_models_match_oracle(gens):
-    check_against_oracle(models.Affine(dim=2, generators=tuple(sorted(gens))), 7)
+@given(affine_models(max_dim=2))
+def test_affine_models_match_oracle(desc):
+    check_against_oracle(desc, 7)
 
 
 @st.composite
@@ -92,6 +90,23 @@ def test_generator_atoms_split_the_generators(desc):
     rest = [models.element_to_json(desc, g) for g in desc.generators
             if g not in atoms]
     assert models.non_atom_generators(desc) == rest
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(NUMERICAL, affine_models(max_dim=2), SUMSETS, fp_value_models()),
+       st.integers(0, 12))
+def test_recurrence_atoms_are_the_atoms(desc, bound):
+    """The sweep takes as atoms the members no lighter pass reached."""
+    if isinstance(desc, models.FinitelyPrimaryValue):
+        bound = min(bound, 12 - 2 * desc.rank)
+    members = invariants.enumerate_elements(desc, bound)
+    atoms = [members[i] for i in invariants._atom_recurrence(desc, members)[0]]
+    if isinstance(desc, models.FinitelyPrimaryValue):
+        want = [u for u in members if bruteforce.brute_is_atom(desc, u)]
+    else:
+        want = [u for u in models.generator_atoms(desc)
+                if models.weight(desc, u) <= bound]
+    assert atoms == want
 
 
 def test_non_minimal_generators_are_not_atoms():
