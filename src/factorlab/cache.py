@@ -14,7 +14,7 @@ import os
 import tempfile
 
 from . import factor, models
-from .errors import ShapeMismatch
+from .errors import BudgetExceeded, ShapeMismatch
 
 ENV_VAR = "FACTORLAB_CACHE"
 
@@ -45,9 +45,10 @@ def load_or_compute(
 ) -> factor.FactorSet:
     """Replay a cached factorization set or compute and store it.
 
-    Cached sets are complete enumerations, so they stay valid whatever
-    budget later runs use. An entry that does not decode to a factor set
-    of the right shape is treated as a miss and replaced.
+    Cached sets are complete enumerations; replaying one with more
+    factorizations than the budget raises BudgetExceeded, as computing it
+    would. An entry that does not decode to a factor set of the right
+    shape is treated as a miss and replaced.
     """
     if cache_dir is None:
         return factor.factorizations(desc, el, budget)
@@ -55,7 +56,10 @@ def load_or_compute(
     if os.path.exists(path):
         try:
             with open(path, encoding="utf-8") as fh:
-                return factor.factor_set_from_json(desc, json.load(fh))
+                fs = factor.factor_set_from_json(desc, json.load(fh))
+            if len(fs.all) > budget:
+                raise BudgetExceeded(budget)
+            return fs
         except _UNREADABLE:
             pass  # a damaged entry is a miss: recompute and rewrite it
     fs = factor.factorizations(desc, el, budget)

@@ -2,15 +2,16 @@
 
 A factorization of a member a is a multiset of atoms whose product is a,
 stored as sorted (atom id, multiplicity) pairs against a per-element
-AtomTable. Enumeration is a depth-first search over atoms in increasing
-id order, taking each atom's multiplicity in turn, so each multiset is
-produced exactly once. On the cancellative value models a table of the
+AtomTable. On the cancellative value models enumeration is a depth-first
+search over atoms in increasing id order, taking each atom's multiplicity
+in turn, so each multiset is produced exactly once. A table of the
 remainders that each suffix of the atoms can reach, computed per element
 before the search, keeps it out of every branch that cannot finish, so
 its work follows the size of the fiber. The table is a set of bit masks
-over the box below the element, closed by ``models.close_under``, the pass
-behind numerical and affine membership; sumsets search the divisors.
-Product elements are factored compositionally, one slot at a time.
+over the box below the element, closed by ``models.close_under``, the
+pass behind numerical and affine membership. A sumset element's fiber is
+its row of the atom recurrence (which every sweep runs) over the members
+contained in it. Product elements are factored one slot at a time.
 
 The distance between two factorizations of the same element removes the
 greatest common subfactorization and takes the larger remaining length:
@@ -21,6 +22,7 @@ invariants read it from there.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from array import array
@@ -201,25 +203,41 @@ class FactorSet:
 def factorizations(
     desc: models.MonoidDescriptor,
     element,
-    budget: int = DEFAULT_BUDGET,
+    budget: int = DEFAULT_BUDGET, *, _atoms: list | None = None,
 ) -> FactorSet:
     """Enumerate Z(element) completely or raise BudgetExceeded.
 
-    ``models.atoms_dividing`` decides membership (NotAMember); a product is
-    checked whole, so that the message names the product element.
+    Membership is decided first (NotAMember). A product decides it for
+    every slot before it factors any, so that the message names it even
+    when another slot would overflow or fail its closure check. Numerical
+    and affine slots get the atoms that come with the answer (``_atoms``),
+    so that no member mask is built twice; the others find theirs later.
     """
     el = models.canon(desc, element)
     if isinstance(desc, models.Product):
-        if not models.membership(desc, el):
-            raise NotAMember(f"{models.format_element(desc, el)} is not a member")
-        parts = [factorizations(f, c, budget) for f, c in zip(desc.factors, el[0])]
+        try:
+            atoms = [None if not isinstance(f, (models.Numerical, models.Affine))
+                     and models.membership(f, c) else models.atoms_dividing(f, c)
+                     for f, c in zip(desc.factors, el[0])]
+        except NotAMember:
+            raise NotAMember(f"{models.format_element(desc, el)} is not a member") from None
+        parts = [factorizations(f, c, budget, _atoms=us)
+                 for f, c, us in zip(desc.factors, el[0], atoms)]
         return product_fiber(desc, el, parts, budget)
-    atoms = models.atoms_dividing(desc, el)
     if isinstance(desc, models.Sumset):
-        raw = _enumerate_sumset(desc, el, atoms, budget)
-    else:
-        raw = _enumerate_value(desc, el, atoms, budget)
-    return factor_set(desc, el, atoms, raw)
+        # Every proper partial product of a factorization of el is lighter
+        # than el and contained in it: el's row of the recurrence is Z(el).
+        members = sorted(models.sumset_reachable(desc, el),
+                         key=lambda u: models.element_sort_key(desc, u))
+        if el not in members:
+            raise NotAMember(f"{models.format_element(desc, el)} is not a member")
+        members = members[:members.index(el) + 1]
+        atoms, _, counts, zs = _atom_recurrence(desc, members, budget)
+        if counts[-1] > budget:
+            raise BudgetExceeded(budget)
+        return _recurrence_fiber(desc, el, members, atoms, zs[-1])
+    atoms = models.atoms_dividing(desc, el) if _atoms is None else _atoms
+    return factor_set(desc, el, atoms, _enumerate_value(desc, el, atoms, budget))
 
 
 def factor_set(desc: models.MonoidDescriptor, el, atoms, raw) -> FactorSet:
@@ -250,10 +268,10 @@ def _enumerate_value(desc, el, atoms, budget):
     sums of atoms[i:] (reach[i + 1] closed under atoms[i] by
     ``models.close_under``), and step[i], the points r >= atoms[i] with
     r - atoms[i] in reach[i]; each mask is read through a byte table.
-    The search visits multiplicities in the same order as a search that
-    tests every remainder for membership, but it descends only into
-    remainders that the remaining atoms can still finish, so every node
-    lies on the way to a factorization.
+    The search enters only remainders the remaining atoms can still
+    finish, so every node lies on the way to a factorization. It keeps its
+    own stack, so no recursion limit caps the number of atoms; the order
+    it finds factorizations in does not matter, as ``factor_set`` sorts.
     """
     if isinstance(desc, models.Numerical):
         el, atoms = (el,), [(u,) for u in atoms]
@@ -267,24 +285,24 @@ def _enumerate_value(desc, el, atoms, budget):
         step.append(room & (reach[-1] << d))
     reach = [_byte_table(m, size) for m in reversed(reach)]
     step = [_byte_table(m, size) for m in reversed(step)]
-    sols: list[tuple[tuple[int, int], ...]] = []
-
-    def rec(r, idx, acc):
+    sols, stack = [], [(size - 1, 0, ())]
+    while stack:
+        r, idx, acc = stack.pop()
         if not r:
             if len(sols) >= budget:
                 raise BudgetExceeded(budget)
-            sols.append(tuple(acc))
-            return
-        later, here, d, m = reach[idx + 1], step[idx], offsets[idx], 0
-        if later[r]:
-            rec(r, idx + 1, acc)
-        while here[r]:
-            r -= d
-            m += 1
-            if later[r]:
-                rec(r, idx + 1, acc + [(idx, m)])
-
-    rec(size - 1, 0, [])
+            sols.append(acc)
+            continue
+        while True:
+            later, here, d, s, m = reach[idx + 1], step[idx], offsets[idx], r, 0
+            while here[s]:
+                s -= d
+                m += 1
+                if later[s]:
+                    stack.append((s, idx + 1, acc + ((idx, m),)))
+            if not later[r]:
+                break
+            idx += 1
     return sols
 
 
@@ -293,30 +311,90 @@ def _byte_table(mask: int, size: int) -> bytes:
     return format(mask, f"0{size}b")[::-1].encode().translate(_BITS)
 
 
-def _enumerate_sumset(desc, el, atoms, budget):
-    """DFS for sumsets; partial products must keep a member quotient."""
-    divisors = models.sumset_divisors(desc, el)
-    sols: list[tuple[tuple[int, int], ...]] = []
+# The row of a member with more factorizations than the budget allows.
+OVERFLOW = (0, None, None)
 
-    def rec(cur, idx, acc):
-        if cur == el:
-            if len(sols) >= budget:
-                raise BudgetExceeded(budget)
-            sols.append(tuple(acc))
-            return
-        if idx >= len(atoms):
-            return
-        rec(cur, idx + 1, acc)
-        c, m = cur, 0
-        while True:
-            c = models.multiply(desc, c, atoms[idx])
-            if c not in divisors:
-                break
-            m += 1
-            rec(c, idx + 1, acc + [(idx, m)])
 
-    rec((0,), 0, [])
-    return sols
+def recurrence_rows(desc, members: list, budget: int, fibers: bool):
+    """(length mask, |Z(a)|, Z(a) if ``fibers`` else None) for each a of
+    members from one ``_atom_recurrence``, or OVERFLOW past the budget."""
+    atoms, masks, counts, raw = _atom_recurrence(
+        desc, members, budget if fibers else None)
+    for i, el in enumerate(members):
+        if counts[i] > budget:
+            yield OVERFLOW
+        elif not fibers:
+            yield masks[i], counts[i], None
+        else:
+            zs, raw[i] = raw[i], None
+            yield masks[i], counts[i], _recurrence_fiber(desc, el, members, atoms, zs)
+
+
+def _recurrence_fiber(desc, el, members: list, atoms: list, zs) -> FactorSet:
+    """Z(el) from its recurrence row, over the atoms it uses in order."""
+    ids = sorted({k for z in zs for k, _ in z})
+    local = {k: n for n, k in enumerate(ids)}
+    return factor_set(desc, el, [members[atoms[k]] for k in ids],
+                      [[(local[k], m) for k, m in z] for z in zs])
+
+
+def _atom_recurrence(desc, members: list, budget: int | None = None):
+    """The atom recurrence over a base model's members, in weight order
+    (Barron, O'Neill and Pelayo; García-Sánchez, O'Neill and Webb for
+    affine semigroups).
+
+    members lists, with each member, every product of part of each of its
+    factorizations: every member up to a weight, or on a sumset the
+    members contained in an element up to it. A nonzero member whose count
+    is still 0 when the walk reaches it is an atom, since any other is
+    c + u with c and u nonzero, lighter and listed. The pass of atom u,
+    run right then, pushes the lengths of each listed a, shifted by one,
+    and its count into a + u when that is listed. With the atoms
+    outermost this counts every multiset of atoms once, even without
+    cancellation: a factorization z of a + u whose largest atom is u comes
+    from a = pi(z - u) alone. Given a budget, the same loop builds Z(a) as
+    tuples of (atom number, multiplicity): in the pass of atom k, Z(a)
+    holds exactly the factorizations whose atoms are at most k, so each
+    gains u_k once. A member's fiber is dropped (None) as soon as its
+    count passes the budget; z -> z + u is injective on multisets, so
+    every member pushed from it passes it too.
+
+    Returns (atom member indices, length masks, counts, fibers or None).
+    """
+    index = {a: i for i, a in enumerate(members)}
+    weights = [models.weight(desc, a) for a in members]
+    masks = [1] + [0] * (len(members) - 1)
+    counts = [1] + [0] * (len(members) - 1)
+    zs = None
+    if budget is not None:
+        zs = [[()] if budget >= 1 else None] + [[] for _ in members[1:]]
+    atoms = []
+    for u in range(1, len(members)):
+        if counts[u]:
+            continue
+        k, atom = len(atoms), members[u]
+        atoms.append(u)
+        light = bisect.bisect_right(weights, weights[-1] - weights[u])
+        for a in range(light):
+            i = index.get(models.multiply(desc, members[a], atom))
+            if i is None:
+                continue
+            masks[i] |= masks[a] << 1
+            counts[i] += counts[a]
+            if zs is None:
+                continue
+            if counts[i] > budget:
+                zs[i] = None
+            else:
+                zs[i].extend(_with_atom(z, k) for z in zs[a])
+    return atoms, masks, counts, zs
+
+
+def _with_atom(z: tuple, k: int) -> tuple:
+    """z times atom k, for a z whose atoms are all at most k."""
+    if z and z[-1][0] == k:
+        return z[:-1] + ((k, z[-1][1] + 1),)
+    return z + ((k, 1),)
 
 
 def product_fiber(desc: models.Product, el, parts, budget: int) -> FactorSet:

@@ -23,27 +23,18 @@ Every question about the members below a weight bound reads one sweep
 (``sweep``): global estimates and equal-length relations take its fibers
 (``fibers``), length-set questions (structure probes, unions of length
 sets) its length sets and counts (``length_table``). It lists the members
-once and dispatches on the model once. On every base model one
-weight-order pass over the members runs the atom recurrence (Barron,
-O'Neill and Pelayo; García-Sánchez, O'Neill and Webb for affine
-semigroups): a nonzero member that no lighter atom's pass reached is
-itself an atom, and the pass of each atom u pushes into every listed
-a + u the length set of a, held as an integer bit mask and shifted by
-one, so L(a + u) gathers 1 + L(a). Coin-change style, with the atoms
-outermost, the same pass counts |Z(a)| and, when fibers are asked for,
-builds Z(a) = U {z + u : z in Z(c), c + u = a, every atom of z <= u}, so
-a member overflows the budget exactly when enumerating it would. The
-pass needs products and the weight order, not subtraction, so sumsets,
-which are not cancellative, take it as well. A product lists its members
-from its slot sweeps, each run once, and composes their rows: slot
-length sets add, shifted by the free exponents, and slot counts
-multiply; a product fiber is built only when asked for and within the
-budget.
+once and dispatches on the model once. Every base model takes its
+rows, length masks, counts |Z(a)| and, when asked for, fibers Z(a), from
+one run of the atom recurrence of ``factor`` over its members, so a
+member overflows the budget exactly when enumerating it would. A product
+lists its members from its slot sweeps, each run once, and composes
+their rows: slot length sets add, shifted by the free exponents, and
+slot counts multiply; a product fiber is built only when asked for and
+within the budget.
 """
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -289,9 +280,6 @@ def _product_elements(desc: models.Product, weight_bound: int, slot_members) -> 
 # ---------------------------------------------------------------------------
 # the sweep
 
-# The row of a member with more factorizations than the budget allows.
-_OVERFLOW = (0, None, None)
-
 
 def sweep(
     desc: models.MonoidDescriptor,
@@ -315,28 +303,9 @@ def sweep(
         rows = (_product_row(desc, slots, el, budget, fibers) for el in members)
     else:
         members = enumerate_elements(desc, weight_bound)
-        rows = _recurrence_rows(desc, members, budget, fibers)
+        rows = factor.recurrence_rows(desc, members, budget, fibers)
     for el, (mask, count, fs) in zip(members, rows):
         yield el, mask, count, fs
-
-
-def _recurrence_rows(desc, members, budget, fibers):
-    """Rows of the recurrence, each fiber released when yielded. A
-    FactorSet numbers the atoms its factorizations use in global order."""
-    atoms, masks, counts, raw = _atom_recurrence(
-        desc, members, budget if fibers else None)
-    for i, el in enumerate(members):
-        if counts[i] > budget:
-            yield _OVERFLOW
-        elif not fibers:
-            yield masks[i], counts[i], None
-        else:
-            zs, raw[i] = raw[i], None
-            ids = sorted({k for z in zs for k, _ in z})
-            local = {k: n for n, k in enumerate(ids)}
-            yield masks[i], counts[i], factor.factor_set(
-                desc, el, [members[atoms[k]] for k in ids],
-                [[(local[k], m) for k, m in z] for z in zs])
 
 
 def _product_row(desc, slots: list[dict], el, budget, fibers):
@@ -345,7 +314,7 @@ def _product_row(desc, slots: list[dict], el, budget, fibers):
     parts = [slot[c] for slot, c in zip(slots, comps)]
     counts = [count for _, count, _ in parts]
     if None in counts or math.prod(counts) > budget:
-        return _OVERFLOW
+        return factor.OVERFLOW
     mask = 1 << sum(free)
     for slot_mask, _, _ in parts:
         mask = functools.reduce(or_, (mask << k for k in _bits(slot_mask)))
@@ -361,64 +330,6 @@ def fibers(desc: models.MonoidDescriptor, weight_bound: int,
            budget: int = factor.DEFAULT_BUDGET):
     """(member, Z(member)) in weight order, None on overflow: ``sweep``'s fibers."""
     return ((el, fs) for el, _, _, fs in sweep(desc, weight_bound, budget, True))
-
-
-def _atom_recurrence(desc, members: list, budget: int | None = None):
-    """The atom recurrence over a base model's members, in weight order.
-
-    members holds every member up to a weight, so a + u is a member of
-    that weight or less exactly when it is listed. Walking the members, a
-    nonzero member whose count is still 0 when it is reached is an atom:
-    every lighter atom's pass has run, and any other member is c + u with
-    c and u nonzero and lighter. The pass of atom u, run right then, goes
-    up the members a light enough for a + u to be listed and pushes a's
-    lengths, shifted by one, and count into a + u. With the atoms
-    outermost this counts every multiset of atoms once, even without
-    cancellation: a factorization z of a + u whose largest atom is u comes
-    from a = pi(z - u) alone. Given a budget, the same loop builds Z(a) as
-    tuples of (atom number, multiplicity): in the pass of atom k, Z(a)
-    holds exactly the factorizations whose atoms are at most k, so each
-    gains u_k once. A member's fiber is dropped (None) as soon as its
-    count passes the budget; z -> z + u is injective on multisets, so
-    every member pushed from it passes it too, and no kept fiber is built
-    from a dropped one.
-
-    Returns (atom member indices, length masks, counts, fibers or None).
-    """
-    index = {a: i for i, a in enumerate(members)}
-    weights = [models.weight(desc, a) for a in members]
-    masks = [1] + [0] * (len(members) - 1)
-    counts = [1] + [0] * (len(members) - 1)
-    zs = None
-    if budget is not None:
-        zs = [[()] if budget >= 1 else None] + [[] for _ in members[1:]]
-    atoms = []
-    for u in range(1, len(members)):
-        if counts[u]:
-            continue
-        k, atom = len(atoms), members[u]
-        atoms.append(u)
-        light = bisect.bisect_right(weights, weights[-1] - weights[u])
-        for a in range(light):
-            i = index.get(models.multiply(desc, members[a], atom))
-            if i is None:
-                continue
-            masks[i] |= masks[a] << 1
-            counts[i] += counts[a]
-            if zs is None:
-                continue
-            if counts[i] > budget:
-                zs[i] = None
-            else:
-                zs[i].extend(_with_atom(z, k) for z in zs[a])
-    return atoms, masks, counts, zs
-
-
-def _with_atom(z: tuple, k: int) -> tuple:
-    """z times atom k, for a z whose atoms are all at most k."""
-    if z and z[-1][0] == k:
-        return z[:-1] + ((k, z[-1][1] + 1),)
-    return z + ((k, 1),)
 
 
 # ---------------------------------------------------------------------------

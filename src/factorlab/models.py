@@ -17,8 +17,8 @@ Elements are canonical hashable values: an int, a tuple of ints, a
 strictly increasing tuple starting at 0 for sumsets, or a
 (components, free exponents) pair of tuples for products. Every function
 here is pure. Numerical and affine membership reads a bit mask of the box
-below the element, built per call; only ``generator_atoms`` and
-``sumset_divisors`` keep ``lru_cache`` memos.
+below the element, built per call; only ``generator_atoms``, keyed by
+descriptor, keeps an ``lru_cache`` memo.
 
 The ``weight`` of an element (value, coordinate sum, maximum, or the sum
 over product slots) is additive under multiplication and strictly
@@ -512,21 +512,6 @@ def sumset_reachable(desc: Sumset, target: Vector) -> frozenset[Vector]:
     return frozenset(seen)
 
 
-@lru_cache(maxsize=None)
-def sumset_divisors(desc: Sumset, a: Vector) -> frozenset[Vector]:
-    """Members p such that p + c = a has a member solution c."""
-    reach = sumset_reachable(desc, a)
-    by_max: dict[int, list[Vector]] = {}
-    for p in reach:
-        by_max.setdefault(p[-1], []).append(p)
-    out = set()
-    for p in reach:
-        rest = a[-1] - p[-1]
-        if any(_set_add(p, c) == a for c in by_max.get(rest, ())):
-            out.add(p)
-    return frozenset(out)
-
-
 # ---------------------------------------------------------------------------
 # the box below a vector
 
@@ -583,9 +568,11 @@ def member_mask(desc: Numerical | Affine, top: Vector) -> int:
 
 def _divisors(desc: Numerical | Affine | Sumset, a: Element):
     """u -> whether u + c = a for some member c; the identity tests a.
-    Numerical and affine models read a - u off one ``member_mask`` below a."""
+    Numerical and affine models read a - u off one ``member_mask`` below a;
+    a sumset's c is contained in a, so it is sought in ``sumset_reachable``."""
     if isinstance(desc, Sumset):
-        return sumset_divisors(desc, a).__contains__
+        reach = sumset_reachable(desc, a)
+        return lambda u: any(_set_add(u, c) == a for c in reach)
     top = (a,) if isinstance(desc, Numerical) else a
     strides = box_strides(top)
     mask, last = member_mask(desc, top), sum(map(mul, top, strides))

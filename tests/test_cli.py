@@ -204,6 +204,24 @@ def test_nonmember_is_named_as_written(capsys, tmp_path, doc, command, literal):
     assert err == f"factorlab: {literal} is not a member\n"
 
 
+@pytest.mark.parametrize("first,literal", [
+    (N23_DOC, "600;1"),
+    (dict(FP_DOC, exponent=3), "4,6;1"),
+], ids=["overflowing", "unclosed"])
+def test_a_product_non_member_wins_over_an_earlier_slot(capsys, tmp_path, first,
+                                                        literal):
+    """Every slot is decided a member before any is factored, so a later
+    non-member slot is reported even when the first slot would overflow
+    the budget or fail its closure check."""
+    path = tmp_path / "monoid.json"
+    path.write_text(json.dumps({"model": "product", "freeRank": 0,
+                                "factors": [first, N23_DOC]}))
+    code, out, err = run(capsys, ["factorize", "--monoid", str(path),
+                                  "--element", literal, "--budget", "5"])
+    assert (code, out) == (2, "")
+    assert err == f"factorlab: {literal} is not a member\n"
+
+
 def test_exit_two_on_malformed_descriptor(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"model": "numerical"}')
@@ -392,6 +410,17 @@ def test_damaged_cache_entry_is_a_miss(capsys, n23_path, tmp_path, garbage):
         assert json.load(fh)["element"] == 12
 
 
+def test_a_cached_fiber_keeps_to_the_budget(capsys, n23_path, tmp_path):
+    """A fiber cached under the default budget overflows a smaller one, as
+    computing it would: 12 = 2+2+2+2+2+2 = 2+2+2+3+3 = 3+3+3+3."""
+    argv = ["factorize", "--monoid", n23_path, "--element", "12",
+            "--cache-dir", str(tmp_path / "cache")]
+    assert run(capsys, argv)[0] == 0
+    assert run(capsys, argv + ["--budget", "2"]) == \
+        (3, "", "factorlab: enumeration budget 2 exhausted\n")
+    assert run(capsys, argv + ["--budget", "3"])[0] == 0
+
+
 def test_cache_env_var(capsys, n23_path, tmp_path, monkeypatch):
     env_dir = tmp_path / "envcache"
     monkeypatch.setenv("FACTORLAB_CACHE", str(env_dir))
@@ -459,6 +488,16 @@ def test_jobs_do_not_change_bytes_on_any_model(capsys, tmp_path, model, argv):
     two = run(capsys, argv + ["--jobs", "2"])
     assert one[0] == 0, one[2]
     assert one == two
+
+
+def test_a_deep_fp_value_fiber_needs_no_recursion(capsys):
+    """(2, 1500) has 1,499 atoms, (1, k) for 1 <= k <= 1499, so a search
+    that recursed once per atom would pass Python's recursion limit."""
+    doc = run_json(capsys, ["factorize", "--element", "2,1500", "--monoid",
+                            os.path.join(DESCRIPTORS, "fp-value.json")])
+    zs = doc["results"]["factorizations"]
+    assert len(zs) == 750
+    assert {z["length"] for z in zs} == {2}
 
 
 def test_repeat_runs_are_byte_identical(capsys, n23_path):

@@ -100,13 +100,28 @@ def test_recurrence_atoms_are_the_atoms(desc, bound):
     if isinstance(desc, models.FinitelyPrimaryValue):
         bound = min(bound, 12 - 2 * desc.rank)
     members = invariants.enumerate_elements(desc, bound)
-    atoms = [members[i] for i in invariants._atom_recurrence(desc, members)[0]]
+    atoms = [members[i] for i in factor._atom_recurrence(desc, members)[0]]
     if isinstance(desc, models.FinitelyPrimaryValue):
         want = [u for u in members if bruteforce.brute_is_atom(desc, u)]
     else:
         want = [u for u in models.generator_atoms(desc)
                 if models.weight(desc, u) <= bound]
     assert atoms == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(SUMSETS, st.integers(0, 9))
+def test_sumset_fibers_are_recurrence_rows_that_match_the_oracle(desc, bound):
+    """A sumset fiber is one row of the atom recurrence: Z(a), over the
+    table of the atoms dividing a, overflowing exactly past |Z(a)|."""
+    for el in bruteforce.brute_members(desc, bound):
+        fs = factor.factorizations(desc, el)
+        assert bruteforce.factor_set_as_multisets(fs) == \
+            bruteforce.brute_factorizations(desc, el), el
+        assert list(fs.table.atoms) == models.atoms_dividing(desc, el)
+        assert len(factor.factorizations(desc, el, budget=len(fs.all)).all) == len(fs.all)
+        with pytest.raises(BudgetExceeded):
+            factor.factorizations(desc, el, budget=len(fs.all) - 1)
 
 
 def test_non_minimal_generators_are_not_atoms():
@@ -166,3 +181,13 @@ def test_factorize_builds_one_member_mask_per_element(mask_tops):
 def test_is_atom_builds_one_member_mask(mask_tops):
     assert not models.is_atom(AFF, (24, 24))
     assert mask_tops == [(24, 24)]
+
+
+def test_product_factorize_builds_one_member_mask_per_slot(mask_tops):
+    """The slot's membership check hands its atoms to the slot's fiber."""
+    num = models.Numerical(generators=(6, 9, 20))
+    models.generator_atoms(num)
+    mask_tops.clear()
+    fs = factor.factorizations(models.Product(factors=(num,), free_rank=0), ((600,), ()))
+    assert len(fs.all) == 191
+    assert mask_tops == [(600,)]
