@@ -18,9 +18,9 @@ from .errors import BudgetExceeded, ShapeMismatch
 
 ENV_VAR = "FACTORLAB_CACHE"
 
-# Decode errors (JSONDecodeError and UnicodeDecodeError are ValueErrors),
-# missing keys, and values of the wrong shape or order.
-_UNREADABLE = (ValueError, KeyError, TypeError, IndexError, ShapeMismatch)
+# Decode errors (JSONDecodeError and UnicodeDecodeError are ValueErrors; too
+# deep a nesting is a RecursionError), missing keys, and wrong shapes.
+_UNREADABLE = (ValueError, RecursionError, KeyError, TypeError, IndexError, ShapeMismatch)
 
 
 def resolve_cache_dir(explicit: str | None) -> str | None:

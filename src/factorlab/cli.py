@@ -6,11 +6,11 @@ Every command prints a single report envelope:
 
 rendered either as canonical JSON (sorted keys, compact separators) or
 as an indented plain-text table. Report bytes depend only on the
-request, never on the parallelism degree.
+request; every command runs in one process.
 
 Exit codes: 0 success, 2 malformed input, failed validation or an
 unusable file such as the cache directory, 3 enumeration budget
-exhausted, 4 a verification scenario's claim failed.
+exhausted, 4 a verification scenario's claim failed, 130 interrupted.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_CLAIM = 4
+EXIT_INTERRUPT = 130
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,8 +49,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="factorization cache directory "
                              "(default: $FACTORLAB_CACHE)")
     common.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the element reports of "
-                             "global; other commands ignore it")
+                        help="must be at least 1; has no effect, as every "
+                             "command runs in one process")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -130,7 +131,7 @@ def load_descriptor(path: str) -> models.MonoidDescriptor:
             doc = json.load(fh)
     except OSError as exc:
         raise errors.MalformedDescriptor(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise errors.MalformedDescriptor(f"invalid JSON in {path}: {exc}") from exc
     return models.descriptor_from_json(doc)
 
@@ -284,8 +285,7 @@ def run_global(args) -> tuple[str | None, dict, list]:
 
     desc = load_descriptor(args.monoid)
     bound = _require_bound(args)
-    estimates, warnings = invariants.global_estimates(
-        desc, bound, args.budget, args.jobs)
+    estimates, warnings = invariants.global_estimates(desc, bound, args.budget)
     results = {"estimates": [e.to_json() for e in estimates]}
     return models.descriptor_hash(desc), results, warnings
 
@@ -504,6 +504,9 @@ def main(argv: list[str] | None = None) -> int:
     except errors.AssertionFailure as exc:
         print(f"factorlab: claim failed: {exc}", file=sys.stderr)
         return EXIT_CLAIM
+    except KeyboardInterrupt:
+        print("factorlab: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPT
     except (errors.MalformedDescriptor, errors.ClosureViolation,
             errors.ShapeMismatch, errors.NotAMember, ValueError, OSError) as exc:
         print(f"factorlab: {exc}", file=sys.stderr)

@@ -31,7 +31,7 @@ from operator import and_, mul, sub
 from typing import NamedTuple
 
 from . import models
-from .errors import BudgetExceeded, NotAMember, TableMismatch
+from .errors import BudgetExceeded, TableMismatch
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -203,40 +203,37 @@ class FactorSet:
 def factorizations(
     desc: models.MonoidDescriptor,
     element,
-    budget: int = DEFAULT_BUDGET, *, _atoms: list | None = None,
+    budget: int = DEFAULT_BUDGET,
 ) -> FactorSet:
     """Enumerate Z(element) completely or raise BudgetExceeded.
 
-    Membership is decided first (NotAMember). A product decides it for
-    every slot before it factors any, so that the message names it even
-    when another slot would overflow or fail its closure check. Numerical
-    and affine slots get the atoms that come with the answer (``_atoms``),
-    so that no member mask is built twice; the others find theirs later.
+    Membership is decided first (NotAMember), by ``models.member_witness``:
+    a product decides it for every slot before it factors any, so that the
+    message names it even when another slot would overflow or fail its
+    closure check. Each fiber starts from its witness, so no member mask
+    or sumset reach is built twice.
     """
     el = models.canon(desc, element)
+    witness = models.member_witness(desc, el)
     if isinstance(desc, models.Product):
-        try:
-            atoms = [None if not isinstance(f, (models.Numerical, models.Affine))
-                     and models.membership(f, c) else models.atoms_dividing(f, c)
-                     for f, c in zip(desc.factors, el[0])]
-        except NotAMember:
-            raise NotAMember(f"{models.format_element(desc, el)} is not a member") from None
-        parts = [factorizations(f, c, budget, _atoms=us)
-                 for f, c, us in zip(desc.factors, el[0], atoms)]
+        parts = [_base_fiber(f, c, w, budget)
+                 for f, c, w in zip(desc.factors, el[0], witness)]
         return product_fiber(desc, el, parts, budget)
+    return _base_fiber(desc, el, witness, budget)
+
+
+def _base_fiber(desc, el, witness, budget: int) -> FactorSet:
+    """Z(el) of a member el of a base model, from its ``member_witness``."""
     if isinstance(desc, models.Sumset):
         # Every proper partial product of a factorization of el is lighter
         # than el and contained in it: el's row of the recurrence is Z(el).
-        members = sorted(models.sumset_reachable(desc, el),
-                         key=lambda u: models.element_sort_key(desc, u))
-        if el not in members:
-            raise NotAMember(f"{models.format_element(desc, el)} is not a member")
+        members = sorted(witness, key=lambda u: models.element_sort_key(desc, u))
         members = members[:members.index(el) + 1]
         atoms, _, counts, zs = _atom_recurrence(desc, members, budget)
         if counts[-1] > budget:
             raise BudgetExceeded(budget)
         return _recurrence_fiber(desc, el, members, atoms, zs[-1])
-    atoms = models.atoms_dividing(desc, el) if _atoms is None else _atoms
+    atoms = models.witnessed_atoms(desc, el, witness)
     return factor_set(desc, el, atoms, _enumerate_value(desc, el, atoms, budget))
 
 

@@ -365,24 +365,6 @@ _ESTIMATE_START = {
 }
 
 
-def _summary_worker(item):
-    """(member, (weight, estimate values)), or (member, None) on overflow."""
-    el, fs = item
-    if fs is None:
-        return el, None
-    rep = element_report(fs)
-    return el, (models.weight(fs.descriptor, el), {
-        "delta_set": frozenset(rep.lengths.delta()),
-        "rho": rep.elasticity,
-        "c": rep.c,
-        "c_eq": rep.c_eq,
-        "c_adj": rep.c_adj,
-        "c_mon": rep.c_mon,
-        "delta": rep.delta_elem,
-        "delta_w": rep.delta_w,
-    })
-
-
 def running_maxima(rows, weight_bound: int, start: dict) -> dict:
     """Fold rows of (weight, values), in weight order, into running maxima.
 
@@ -407,50 +389,38 @@ def running_maxima(rows, weight_bound: int, start: dict) -> dict:
     return {name: (value, value == at_half[name]) for name, value in acc.items()}
 
 
-def parallel_map(fn, items, jobs: int = 1):
-    """Deterministic order-preserving map, forking only when asked to.
-
-    With one job it is the lazy built-in ``map``, so a stream of fibers is
-    mapped one item at a time in this process. With more, items are read
-    lazily, at most 64 per worker at a time, and the results come back as
-    a list. The process pool is imported only here: it loads
-    multiprocessing, which no serial run needs.
-    """
-    if jobs <= 1:
-        return map(fn, items)
-    items = iter(items)
-    size = 64 * jobs
-    batch = list(itertools.islice(items, size))
-    if len(batch) < 2:
-        return [fn(x) for x in batch]
-    from concurrent.futures import ProcessPoolExecutor
-
-    out = []
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        while batch:
-            out.extend(pool.map(fn, batch, chunksize=max(1, len(batch) // (4 * jobs))))
-            batch = list(itertools.islice(items, size))
-    return out
-
-
 def global_estimates(
     desc: models.MonoidDescriptor,
     weight_bound: int,
     budget: int = factor.DEFAULT_BUDGET,
-    jobs: int = 1,
 ):
     """Aggregate element invariants below the bound.
 
     Returns (estimates, warnings). An estimate is flagged stabilized when
     its value did not change over the top half of the bound range; budget
     overflows are recorded per element, never dropped silently. The
-    fibers come from one stream in this process; ``jobs`` spreads the
-    element reports.
+    fibers are streamed, one at a time, through ``element_report``.
     """
-    rows = list(parallel_map(_summary_worker, fibers(desc, weight_bound, budget), jobs))
-    maxima = running_maxima(
-        (summary for _, summary in rows if summary is not None),
-        weight_bound, _ESTIMATE_START)
+    warnings = []
+
+    def summaries():
+        for el, fs in fibers(desc, weight_bound, budget):
+            if fs is None:
+                warnings.append(budget_warning(desc, el, budget))
+                continue
+            rep = element_report(fs)
+            yield models.weight(desc, el), {
+                "delta_set": frozenset(rep.lengths.delta()),
+                "rho": rep.elasticity,
+                "c": rep.c,
+                "c_eq": rep.c_eq,
+                "c_adj": rep.c_adj,
+                "c_mon": rep.c_mon,
+                "delta": rep.delta_elem,
+                "delta_w": rep.delta_w,
+            }
+
+    maxima = running_maxima(summaries(), weight_bound, _ESTIMATE_START)
     estimates = [
         GlobalEstimate(
             name=name,
@@ -460,7 +430,7 @@ def global_estimates(
         )
         for name, (value, stabilized) in maxima.items()
     ]
-    return estimates, table_warnings(desc, rows, budget)
+    return estimates, warnings
 
 
 # ---------------------------------------------------------------------------
@@ -494,16 +464,9 @@ def length_table(
 
 
 def table_warnings(desc: models.MonoidDescriptor, rows, budget: int) -> list[dict]:
-    """One budget-exceeded warning per overflowed row, in row order.
-
-    A row is a LengthRow or any (element, payload) pair; its element
-    overflowed when the payload (a LengthRow's lengths) is None.
-    """
-    return [
-        budget_warning(desc, element, budget)
-        for element, payload, *_ in rows
-        if payload is None
-    ]
+    """One budget-exceeded warning per overflowed LengthRow, in row order."""
+    return [budget_warning(desc, row.element, budget)
+            for row in rows if row.lengths is None]
 
 
 def budget_warning(desc: models.MonoidDescriptor, el, limit: int) -> dict:

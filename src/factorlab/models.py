@@ -466,17 +466,11 @@ def membership(desc: MonoidDescriptor, candidate: Any) -> bool:
     Raises ShapeMismatch for values of the wrong shape; returns False for
     well-shaped non-members.
     """
-    el = canon(desc, candidate)
-    return _is_member(desc, el)
-
-
-def _is_member(desc: MonoidDescriptor, el: Element) -> bool:
-    if isinstance(desc, (Numerical, Affine, Sumset)):
-        return _divisors(desc, el)(identity(desc))
-    if isinstance(desc, FinitelyPrimaryValue):
-        return _fp_member(desc, el)
-    comps, _ = el
-    return all(_is_member(f, c) for f, c in zip(desc.factors, comps))
+    try:
+        member_witness(desc, canon(desc, candidate))
+    except NotAMember:
+        return False
+    return True
 
 
 def _fp_member(desc: FinitelyPrimaryValue, v: Vector) -> bool:
@@ -566,12 +560,12 @@ def member_mask(desc: Numerical | Affine, top: Vector) -> int:
     return mask
 
 
-def _divisors(desc: Numerical | Affine | Sumset, a: Element):
+def _divisors(desc: Numerical | Affine | Sumset, a: Element, reach=None):
     """u -> whether u + c = a for some member c; the identity tests a.
     Numerical and affine models read a - u off one ``member_mask`` below a;
-    a sumset's c is contained in a, so it is sought in ``sumset_reachable``."""
+    a sumset's c is contained in a: it is sought in ``sumset_reachable``."""
     if isinstance(desc, Sumset):
-        reach = sumset_reachable(desc, a)
+        reach = sumset_reachable(desc, a) if reach is None else reach
         return lambda u: any(_set_add(u, c) == a for c in reach)
     top = (a,) if isinstance(desc, Numerical) else a
     strides = box_strides(top)
@@ -635,6 +629,30 @@ def is_atom(desc: MonoidDescriptor, el: Element) -> bool:
         return False
 
 
+def member_witness(desc: MonoidDescriptor, a: Element):
+    """What deciding that a is a member finds, or NotAMember naming a: the
+    atoms dividing a (numerical, affine), its ``sumset_reachable`` (sumset),
+    None (fp-value), or a list of the slots' witnesses, every slot decided
+    before any slot's atoms are taken (product). Atoms and fibers reuse it."""
+    if isinstance(desc, Product):
+        try:
+            return [member_witness(f, c) for f, c in zip(desc.factors, a[0])]
+        except NotAMember:
+            raise NotAMember(f"{format_element(desc, a)} is not a member") from None
+    if isinstance(desc, Sumset):
+        found = sumset_reachable(desc, a)
+        member = a in found
+    elif isinstance(desc, FinitelyPrimaryValue):
+        found, member = None, _fp_member(desc, a)
+    else:
+        divides = _divisors(desc, a)
+        member = divides(identity(desc))
+        found = [u for u in generator_atoms(desc) if divides(u)]
+    if not member:
+        raise NotAMember(f"{format_element(desc, a)} is not a member")
+    return found
+
+
 def atoms_dividing(desc: MonoidDescriptor, a: Element) -> list[Element]:
     """Atoms u with u + c = a solvable, in weight-then-lexicographic order.
 
@@ -647,13 +665,16 @@ def atoms_dividing(desc: MonoidDescriptor, a: Element) -> list[Element]:
     infinitely many atoms overall.
     """
     a = canon(desc, a)
-    if isinstance(desc, (Numerical, Affine, Sumset)):
-        divides = _divisors(desc, a)
-        if not divides(identity(desc)):
-            raise NotAMember(f"{format_element(desc, a)} is not a member")
+    return witnessed_atoms(desc, a, member_witness(desc, a))
+
+
+def witnessed_atoms(desc: MonoidDescriptor, a: Element, witness) -> list[Element]:
+    """``atoms_dividing`` of a member a, given its ``member_witness``."""
+    if isinstance(desc, (Numerical, Affine)):
+        return witness
+    if isinstance(desc, Sumset):
+        divides = _divisors(desc, a, witness)
         return [u for u in generator_atoms(desc) if divides(u)]
-    if not _is_member(desc, a):
-        raise NotAMember(f"{format_element(desc, a)} is not a member")
     if isinstance(desc, FinitelyPrimaryValue):
         # Both parts of a split of u <= a lie in the box. a is the last
         # member; a - u is the identity (bit 0, not in the mask) or one.
@@ -663,9 +684,9 @@ def atoms_dividing(desc: MonoidDescriptor, a: Element) -> list[Element]:
                if not sums >> d & 1 and (mask >> (offsets[-1] - d)) & 1]
     else:
         comps, free = a
-        out = []
-        for i, (f, c) in enumerate(zip(desc.factors, comps)):
-            out.extend(embed_component(desc, i, u) for u in atoms_dividing(f, c))
+        out = [embed_component(desc, i, u)
+               for i, (f, c, w) in enumerate(zip(desc.factors, comps, witness))
+               for u in witnessed_atoms(f, c, w)]
         out.extend(free_generator(desc, j) for j, e in enumerate(free) if e >= 1)
     out.sort(key=lambda u: element_sort_key(desc, u))
     return out

@@ -340,7 +340,7 @@ def test_criterion_10_probe_stabilization():
     start = time.monotonic()
     sweeps = {}
     for bound in range(20, 61, 5):
-        estimates, warnings = global_estimates(N357, bound, jobs=1)
+        estimates, warnings = global_estimates(N357, bound)
         assert warnings == []
         sweeps[bound] = {e.name: e.value for e in estimates}
     bounds = sorted(sweeps)

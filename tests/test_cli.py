@@ -229,6 +229,27 @@ def test_exit_two_on_malformed_descriptor(capsys, tmp_path):
     assert code == 2
 
 
+def test_exit_two_on_a_descriptor_nested_past_the_recursion_limit(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    text = json.dumps(N23_DOC)
+    for _ in range(500):
+        text = '{"model": "product", "freeRank": 0, "factors": [' + text + "]}"
+    path.write_text(text)
+    code, out, err = run(capsys, ["validate", "--monoid", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"factorlab: invalid JSON in {path}: maximum recursion")
+    assert err.count("\n") == 1
+
+
+def test_interrupt_exits_130_in_one_line(capsys, n23_path, monkeypatch):
+    def interrupted(args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setitem(cli._HANDLERS, "global", interrupted)
+    code, out, err = run(capsys, ["global", "--monoid", n23_path, "--bound", "10"])
+    assert (code, out, err) == (130, "", "factorlab: interrupted\n")
+
+
 def test_exit_two_on_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, ["validate", "--monoid",
                                 str(tmp_path / "absent.json")])
@@ -390,8 +411,9 @@ def test_cache_roundtrip_bytes(capsys, n23_path, tmp_path):
     '{"element": 12, "atoms": [2, 3], "factorizations": '
     '[{"counts": [[0, 6]]}, {"counts": [[1, 4]]}]}',
     '{"element": 12, "atoms": [2, 3], "factorizations": [{"counts": [[0, -1]]}]}',
+    "[" * 100_000,
 ], ids=["empty", "not-json", "list", "missing-keys", "atom-outside-table",
-        "unsorted", "negative-multiplicity"])
+        "unsorted", "negative-multiplicity", "deeply-nested"])
 def test_damaged_cache_entry_is_a_miss(capsys, n23_path, tmp_path, garbage):
     cache_dir = str(tmp_path / "cache")
     argv = ["invariants", "--monoid", n23_path, "--element", "12",
@@ -475,9 +497,8 @@ DESCRIPTORS = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench",
 ], ids=["numerical", "affine", "fp-value", "sumset", "product",
         "sumset-structure-probe", "sumset-slot-unions"])
 def test_jobs_do_not_change_bytes_on_any_model(capsys, tmp_path, model, argv):
-    """Descriptors, patterns and fibers pickle across the worker boundary,
-    and commands that fork nothing accept --jobs. ``model`` names a bench
-    descriptor or is a descriptor."""
+    """--jobs is accepted by every command and changes no byte of any
+    model's report. ``model`` names a bench descriptor or is a descriptor."""
     if isinstance(model, str):
         path = os.path.join(DESCRIPTORS, f"{model}.json")
     else:
@@ -549,12 +570,14 @@ def test_package_import_loads_no_submodule():
     (["atoms", "--element", "12"], FIBER_UNUSED),
     (["validate"], FIBER_UNUSED),
     (["global", "--bound", "12"], SWEEP_UNUSED),
+    (["global", "--bound", "24", "--jobs", "2"],
+     SWEEP_UNUSED + ("multiprocessing", "concurrent.futures.process")),
     (["unions", "--bound", "12", "--k", "3"], SWEEP_UNUSED),
     (["invariants", "--element", "12"], SWEEP_UNUSED),
     (["structure-probe", "--bound", "12"], ("factorlab.relations",)),
     (["relation-atoms", "--length-bound", "3"], ("factorlab.aamp",)),
-], ids=["factorize", "atoms", "validate", "global", "unions", "invariants",
-        "structure-probe", "relation-atoms"])
+], ids=["factorize", "atoms", "validate", "global", "global-jobs-2", "unions",
+        "invariants", "structure-probe", "relation-atoms"])
 def test_a_command_loads_only_the_modules_it_runs(n23_path, argv, unused):
     code = ("from factorlab import cli\n"
             f"if cli.main({argv + ['--monoid', n23_path]!r}):\n"

@@ -272,7 +272,7 @@ def test_report_all_zero_on_singleton_fibers():
 
 
 def test_global_estimates_stabilize_on_numerical():
-    estimates, warnings = global_estimates(N23, 30, jobs=1)
+    estimates, warnings = global_estimates(N23, 30)
     assert warnings == []
     by_name = {e.name: e for e in estimates}
     assert by_name["rho"].value == Fraction(3, 2)
@@ -284,22 +284,15 @@ def test_global_estimates_stabilize_on_numerical():
 
 def test_gap_estimate_bounds_catenary_estimate():
     for desc, bound in [(N23, 24), (FP21, 8), (FP22, 9)]:
-        estimates, _ = global_estimates(desc, bound, jobs=1)
+        estimates, _ = global_estimates(desc, bound)
         by_name = {e.name: e for e in estimates}
         gaps = by_name["delta_set"].value
         assert gaps, desc
         assert 1 + max(gaps) <= by_name["c"].value
 
 
-def test_global_estimates_deterministic_across_jobs():
-    one, w1 = global_estimates(N23, 24, jobs=1)
-    two, w2 = global_estimates(N23, 24, jobs=3)
-    assert [e.to_json() for e in one] == [e.to_json() for e in two]
-    assert w1 == w2
-
-
 def test_global_estimates_report_budget_overflow():
-    estimates, warnings = global_estimates(N23, 40, budget=4, jobs=1)
+    estimates, warnings = global_estimates(N23, 40, budget=4)
     assert warnings
     assert all(w["error"] == "budget-exceeded" for w in warnings)
 

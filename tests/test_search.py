@@ -191,3 +191,28 @@ def test_product_factorize_builds_one_member_mask_per_slot(mask_tops):
     fs = factor.factorizations(models.Product(factors=(num,), free_rank=0), ((600,), ()))
     assert len(fs.all) == 191
     assert mask_tops == [(600,)]
+
+
+@pytest.mark.parametrize("call", [
+    factor.factorizations, models.atoms_dividing, models.is_atom,
+], ids=["factorizations", "atoms_dividing", "is_atom"])
+def test_a_product_builds_each_slot_structure_once(mask_tops, monkeypatch, call):
+    """A slot's membership witness serves its atoms and its fiber: one
+    member mask for a numerical slot, one reach for a sumset slot."""
+    num = models.Numerical(generators=(6, 9, 20))
+    sumset = models.Sumset(generators=((0, 1), (0, 2, 3)))
+    models.generator_atoms(num)
+    models.generator_atoms(sumset)
+    mask_tops.clear()
+    targets = []
+    reachable = models.sumset_reachable
+
+    def counted(desc, target):
+        targets.append(target)
+        return reachable(desc, target)
+
+    monkeypatch.setattr(models, "sumset_reachable", counted)
+    call(models.Product(factors=(num, sumset), free_rank=0),
+         ((600, tuple(range(7))), ()))
+    assert mask_tops == [(600,)]
+    assert targets == [tuple(range(7))]

@@ -13,8 +13,6 @@ from pathlib import Path
 
 import pytest
 
-from factorlab import factor, models
-
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -43,9 +41,8 @@ PRODUCT = {"model": "product", "freeRank": 1,
            "factors": [numerical(2, 3), FP_VALUE]}
 
 
-# Sweeps read their members off one mask and call membership never;
-# factorize leaves membership to atoms_dividing, except that a product
-# element is checked whole once, so that NotAMember names the product.
+# Sweeps read their members off one mask and factorize decides membership
+# by models.member_witness, whose witness it reuses: none calls membership.
 @pytest.mark.parametrize("descriptor,argv,span,memberships,multiplies", [
     (numerical(2, 3), ["global", "--bound", "12"], "invariants.aggregate", 0,
      False),
@@ -55,7 +52,7 @@ PRODUCT = {"model": "product", "freeRank": 1,
      "relations.atoms", 0, True),
     (numerical(2, 3), ["factorize", "--element", "12"], "factor.enumerate", 0,
      False),
-    (PRODUCT, ["factorize", "--element", "7;6,6;1"], "factor.enumerate", 1,
+    (PRODUCT, ["factorize", "--element", "7;6,6;1"], "factor.enumerate", 0,
      False),
 ], ids=["global", "relation-atoms", "factorize", "factorize-product"])
 def test_trace_child_records_spans_and_counts(tmp_path, descriptor, argv, span,
@@ -77,10 +74,6 @@ def test_fp_value_atoms_take_no_per_point_atom_test(tmp_path, descriptor,
     report, doc = run_traced(tmp_path, descriptor,
                              ["factorize", "--element", element])
     assert doc["counts"].get("models.is_atom.calls", 0) == 0
-    desc = models.descriptor_from_json(descriptor)
-    el = models.parse_element_literal(desc, element)
-    # A product fiber is built from one enumerated fiber per slot.
-    slots = zip(desc.factors, el[0]) if isinstance(desc, models.Product) else ()
-    enumerated = len(report["results"]["factorizations"]) + sum(
-        len(factor.factorizations(f, c).all) for f, c in slots)
-    assert doc["counts"]["factor.factorizations"] == enumerated
+    # A product's slot fibers are built inside its one factorizations call.
+    assert doc["counts"]["factor.factorizations"] == len(
+        report["results"]["factorizations"])
