@@ -7,12 +7,14 @@ head lives in [-M, -1], the tail in max middle + [1, M], and every
 element of L is congruent mod d to something in D, where {0, d} is
 contained in D, itself contained in [0, d].
 
-``is_aamp`` searches shifts and split points directly; the period is
-reconstructed from residues of the middle block plus any residues above
-the split that head and tail require. Every candidate witness is re-run
-through ``verify_witness``, an independent checker of the definition, so
-a returned witness is always valid. Probes aggregate minimal bounds over
-enumerated elements or unions of length sets.
+For each shift y in L one pass decides every clause but the bound. A
+period that works holds the residues of L - y, and those at or below the
+split occur in the middle, so {0, d} plus those residues works too. The
+valid splits m are then the common prefix, from 0, of the nonnegative
+part of L - y and the progression of that period, and each needs the
+bound max(y - min L, max L - y - m). ``verify_witness``, an independent
+checker of the definition, rechecks every witness returned. Probes
+aggregate minimal bounds over enumerated elements or unions of length sets.
 """
 
 from __future__ import annotations
@@ -58,7 +60,7 @@ def verify_witness(
     if not ls or d < 1 or M < 0 or w.difference != d or w.bound != M:
         return False
     period = set(w.period)
-    if not {0, d} <= period or not period <= set(range(d + 1)):
+    if not {0, d} <= period or not all(p in range(d + 1) for p in period):
         return False
     if not w.middle or w.middle[0] != 0:
         return False
@@ -76,15 +78,22 @@ def verify_witness(
     return all((x - w.shift) % d in res for x in ls)
 
 
+def _fit(ls: list[int], d: int, y: int) -> tuple[tuple[int, ...], list[int]]:
+    """The period of the shift y in ls and its valid splits, increasing."""
+    residues = {(x - y) % d for x in ls}
+    splits = [0]
+    for x in ls[ls.index(y) + 1:]:
+        t = splits[-1]  # the progression's next value after t, in O(|D|)
+        if x - y != t + 1 + min((r - t - 1) % d for r in residues):
+            break
+        splits.append(x - y)
+    return tuple(sorted(residues | {d})), splits
+
+
 def is_aamp(
     L: Iterable[int] | invariants.LengthSet, d: int, M: int
 ) -> AAMPWitness | None:
-    """First witness in (shift, split) order, or None.
-
-    The search is complete: whenever some period works for a shift and a
-    split, the reconstructed one does too, because a residue at or below
-    the split that the period admits must already occur in the middle.
-    """
+    """First witness in (shift, split) order whose need is at most M, or None."""
     ls = _as_sorted(L)
     if not ls:
         raise ValueError("empty set has no AAMP structure")
@@ -92,44 +101,32 @@ def is_aamp(
         raise ValueError("difference must be positive")
     if M < 0:
         raise ValueError("bound must be nonnegative")
-    for y in ls:
-        if y > ls[0] + M:
-            break
-        rel = [x - y for x in ls]
-        for m in [x for x in rel if x >= 0]:
-            middle = tuple(x for x in rel if 0 <= x <= m)
-            extra = {x % d for x in rel if x % d > m}
-            period = tuple(sorted({0, d} | {x % d for x in middle} | extra))
-            w = AAMPWitness(
-                shift=y,
-                difference=d,
-                period=period,
-                bound=M,
-                head=tuple(x for x in rel if x < 0),
-                middle=middle,
-                tail=tuple(x for x in rel if x > m),
-            )
-            if verify_witness(ls, d, M, w):
-                return w
+    for y in [x for x in ls if x <= ls[0] + M]:
+        period, splits = _fit(ls, d, y)
+        m = next((s for s in splits if s >= ls[-1] - y - M), None)
+        if m is not None:
+            w = AAMPWitness(shift=y, difference=d, period=period, bound=M,
+                            head=tuple(x - y for x in ls if x < y),
+                            middle=tuple(s for s in splits if s <= m),
+                            tail=tuple(x - y for x in ls if x - y > m))
+            if not verify_witness(ls, d, M, w):
+                raise AssertionError(f"witness failed its recheck: {w}")
+            return w
     return None
 
 
 def minimal_bound(L: Iterable[int] | invariants.LengthSet, d: int) -> int:
-    """Least M such that L is an AAMP with difference d.
-
-    Always at most max L - min L: shift to the minimum, take {0} as the
-    middle and push everything else into the tail.
-    """
+    """Least M such that L is an AAMP with difference d: the least need over
+    the shifts, each with its longest split (at most max L - min L)."""
     ls = _as_sorted(L)
     if not ls:
         raise ValueError("empty set has no AAMP structure")
     if d < 1:
         raise ValueError("difference must be positive")
-    span = ls[-1] - ls[0]
-    for M in range(span + 1):
-        if is_aamp(ls, d, M) is not None:
-            return M
-    raise AssertionError("unreachable: the span bound always admits a witness")
+    best = min(max(y - ls[0], ls[-1] - y - _fit(ls, d, y)[1][-1]) for y in ls)
+    if is_aamp(ls, d, best) is None:
+        raise AssertionError(f"no witness at the least bound {best}")
+    return best
 
 
 # ---------------------------------------------------------------------------

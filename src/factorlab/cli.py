@@ -136,21 +136,6 @@ def load_descriptor(path: str) -> models.MonoidDescriptor:
     return models.descriptor_from_json(doc)
 
 
-def jsonable(value):
-    """Rewrite report values into plain JSON types.
-
-    Reports convert their own Fractions and length sets, so this needs
-    no class from the modules a command may not have loaded.
-    """
-    if isinstance(value, frozenset):
-        return sorted(jsonable(v) for v in value)
-    if isinstance(value, dict):
-        return {k: jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    return value
-
-
 def _render_table(value, indent: int = 0, lines: list[str] | None = None) -> list[str]:
     if lines is None:
         lines = []
@@ -158,14 +143,14 @@ def _render_table(value, indent: int = 0, lines: list[str] | None = None) -> lis
     if isinstance(value, dict):
         for key in sorted(value):
             item = value[key]
-            if isinstance(item, (dict, list)) and item:
+            if isinstance(item, (dict, list, tuple)) and item:
                 lines.append(f"{pad}{key}:")
                 _render_table(item, indent + 1, lines)
             else:
                 lines.append(f"{pad}{key}: {_scalar(item)}")
-    elif isinstance(value, list):
+    elif isinstance(value, (list, tuple)):
         for item in value:
-            if isinstance(item, (dict, list)):
+            if isinstance(item, (dict, list, tuple)):
                 lines.append(f"{pad}-")
                 _render_table(item, indent + 1, lines)
             else:
@@ -176,7 +161,7 @@ def _render_table(value, indent: int = 0, lines: list[str] | None = None) -> lis
 
 
 def _scalar(item) -> str:
-    if isinstance(item, list) and not item:
+    if isinstance(item, (list, tuple)) and not item:
         return "[]"
     if isinstance(item, dict) and not item:
         return "{}"
@@ -205,8 +190,8 @@ def envelope(args, descriptor_hash: str | None, results, warnings: list) -> dict
             "length": args.length_bound,
             "budget": args.budget,
         },
-        "results": jsonable(results),
-        "warnings": jsonable(warnings),
+        "results": results,
+        "warnings": warnings,
     }
 
 
@@ -332,10 +317,15 @@ def run_structure_probe(args) -> tuple[str | None, dict, list]:
     if args.target == "unions":
         if args.k_range is None:
             raise errors.MalformedDescriptor("--target unions requires --k-range")
+        if args.d_candidates is not None:
+            raise errors.MalformedDescriptor(
+                "--d-candidates does not apply to --target unions")
         lo, hi = _parse_k_range(args.k_range)
         report = aamp.unions_structure_probe(
             desc, range(lo, hi + 1), bound, args.budget)
     else:
+        if args.k_range is not None:
+            raise errors.MalformedDescriptor("--k-range requires --target unions")
         d_candidates = None
         if args.d_candidates is not None:
             d_candidates = _parse_int_list(args.d_candidates, "--d-candidates")

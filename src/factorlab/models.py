@@ -16,9 +16,8 @@ Five models are supported, all written additively:
 Elements are canonical hashable values: an int, a tuple of ints, a
 strictly increasing tuple starting at 0 for sumsets, or a
 (components, free exponents) pair of tuples for products. Every function
-here is pure. Numerical and affine membership reads a bit mask of the box
-below the element, built per call; only ``generator_atoms``, keyed by
-descriptor, keeps an ``lru_cache`` memo.
+here is pure and keeps no memo: numerical and affine membership reads a
+bit mask of the box below the element, built per call.
 
 The ``weight`` of an element (value, coordinate sum, maximum, or the sum
 over product slots) is additive under multiplication and strictly
@@ -31,7 +30,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from functools import lru_cache
 from operator import add, le, mul
 from typing import Any, NamedTuple
 
@@ -600,7 +598,6 @@ def fp_box(desc: FinitelyPrimaryValue, top: Vector):
 # atoms
 
 
-@lru_cache(maxsize=None)
 def generator_atoms(desc: Numerical | Affine | Sumset) -> tuple[Element, ...]:
     """The atoms of a finitely generated model, in weight-then-lex order.
 

@@ -7,9 +7,11 @@ with bit masks and reachability, which this shares no code with) and by
 the closed-form fp-value membership primitive otherwise, atoms
 from exhaustive two-part splits, factorizations from multiplicity search with
 a leaf product-equality check, relation atoms from every sub-multiset of
-both sides multiplied out, and the chain invariants from explicit
-threshold-graph connectivity. None of the enumeration or graph logic in
-the package is reused.
+both sides multiplied out, the chain invariants from explicit
+threshold-graph connectivity, and AAMP witnesses from every (shift,
+split) candidate in order, each checked by the definition checker
+``aamp.verify_witness``. None of the enumeration or graph logic in the
+package is reused.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import functools
 import itertools
 from collections import Counter
 
-from factorlab import factor, models
+from factorlab import aamp, factor, models
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +449,7 @@ def brute_weak_successive_distance(fs: factor.FactorSet) -> int:
 
 
 # ---------------------------------------------------------------------------
-# almost-arithmetic fitting by raw subset search
+# almost-arithmetic fitting by raw subset search and by generate-and-verify
 
 
 def brute_aamp_exists(L, d: int, m: int) -> bool:
@@ -483,3 +485,34 @@ def _matches_template(shifted, period, d: int, m: int) -> bool:
         if all(top < v <= top + m for v in tail):
             return True
     return False
+
+
+def brute_first_witness(L, d: int, M: int):
+    """Generate and verify every (shift, split) witness in order; first wins.
+
+    For each shift y in L, no further than min L + M, and each split m in
+    the nonnegative part of L - y, the period is rebuilt from the
+    middle's residues plus the residues above the split, and the
+    candidate goes to ``aamp.verify_witness``.
+    """
+    ls = sorted(set(L))
+    for y in ls:
+        if y > ls[0] + M:
+            break
+        rel = [x - y for x in ls]
+        for m in [x for x in rel if x >= 0]:
+            middle = tuple(x for x in rel if 0 <= x <= m)
+            extra = {x % d for x in rel if x % d > m}
+            period = tuple(sorted({0, d} | {x % d for x in middle} | extra))
+            w = aamp.AAMPWitness(
+                shift=y,
+                difference=d,
+                period=period,
+                bound=M,
+                head=tuple(x for x in rel if x < 0),
+                middle=middle,
+                tail=tuple(x for x in rel if x > m),
+            )
+            if aamp.verify_witness(ls, d, M, w):
+                return w
+    return None

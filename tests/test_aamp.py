@@ -1,6 +1,8 @@
 """Almost-arithmetic structure detection and the sweep probes."""
 
+import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -98,6 +100,44 @@ def test_search_agrees_with_subset_bruteforce(values, d, m):
     assert (w is not None) == bruteforce.brute_aamp_exists(values, d, m)
     if w is not None:
         assert verify_witness(values, d, m, w)
+
+
+def test_verify_witness_memory_does_not_grow_with_d():
+    d = 10**6
+    w = is_aamp((0, 5, 9, 13), d, 0)
+    tracemalloc.start()
+    try:
+        assert verify_witness((0, 5, 9, 13), d, 0, w)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+@given(
+    st.lists(st.integers(min_value=-15, max_value=40), min_size=1, max_size=10),
+    st.one_of(st.integers(min_value=1, max_value=12), st.just(10**6)),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_search_returns_the_generate_and_verify_witness(values, d, data):
+    span = max(values) - min(values)
+    m = data.draw(st.integers(min_value=0, max_value=span + 1))
+    assert is_aamp(values, d, m) == bruteforce.brute_first_witness(values, d, m)
+    least = next(b for b in itertools.count()
+                 if bruteforce.brute_first_witness(values, d, b) is not None)
+    assert minimal_bound(values, d) == least
+
+
+@given(
+    st.lists(st.integers(min_value=-8, max_value=20), min_size=1, max_size=7),
+    st.integers(min_value=1, max_value=5),
+)
+@settings(max_examples=150, deadline=None)
+def test_minimal_bound_is_the_least_bound_with_any_witness(values, d):
+    least = next(m for m in itertools.count()
+                 if bruteforce.brute_aamp_exists(values, d, m))
+    assert minimal_bound(values, d) == least
 
 
 @given(

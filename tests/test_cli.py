@@ -345,6 +345,19 @@ def test_structure_probe_rejects_a_bad_k_range(capsys, n23_path, k_range,
     assert f"--k-range {message}" in err
 
 
+@pytest.mark.parametrize("extra,message", [
+    (["--k-range", "2,5"], "--k-range requires --target unions"),
+    (["--target", "unions", "--k-range", "2,5", "--d-candidates", "1,2"],
+     "--d-candidates does not apply to --target unions"),
+], ids=["k-range-without-unions", "d-candidates-with-unions"])
+def test_structure_probe_rejects_a_flag_it_would_ignore(capsys, n23_path,
+                                                        extra, message):
+    code, out, err = run(capsys, ["structure-probe", "--monoid", n23_path,
+                                  "--bound", "10", *extra])
+    assert (code, out) == (2, "")
+    assert err == f"factorlab: {message}\n"
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["global", "--bound", "-1"], "--bound"),
     (["structure-probe", "--bound", "-3"], "--bound"),

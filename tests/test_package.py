@@ -93,8 +93,6 @@ def test_membership_keeps_no_process_global_memo():
              if not name.startswith("__") and isinstance(value, (dict, list, set))]
     assert memos == []
     assert not hasattr(models.sumset_reachable, "cache_info")
-    # The one lru_cache is keyed by descriptor, so it does not grow with
-    # the elements asked about.
     cached = [name for name, value in vars(models).items()
               if hasattr(value, "cache_info")]
-    assert cached == ["generator_atoms"]
+    assert cached == []

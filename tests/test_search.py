@@ -1,5 +1,7 @@
 """Atoms from generators and the reachability-pruned search, against oracles."""
 
+import functools
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -167,7 +169,11 @@ def mask_tops(monkeypatch):
         tops.append(top)
         return member_mask(desc, top)
 
-    models.generator_atoms(AFF)  # memoised: its masks are built once per process
+    # generator_atoms builds one mask per generator on every call; memoised
+    # here, those masks are set-up and only the element's masks count.
+    monkeypatch.setattr(models, "generator_atoms",
+                        functools.cache(models.generator_atoms))
+    models.generator_atoms(AFF)
     monkeypatch.setattr(models, "member_mask", counted)
     return tops
 

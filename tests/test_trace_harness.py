@@ -77,3 +77,11 @@ def test_fp_value_atoms_take_no_per_point_atom_test(tmp_path, descriptor,
     # A product's slot fibers are built inside its one factorizations call.
     assert doc["counts"]["factor.factorizations"] == len(
         report["results"]["factorizations"])
+
+
+def test_structure_probe_fits_each_length_set_with_one_search(tmp_path):
+    report, doc = run_traced(tmp_path, numerical(6, 9, 20),
+                             ["structure-probe", "--bound", "60"])
+    fits = sum(name == "aamp.fit" for name, *_ in doc["spans"])
+    assert fits == len(report["results"]["perElement"]) == 39
+    assert doc["counts"]["aamp.is_aamp.calls"] == fits
