@@ -115,18 +115,27 @@ def is_aamp(
     return None
 
 
-def minimal_bound(L: Iterable[int] | invariants.LengthSet, d: int) -> int:
-    """Least M such that L is an AAMP with difference d: the least need over
-    the shifts, each with its longest split (at most max L - min L)."""
+def least_fit(
+    L: Iterable[int] | invariants.LengthSet, d: int
+) -> tuple[int, AAMPWitness]:
+    """Least M such that L is an AAMP with difference d, and ``is_aamp``'s
+    witness at M: the least need over the shifts, each with its longest
+    split (at most max L - min L)."""
     ls = _as_sorted(L)
     if not ls:
         raise ValueError("empty set has no AAMP structure")
     if d < 1:
         raise ValueError("difference must be positive")
     best = min(max(y - ls[0], ls[-1] - y - _fit(ls, d, y)[1][-1]) for y in ls)
-    if is_aamp(ls, d, best) is None:
+    witness = is_aamp(ls, d, best)
+    if witness is None:
         raise AssertionError(f"no witness at the least bound {best}")
-    return best
+    return best, witness
+
+
+def minimal_bound(L: Iterable[int] | invariants.LengthSet, d: int) -> int:
+    """Least M such that L is an AAMP with difference d (``least_fit``)."""
+    return least_fit(L, d)[0]
 
 
 # ---------------------------------------------------------------------------

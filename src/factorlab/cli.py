@@ -8,6 +8,10 @@ rendered either as canonical JSON (sorted keys, compact separators) or
 as an indented plain-text table. Report bytes depend only on the
 request; every command runs in one process.
 
+``main`` loads the ``--monoid`` descriptor once, if the command has one,
+and calls ``handler(args, desc)`` (``desc`` is None without it). The
+handler returns (descriptor to hash or None, results, warnings).
+
 Exit codes: 0 success, 2 malformed input, failed validation or an
 unusable file such as the cache directory, 3 enumeration budget
 exhausted, 4 a verification scenario's claim failed, 130 interrupted.
@@ -51,36 +55,32 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--jobs", type=int, default=1,
                         help="must be at least 1; has no effect, as every "
                              "command runs in one process")
+    monoid = argparse.ArgumentParser(add_help=False, parents=[common])
+    monoid.add_argument("--monoid", required=True, help="descriptor JSON file")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common],
-                       help="check a monoid descriptor")
-    p.add_argument("--monoid", required=True, help="descriptor JSON file")
+    sub.add_parser("validate", parents=[monoid],
+                   help="check a monoid descriptor")
 
-    p = sub.add_parser("atoms", parents=[common],
+    p = sub.add_parser("atoms", parents=[monoid],
                        help="list the atoms dividing an element")
-    p.add_argument("--monoid", required=True)
     p.add_argument("--element", required=True)
 
-    p = sub.add_parser("factorize", parents=[common],
+    p = sub.add_parser("factorize", parents=[monoid],
                        help="enumerate all factorizations of an element")
-    p.add_argument("--monoid", required=True)
     p.add_argument("--element", required=True)
 
-    p = sub.add_parser("invariants", parents=[common],
+    p = sub.add_parser("invariants", parents=[monoid],
                        help="length set, elasticity, catenary and "
                             "successive-distance data for one element")
-    p.add_argument("--monoid", required=True)
     p.add_argument("--element", required=True)
 
-    p = sub.add_parser("global", parents=[common],
-                       help="aggregate invariants over a weight-bounded sweep")
-    p.add_argument("--monoid", required=True)
+    sub.add_parser("global", parents=[monoid],
+                   help="aggregate invariants over a weight-bounded sweep")
 
-    p = sub.add_parser("unions", parents=[common],
+    p = sub.add_parser("unions", parents=[monoid],
                        help="union of length sets over the fiber of one length")
-    p.add_argument("--monoid", required=True)
     p.add_argument("--k", type=int, required=True)
 
     p = sub.add_parser("aamp-check", parents=[common],
@@ -92,10 +92,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None,
                    help="fixed fuzz bound; omitted means find the minimum")
 
-    p = sub.add_parser("structure-probe", parents=[common],
+    p = sub.add_parser("structure-probe", parents=[monoid],
                        help="sweep length sets and fit almost-arithmetic "
                             "structure")
-    p.add_argument("--monoid", required=True)
     p.add_argument("--d-candidates", default=None,
                    help="comma separated candidate differences")
     p.add_argument("--target", choices=("elements", "unions"),
@@ -103,9 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-range", default=None,
                    help="inclusive length range lo,hi for --target unions")
 
-    p = sub.add_parser("relation-atoms", parents=[common],
-                       help="irreducible equal-length relation pairs")
-    p.add_argument("--monoid", required=True)
+    sub.add_parser("relation-atoms", parents=[monoid],
+                   help="irreducible equal-length relation pairs")
 
     p = sub.add_parser("verify-example", parents=[common],
                        help="run a built-in verification scenario")
@@ -114,9 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", "--difference", type=int, default=10,
                    dest="difference")
 
-    p = sub.add_parser("probe-growth", parents=[common],
+    p = sub.add_parser("probe-growth", parents=[monoid],
                        help="track invariants along a growing element family")
-    p.add_argument("--monoid", required=True)
     p.add_argument("--family", required=True, choices=("power", "diagonal"))
     p.add_argument("--element", default=None,
                    help="base element for the power family")
@@ -211,33 +208,21 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     return values
 
 
-def _load_fiber(args, desc: models.MonoidDescriptor) -> factor.FactorSet:
+def _load_fiber(args, desc: models.MonoidDescriptor, el) -> factor.FactorSet:
     from . import cache
 
-    el = models.parse_element_literal(desc, args.element)
     return cache.load_or_compute(desc, el, args.budget,
                                  cache.resolve_cache_dir(args.cache_dir))
 
 
-def run_validate(args) -> tuple[str | None, dict, list]:
-    desc = load_descriptor(args.monoid)
-    bound = args.bound
-    if bound is None:
-        bound = _default_validation_bound(desc)
-    report = models.validate(desc, bound)
-    return models.descriptor_hash(desc), report.to_json(), []
+Outcome = tuple[models.MonoidDescriptor | None, dict, list]
 
 
-def _default_validation_bound(desc: models.MonoidDescriptor) -> int:
-    if isinstance(desc, models.FinitelyPrimaryValue):
-        return 2 * desc.exponent
-    if isinstance(desc, models.Product):
-        return max(_default_validation_bound(f) for f in desc.factors)
-    return models.max_generator_weight(desc)
+def run_validate(args, desc) -> Outcome:
+    return desc, models.validate(desc, args.bound).to_json(), []
 
 
-def run_atoms(args) -> tuple[str | None, dict, list]:
-    desc = load_descriptor(args.monoid)
+def run_atoms(args, desc) -> Outcome:
     el = models.parse_element_literal(desc, args.element)
     found = models.atoms_dividing(desc, el)
     results = {
@@ -245,48 +230,42 @@ def run_atoms(args) -> tuple[str | None, dict, list]:
         "atoms": [models.element_to_json(desc, u) for u in found],
         "count": len(found),
     }
-    return models.descriptor_hash(desc), results, []
+    return desc, results, []
 
 
-def run_factorize(args) -> tuple[str | None, dict, list]:
-    desc = load_descriptor(args.monoid)
-    fs = _load_fiber(args, desc)
+def run_factorize(args, desc) -> Outcome:
+    fs = _load_fiber(args, desc, models.parse_element_literal(desc, args.element))
     results = factor.factor_set_to_json(fs)
     results["lengthSet"] = list(fs.lengths)
-    return models.descriptor_hash(desc), results, []
+    return desc, results, []
 
 
-def run_invariants(args) -> tuple[str | None, dict, list]:
+def run_invariants(args, desc) -> Outcome:
     from . import invariants
 
-    desc = load_descriptor(args.monoid)
-    fs = _load_fiber(args, desc)
-    report = invariants.element_report(fs)
-    return models.descriptor_hash(desc), report.to_json(desc), []
+    fs = _load_fiber(args, desc, models.parse_element_literal(desc, args.element))
+    return desc, invariants.element_report(fs).to_json(desc), []
 
 
-def run_global(args) -> tuple[str | None, dict, list]:
+def run_global(args, desc) -> Outcome:
     from . import invariants
 
-    desc = load_descriptor(args.monoid)
     bound = _require_bound(args)
     estimates, warnings = invariants.global_estimates(desc, bound, args.budget)
-    results = {"estimates": [e.to_json() for e in estimates]}
-    return models.descriptor_hash(desc), results, warnings
+    return desc, {"estimates": [e.to_json() for e in estimates]}, warnings
 
 
-def run_unions(args) -> tuple[str | None, dict, list]:
+def run_unions(args, desc) -> Outcome:
     from . import invariants
 
-    desc = load_descriptor(args.monoid)
     bound = _require_bound(args)
     row, warnings = invariants.unions_of_lengths(
         desc, args.k, bound, args.budget)
     row["union"] = list(row["union"].lengths)
-    return models.descriptor_hash(desc), row, warnings
+    return desc, row, warnings
 
 
-def run_aamp_check(args) -> tuple[str | None, dict, list]:
+def run_aamp_check(args, desc) -> Outcome:
     from . import aamp
 
     values = _parse_int_list(args.length_set, "--set")
@@ -300,19 +279,15 @@ def run_aamp_check(args) -> tuple[str | None, dict, list]:
         witness = aamp.is_aamp(values, args.difference, args.m)
         results["m"] = args.m
         results["isMatch"] = witness is not None
-        results["witness"] = witness.to_json() if witness else None
     else:
-        bound = aamp.minimal_bound(values, args.difference)
-        witness = aamp.is_aamp(values, args.difference, bound)
-        results["minimalBound"] = bound
-        results["witness"] = witness.to_json() if witness else None
+        results["minimalBound"], witness = aamp.least_fit(values, args.difference)
+    results["witness"] = witness.to_json() if witness else None
     return None, results, []
 
 
-def run_structure_probe(args) -> tuple[str | None, dict, list]:
+def run_structure_probe(args, desc) -> Outcome:
     from . import aamp
 
-    desc = load_descriptor(args.monoid)
     bound = _require_bound(args)
     if args.target == "unions":
         if args.k_range is None:
@@ -332,7 +307,7 @@ def run_structure_probe(args) -> tuple[str | None, dict, list]:
         report = aamp.structure_probe(
             desc, bound, d_candidates, args.budget)
     warnings = report.pop("warnings", [])
-    return models.descriptor_hash(desc), _probe_to_json(desc, report), warnings
+    return desc, _probe_to_json(desc, report), warnings
 
 
 def _parse_k_range(text: str) -> tuple[int, int]:
@@ -365,10 +340,9 @@ def _probe_to_json(desc: models.MonoidDescriptor, report: dict) -> dict:
     return out
 
 
-def run_relation_atoms(args) -> tuple[str | None, dict, list]:
+def run_relation_atoms(args, desc) -> Outcome:
     from . import relations
 
-    desc = load_descriptor(args.monoid)
     if args.length_bound is None:
         raise errors.MalformedDescriptor("this command requires --length-bound")
     found, info = relations.relation_atoms(
@@ -378,51 +352,39 @@ def run_relation_atoms(args) -> tuple[str | None, dict, list]:
         "count": len(found),
         "enumeration": info,
     }
-    return models.descriptor_hash(desc), results, []
+    return desc, results, []
 
 
-def run_verify_example(args) -> tuple[str | None, dict, list]:
+def run_verify_example(args, desc) -> Outcome:
     from . import relations
 
     if args.name == "3.2":
         k_max = args.k_max if args.k_max is not None else 8
         report = relations.verify_interval_relations(k_max)
-        return models.descriptor_hash(relations.INTERVAL_SCENARIO), report, []
+        return relations.INTERVAL_SCENARIO, report, []
     k_max = args.k_max if args.k_max is not None else 5
     report = relations.verify_unique_representation(args.difference, k_max)
     return None, report, []
 
 
-def run_probe_growth(args) -> tuple[str | None, dict, list]:
-    from . import cache, invariants
+def run_probe_growth(args, desc) -> Outcome:
+    from . import invariants
 
-    desc = load_descriptor(args.monoid)
     if args.n_max < 1:
         raise errors.MalformedDescriptor("--n-max must be at least 1")
     base = _growth_base(desc, args)
-    cache_dir = cache.resolve_cache_dir(args.cache_dir)
     rows = []
     warnings: list = []
     current = models.identity(desc)
     for n in range(1, args.n_max + 1):
         current = models.multiply(desc, current, base)
         try:
-            fs = cache.load_or_compute(desc, current, args.budget, cache_dir)
+            fs = _load_fiber(args, desc, current)
         except errors.BudgetExceeded as exc:
             warnings.append(invariants.budget_warning(desc, current, exc.limit))
             break
-        report = invariants.element_report(fs)
-        row = {
-            "n": n,
-            "element": models.element_to_json(desc, current),
-            "lengthSet": list(report.lengths.lengths),
-            "delta": list(report.lengths.delta()),
-            "rho": str(report.elasticity),
-            "c": report.c,
-            "cMon": report.c_mon,
-            "deltaW": report.delta_w,
-        }
-        rows.append(row)
+        report = invariants.element_report(fs).to_json(desc)
+        rows.append({"n": n, **{key: report[key] for key in _ROW_KEYS}})
     half = rows[len(rows) // 2:]
     verdicts = {
         name: bool(half) and len({json.dumps(row[name]) for row in half}) == 1
@@ -435,10 +397,12 @@ def run_probe_growth(args) -> tuple[str | None, dict, list]:
         "verdicts": verdicts,
         "stabilized": all(verdicts.values()) and len(rows) == args.n_max,
     }
-    return models.descriptor_hash(desc), results, warnings
+    return desc, results, warnings
 
 
+# The invariant-report keys a growth row keeps, and those judged for a verdict.
 _GROWTH_KEYS = ("delta", "rho", "c", "cMon", "deltaW")
+_ROW_KEYS = ("element", "lengthSet") + _GROWTH_KEYS
 
 
 def _growth_base(desc: models.MonoidDescriptor, args):
@@ -486,7 +450,9 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_INPUT
     handler = _HANDLERS[args.command]
     try:
-        descriptor_hash, results, warnings = handler(args)
+        desc = load_descriptor(args.monoid) if "monoid" in args else None
+        hashed, results, warnings = handler(args, desc)
+        descriptor_hash = None if hashed is None else models.descriptor_hash(hashed)
     except errors.BudgetExceeded as exc:
         print(f"factorlab: enumeration budget {exc.limit} exhausted",
               file=sys.stderr)

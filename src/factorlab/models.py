@@ -728,15 +728,23 @@ class ValidationReport(NamedTuple):
         }
 
 
-def validate(desc: MonoidDescriptor, bound: int) -> ValidationReport:
+def validate(desc: MonoidDescriptor, bound: int | None = None) -> ValidationReport:
     """Check structure, generator minimality, closure (fp-value) and flags.
 
     For fp-value models closure is verified on every pair of members with
     every coordinate <= bound, decided by one mask pass over the box below
     twice the bound (``_check_closure``). The smallest-value check is
     likewise truncated at the bound, which is why the report records it.
+    A product first validates each slot at the product's bound. Without a
+    bound the least one is used: twice the exponent (fp-value), the largest
+    generator weight, or for a product the largest of its slots' least bounds.
     """
     check_descriptor(desc)
+    if bound is None:
+        bound = _least_validation_bound(desc)
+    if isinstance(desc, Product):
+        for f in desc.factors:
+            validate(f, bound)
     if isinstance(desc, FinitelyPrimaryValue):
         if bound < 2 * desc.exponent:
             raise MalformedDescriptor(
@@ -767,6 +775,14 @@ def validate(desc: MonoidDescriptor, bound: int) -> ValidationReport:
         verified_bound=bound,
         non_minimal_generators=non_atom_generators(desc),
     )
+
+
+def _least_validation_bound(desc: MonoidDescriptor) -> int:
+    if isinstance(desc, FinitelyPrimaryValue):
+        return 2 * desc.exponent
+    if isinstance(desc, Product):
+        return max(_least_validation_bound(f) for f in desc.factors)
+    return max_generator_weight(desc)
 
 
 def _check_closure(desc: FinitelyPrimaryValue, members: list[Vector]) -> None:

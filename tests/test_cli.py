@@ -114,6 +114,37 @@ def test_probe_growth_power_family(capsys, n23_path):
     assert doc["results"]["stabilized"] is True
 
 
+def test_probe_growth_rows_are_invariant_report_subsets(capsys, fp_path):
+    from factorlab import invariants
+
+    doc = run_json(capsys, ["probe-growth", "--monoid", fp_path,
+                            "--family", "diagonal", "--n-max", "3"])
+    rows = doc["results"]["rows"]
+    assert len(rows) == 3
+    desc = cli.load_descriptor(fp_path)
+    base, current = models.canon(desc, (2, 2)), models.identity(desc)
+    for n, row in enumerate(rows, 1):
+        current = models.multiply(desc, current, base)
+        report = invariants.element_report(
+            factor.factorizations(desc, current)).to_json(desc)
+        keys = ("element", "lengthSet", "delta", "rho", "c", "cMon", "deltaW")
+        expected = {"n": n, **{key: report[key] for key in keys}}
+        assert row == json.loads(json.dumps(expected))
+
+
+def test_aamp_check_fits_with_one_search(capsys, monkeypatch):
+    from factorlab import aamp
+
+    calls = []
+    search = aamp.is_aamp
+    monkeypatch.setattr(aamp, "is_aamp",
+                        lambda *args: calls.append(args) or search(*args))
+    doc = run_json(capsys, ["aamp-check", "--set", "2,3,5", "--d", "1"])
+    assert doc["results"]["minimalBound"] == 2
+    assert doc["results"]["witness"]["shift"] == 2
+    assert len(calls) == 1
+
+
 def test_structure_probe_unions_target(capsys, n23_path):
     doc = run_json(capsys, ["structure-probe", "--monoid", n23_path,
                             "--bound", "20", "--target", "unions",
@@ -242,7 +273,7 @@ def test_exit_two_on_a_descriptor_nested_past_the_recursion_limit(capsys, tmp_pa
 
 
 def test_interrupt_exits_130_in_one_line(capsys, n23_path, monkeypatch):
-    def interrupted(args):
+    def interrupted(args, desc):
         raise KeyboardInterrupt
 
     monkeypatch.setitem(cli._HANDLERS, "global", interrupted)
@@ -281,7 +312,7 @@ def test_exit_three_on_budget(capsys, n23_path):
 
 
 def test_exit_four_on_failed_claim(capsys, monkeypatch, n23_path):
-    def broken(args):
+    def broken(args, desc):
         raise errors.AssertionFailure("forced failure", {"k": 1})
 
     monkeypatch.setitem(cli._HANDLERS, "verify-example", broken)
@@ -298,6 +329,33 @@ def test_exit_two_on_closure_violation(capsys, tmp_path):
                                 "--bound", "6"])
     assert code == 2
     assert "not a member" in err
+
+
+def test_validate_checks_each_product_slot(capsys, tmp_path):
+    unclosed = {"model": "fp-value", "rank": 2, "exponent": 3,
+                "exceptional": [[{"exact": 1}, {"exact": 1}]]}
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps({"model": "product", "freeRank": 0,
+                                "factors": [N23_DOC, unclosed]}))
+    code, out, err = run(capsys, ["validate", "--monoid", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "factorlab: 1,1 + 1,1 = 2,2 is not a member\n"
+
+
+@pytest.mark.parametrize("slot,bound,message", [
+    ({"model": "fp-value", "rank": 2, "exponent": 1, "exceptional": []}, 1,
+     "validation bound 1 below the largest generator weight"),
+    (FP_DOC, 3, "validation bound 3 below twice the exponent"),
+], ids=["numerical-slot", "fp-value-slot"])
+def test_validate_rejects_a_bound_below_a_slots_least_bound(capsys, tmp_path,
+                                                            slot, bound,
+                                                            message):
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps({"model": "product", "freeRank": 1,
+                                "factors": [N23_DOC, slot]}))
+    code, out, err = run(capsys, ["validate", "--monoid", str(path),
+                                  "--bound", str(bound)])
+    assert (code, out, err) == (2, "", f"factorlab: {message}\n")
 
 
 def test_closure_violation_names_elements_as_written(capsys, tmp_path):

@@ -512,6 +512,17 @@ def test_validate_bound_preconditions():
         validate(N23, 2)
 
 
+@pytest.mark.parametrize("desc,least", [
+    (N23, 3), (AFF, 3), (FP22, 4), (SUM, 3), (PROD, 3),
+    (Product(factors=(N23, FP22), free_rank=0), 4),
+], ids=["numerical", "affine", "fp-value", "sumset", "product",
+        "product-fp-value-bound"])
+def test_validate_defaults_to_the_least_bound(desc, least):
+    assert validate(desc).verified_bound == least
+    with pytest.raises(MalformedDescriptor):
+        validate(desc, least - 1)
+
+
 def test_identity_membership_everywhere():
     for desc in ALL:
         e = identity(desc)
