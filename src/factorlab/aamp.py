@@ -64,9 +64,13 @@ def verify_witness(
         return False
     if not w.middle or w.middle[0] != 0:
         return False
-    res = {p % d for p in period}
-    top = w.middle[-1]
-    if list(w.middle) != [x for x in range(top + 1) if x % d in res]:
+    # an increasing run of progression values from 0 to top is all of
+    # them exactly when it has as many values as [0, top] holds
+    mid, res = w.middle, {p % d for p in period}
+    top = mid[-1]
+    if any(a >= b for a, b in zip(mid, mid[1:])) or any(x % d not in res for x in mid):
+        return False
+    if len(mid) != top // d * len(res) + sum(r <= top % d for r in res):
         return False
     if any(x < -M or x > -1 for x in w.head):
         return False

@@ -314,7 +314,8 @@ OVERFLOW = (0, None, None)
 
 def recurrence_rows(desc, members: list, budget: int, fibers: bool):
     """(length mask, |Z(a)|, Z(a) if ``fibers`` else None) for each a of
-    members from one ``_atom_recurrence``, or OVERFLOW past the budget."""
+    any model's members from one ``_atom_recurrence``, or OVERFLOW past
+    the budget."""
     atoms, masks, counts, raw = _atom_recurrence(
         desc, members, budget if fibers else None)
     for i, el in enumerate(members):
@@ -336,15 +337,17 @@ def _recurrence_fiber(desc, el, members: list, atoms: list, zs) -> FactorSet:
 
 
 def _atom_recurrence(desc, members: list, budget: int | None = None):
-    """The atom recurrence over a base model's members, in weight order
+    """The atom recurrence over any model's members, in weight order
     (Barron, O'Neill and Pelayo; García-Sánchez, O'Neill and Webb for
     affine semigroups).
 
     members lists, with each member, every product of part of each of its
-    factorizations: every member up to a weight, or on a sumset the
+    factorizations: every member up to a weight (weight is additive and
+    positive away from the identity on every model), or on a sumset the
     members contained in an element up to it. A nonzero member whose count
     is still 0 when the walk reaches it is an atom, since any other is
-    c + u with c and u nonzero, lighter and listed. The pass of atom u,
+    c + u with c and u nonzero, lighter and listed; on a product these are
+    the embedded slot atoms and the free generators. The pass of atom u,
     run right then, pushes the lengths of each listed a, shifted by one,
     and its count into a + u when that is listed. With the atoms
     outermost this counts every multiset of atoms once, even without

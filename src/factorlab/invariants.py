@@ -23,23 +23,16 @@ Every question about the members below a weight bound reads one sweep
 (``sweep``): global estimates and equal-length relations take its fibers
 (``fibers``), length-set questions (structure probes, unions of length
 sets) its length sets and counts (``length_table``). It lists the members
-once and dispatches on the model once. Every base model takes its
-rows, length masks, counts |Z(a)| and, when asked for, fibers Z(a), from
-one run of the atom recurrence of ``factor`` over its members, so a
-member overflows the budget exactly when enumerating it would. A product
-lists its members from its slot sweeps, each run once, and composes
-their rows: slot length sets add, shifted by the free exponents, and
-slot counts multiply; a product fiber is built only when asked for and
-within the budget.
+once, and every model, products included, takes its rows, length masks,
+counts |Z(a)| and, when asked for, fibers Z(a), from one run of the atom
+recurrence of ``factor`` over them, so a member overflows the budget
+exactly when enumerating it would.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
-import math
 from fractions import Fraction
-from operator import or_
 from typing import Iterable, NamedTuple
 
 from . import factor, models
@@ -245,9 +238,15 @@ def enumerate_elements(
     if weight_bound < 0:
         return []
     if isinstance(desc, models.Product):
+        free = itertools.product(range(weight_bound + 1), repeat=desc.free_rank)
+        free_vectors = [v for v in free if sum(v) <= weight_bound]
         slots = [enumerate_elements(f, weight_bound) for f in desc.factors]
-        return _product_elements(desc, weight_bound, slots)
-    if isinstance(desc, (models.Numerical, models.Affine)):
+        out = []
+        for combo in itertools.product(*slots):
+            used = sum(models.weight(f, c) for f, c in zip(desc.factors, combo))
+            out.extend((combo, fv) for fv in free_vectors
+                       if used + sum(fv) <= weight_bound)
+    elif isinstance(desc, (models.Numerical, models.Affine)):
         # member_mask numbers the box with the first coordinate lowest, the
         # order in which product() yields the reversed points
         dim = getattr(desc, "dim", 1)
@@ -261,18 +260,6 @@ def enumerate_elements(
         out = [models.identity(desc)] + [v for v in box if sum(v) <= weight_bound]
     else:
         out = list(models.sumset_reachable(desc, tuple(range(weight_bound + 1))))
-    out.sort(key=lambda el: models.element_sort_key(desc, el))
-    return out
-
-
-def _product_elements(desc: models.Product, weight_bound: int, slot_members) -> list:
-    """Product members of weight <= bound from each slot's members, sorted."""
-    free = itertools.product(range(weight_bound + 1), repeat=desc.free_rank)
-    free_vectors = [v for v in free if sum(v) <= weight_bound]
-    out = []
-    for combo in itertools.product(*slot_members):
-        used = sum(models.weight(f, c) for f, c in zip(desc.factors, combo))
-        out.extend((combo, fv) for fv in free_vectors if used + sum(fv) <= weight_bound)
     out.sort(key=lambda el: models.element_sort_key(desc, el))
     return out
 
@@ -293,33 +280,13 @@ def sweep(
     comes as (member, 0, None, None), exactly when factor.factorizations
     would raise BudgetExceeded for it at this budget. Otherwise Z(member)
     is what factor.factorizations returns when ``fibers`` is set, built
-    when its member is reached, and None when it is not. Every base model
-    takes its rows from the one atom recurrence, in this process.
+    when its member is reached, and None when it is not. Every model takes
+    its rows from the one atom recurrence, in this process.
     """
-    if isinstance(desc, models.Product):
-        slots = [{el: row for el, *row in sweep(f, weight_bound, budget, fibers)}
-                 for f in desc.factors]
-        members = _product_elements(desc, weight_bound, slots)
-        rows = (_product_row(desc, slots, el, budget, fibers) for el in members)
-    else:
-        members = enumerate_elements(desc, weight_bound)
-        rows = factor.recurrence_rows(desc, members, budget, fibers)
+    members = enumerate_elements(desc, weight_bound)
+    rows = factor.recurrence_rows(desc, members, budget, fibers)
     for el, (mask, count, fs) in zip(members, rows):
         yield el, mask, count, fs
-
-
-def _product_row(desc, slots: list[dict], el, budget, fibers):
-    """Slot length sets add and slot counts multiply; free exponents shift."""
-    comps, free = el
-    parts = [slot[c] for slot, c in zip(slots, comps)]
-    counts = [count for _, count, _ in parts]
-    if None in counts or math.prod(counts) > budget:
-        return factor.OVERFLOW
-    mask = 1 << sum(free)
-    for slot_mask, _, _ in parts:
-        mask = functools.reduce(or_, (mask << k for k in _bits(slot_mask)))
-    fs = factor.product_fiber(desc, el, [p for *_, p in parts], budget) if fibers else None
-    return mask, math.prod(counts), fs
 
 
 def _bits(mask: int) -> tuple[int, ...]:

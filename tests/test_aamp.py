@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -112,6 +113,76 @@ def test_verify_witness_memory_does_not_grow_with_d():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+def rebuilt_middle_reference(L, d, M, w) -> bool:
+    """verify_witness with the middle rebuilt value by value from 0 to its
+    top, the checker's former form: time linear in the middle's span."""
+    ls = sorted(set(L))
+    if not ls or d < 1 or M < 0 or w.difference != d or w.bound != M:
+        return False
+    period = set(w.period)
+    if not {0, d} <= period or not all(p in range(d + 1) for p in period):
+        return False
+    if not w.middle or w.middle[0] != 0:
+        return False
+    res = {p % d for p in period}
+    top = w.middle[-1]
+    if list(w.middle) != [x for x in range(top + 1) if x % d in res]:
+        return False
+    if any(x < -M or x > -1 for x in w.head):
+        return False
+    if any(x < top + 1 or x > top + M for x in w.tail):
+        return False
+    rebuilt = sorted(w.shift + x for x in w.head + w.middle + w.tail)
+    if rebuilt != ls:
+        return False
+    return all((x - w.shift) % d in res for x in ls)
+
+
+@given(
+    st.sets(st.integers(min_value=0, max_value=20), min_size=1, max_size=14),
+    st.integers(min_value=1, max_value=6),
+    st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_verify_witness_agrees_with_the_rebuilt_middle(values, d, data):
+    """Valid and corrupted witnesses, with L rebuilt from the corrupted
+    parts so that the middle clause alone can decide."""
+    w = is_aamp(values, d, minimal_bound(values, d))
+    mid = list(w.middle)
+    edit = data.draw(st.sampled_from(["keep", "drop", "add", "repeat", "swap",
+                                      "random"]))
+    if edit == "drop" and len(mid) > 1:
+        del mid[data.draw(st.integers(0, len(mid) - 1))]
+    elif edit == "add":
+        mid.append(data.draw(st.integers(0, mid[-1] + 2 * d)))
+        mid.sort()
+    elif edit == "repeat":
+        mid.insert(0, mid[0])
+    elif edit == "swap" and len(mid) > 1:
+        i = data.draw(st.integers(0, len(mid) - 2))
+        mid[i], mid[i + 1] = mid[i + 1], mid[i]
+    elif edit == "random":
+        mid = data.draw(st.lists(st.integers(0, 30), min_size=1, max_size=8))
+    period = w.period
+    if data.draw(st.booleans()):
+        period = data.draw(st.sets(st.integers(0, d), max_size=d + 1).map(
+            lambda ps: tuple(sorted(ps | {0, d}))))
+    w = w._replace(middle=tuple(mid), period=period)
+    ls = [w.shift + x for x in w.head + w.middle + w.tail]
+    m = w.bound
+    assert verify_witness(ls, d, m, w) == rebuilt_middle_reference(ls, d, m, w)
+
+
+def test_verify_witness_of_a_middle_near_a_trillion_is_quick():
+    values, d = (0, 7, 10**12), 10**12
+    w = is_aamp(values, d, 0)
+    assert w is not None and w.middle == values
+    start = time.perf_counter()
+    assert verify_witness(values, d, 0, w)
+    assert not verify_witness(values, d, 0, w._replace(middle=(0, 10**12)))
+    assert time.perf_counter() - start < 1
 
 
 @given(

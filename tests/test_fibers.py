@@ -11,7 +11,7 @@ import bruteforce
 from factorlab import cli, factor, invariants, models
 from factorlab.errors import BudgetExceeded
 from test_length_table import FIXED, FIXED_IDS
-from test_models import AFF, N23, PROD, SUM, SUMSETS, affine_models
+from test_models import AFF, N23, PROD, SUM, SUMSETS, affine_models, products
 
 
 def shape(fs: factor.FactorSet):
@@ -51,8 +51,13 @@ def test_sumset_models_match_enumeration_and_oracle(desc, bound):
     check_stream(desc, bound)
 
 
-@pytest.mark.parametrize("desc,bound", FIXED, ids=FIXED_IDS)
-def test_overflow_exactly_where_enumeration_raises(desc, bound):
+@settings(max_examples=15, deadline=None)
+@given(products(), st.integers(0, 6))
+def test_product_models_match_enumeration_and_oracle(desc, bound):
+    check_stream(desc, bound)
+
+
+def check_overflow(desc, bound):
     counts = {len(fs.all) for _, fs in invariants.fibers(desc, bound)}
     budgets = sorted({n for c in counts for n in (c - 1, c)})
     for budget in budgets:
@@ -63,6 +68,17 @@ def test_overflow_exactly_where_enumeration_raises(desc, bound):
                 assert fs is None, (budget, el)
             else:
                 assert fs is not None and shape(fs) == shape(want), (budget, el)
+
+
+@pytest.mark.parametrize("desc,bound", FIXED, ids=FIXED_IDS)
+def test_overflow_exactly_where_enumeration_raises(desc, bound):
+    check_overflow(desc, bound)
+
+
+@settings(max_examples=15, deadline=None)
+@given(products(), st.integers(0, 6))
+def test_product_overflow_exactly_where_enumeration_raises(desc, bound):
+    check_overflow(desc, bound)
 
 
 # ((2,2), {0,...,4}; 0) has 2 and 3 factorizations in its slots: at budgets
@@ -88,7 +104,8 @@ def test_length_table_rows_match_the_fibers(desc, bound):
 
 
 def test_product_sweep_lists_each_slot_once(monkeypatch):
-    """A product's members come from the rows of its slot sweeps."""
+    """A product sweep lists its members once, and that listing lists each
+    slot once."""
     path = Path(__file__).parent.parent / "perfbench" / "descriptors" / "product.json"
     desc = models.descriptor_from_json(json.loads(path.read_text()))
     listed = []
@@ -100,7 +117,7 @@ def test_product_sweep_lists_each_slot_once(monkeypatch):
 
     monkeypatch.setattr(invariants, "enumerate_elements", counted)
     table = invariants.length_table(desc, 10)
-    assert listed == list(desc.factors)
+    assert listed == [desc, *desc.factors]
     assert [row.element for row in table] == enumerate_elements(desc, 10)
 
 

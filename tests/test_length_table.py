@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 import bruteforce
 from factorlab import factor, invariants, models
 from factorlab.errors import BudgetExceeded
-from test_models import AFF, FP21, FP22, N23, PROD, SUM, SUMSETS, affine_models
+from test_models import (AFF, FP21, FP22, N23, PROD, SUM, SUMSETS, affine_models,
+                         products)
 
 SUM_PROD = models.Product(factors=(SUM, N23), free_rank=1)
 
@@ -53,6 +54,12 @@ def test_affine_models_match_oracle(desc):
 @settings(max_examples=25, deadline=None)
 @given(SUMSETS, st.integers(0, 9))
 def test_sumset_models_match_oracle(desc, bound):
+    check_against_oracle(desc, bound)
+
+
+@settings(max_examples=15, deadline=None)
+@given(products(), st.integers(0, 6))
+def test_product_models_match_oracle(desc, bound):
     check_against_oracle(desc, bound)
 
 

@@ -366,6 +366,17 @@ def affine_models(draw, max_dim=3):
 
 
 @st.composite
+def products(draw):
+    """Products of one or two small slots with free rank 0 to 2."""
+    small_numerical = st.builds(Numerical, st.lists(
+        st.integers(1, 6), min_size=1, max_size=3, unique=True).map(tuple))
+    slot = st.one_of(small_numerical, affine_models(max_dim=2), SUMSETS,
+                     st.sampled_from([FP21, FP22]))
+    factors = draw(st.lists(slot, min_size=1, max_size=2))
+    return Product(factors=tuple(factors), free_rank=draw(st.integers(0, 2)))
+
+
+@st.composite
 def affine_and_top(draw):
     desc = draw(affine_models())
     top = draw(st.tuples(*[st.integers(0, (12, 6, 4)[desc.dim - 1])] * desc.dim))
