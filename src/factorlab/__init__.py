@@ -26,16 +26,13 @@ _EXPORTS = {
     ),
     "factor": (
         "DEFAULT_BUDGET", "AtomTable", "FactorSet", "Factorization",
-        "distance", "dist_sup", "factorizations", "gcd_factorizations",
-        "make_factorization", "pi", "set_distance",
+        "distance", "factorizations", "make_factorization",
     ),
     "invariants": (
-        "GlobalEstimate", "InvariantReport", "LengthSet", "adjacent_catenary",
-        "catenary", "element_report", "element_successive_distance",
-        "enumerate_elements", "equal_catenary", "global_estimates",
-        "length_set", "length_set_sumset", "monotone_catenary",
-        "successive_distance", "unions_of_lengths", "unique_representations",
-        "weak_successive_distance",
+        "GlobalEstimate", "InvariantReport", "LengthSet", "catenary",
+        "element_report", "enumerate_elements", "equal_catenary",
+        "global_estimates", "length_set", "length_set_sumset",
+        "unions_of_lengths", "unique_representations",
     ),
     "models": (
         "Affine", "FinitelyPrimaryValue", "MonoidDescriptor", "Numerical",

@@ -14,7 +14,10 @@ handler returns (descriptor to hash or None, results, warnings).
 
 Exit codes: 0 success, 2 malformed input, failed validation or an
 unusable file such as the cache directory, 3 enumeration budget
-exhausted, 4 a verification scenario's claim failed, 130 interrupted.
+exhausted or memory exhausted (``factorlab: out of memory``, for example
+by a huge element's bit masks), 4 a verification scenario's claim
+failed, 130 interrupted. A process killed from outside, as by the
+kernel's out-of-memory killer, cannot report this.
 """
 
 from __future__ import annotations
@@ -456,6 +459,9 @@ def main(argv: list[str] | None = None) -> int:
     except errors.BudgetExceeded as exc:
         print(f"factorlab: enumeration budget {exc.limit} exhausted",
               file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("factorlab: out of memory", file=sys.stderr)
         return EXIT_BUDGET
     except errors.AssertionFailure as exc:
         print(f"factorlab: claim failed: {exc}", file=sys.stderr)

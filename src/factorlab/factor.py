@@ -82,55 +82,18 @@ def make_factorization(table: AtomTable, pairs) -> Factorization:
     )
 
 
-def pi(table: AtomTable, z: Factorization) -> models.Element:
-    """Product of the atoms of z, an element of the monoid."""
-    return models.product_of(table.descriptor, table.atoms, z.counts)
-
-
 def _check_tables(x: Factorization, y: Factorization) -> None:
     if x.table_token != y.table_token:
         raise TableMismatch("factorizations come from different atom tables")
 
 
-def gcd_factorizations(x: Factorization, y: Factorization) -> Factorization:
-    """Componentwise minimum of the two multiplicity maps."""
-    _check_tables(x, y)
-    ym = dict(y.counts)
-    counts = tuple(
-        (i, min(m, ym[i])) for i, m in x.counts if i in ym and min(m, ym[i]) > 0
-    )
-    return Factorization(
-        counts=counts,
-        length=sum(m for _, m in counts),
-        table_token=x.table_token,
-    )
-
-
+# No caller in the package; kept because perfbench/trace_child.py wraps it.
 def distance(x: Factorization, y: Factorization) -> int:
     _check_tables(x, y)
     xm, ym = dict(x.counts), dict(y.counts)
     left = sum(max(m - ym.get(i, 0), 0) for i, m in xm.items())
     right = sum(max(m - xm.get(i, 0), 0) for i, m in ym.items())
     return max(left, right)
-
-
-def set_distance(xs, ys) -> int:
-    """min over pairs; 0 when either side is empty or the sets meet."""
-    xs, ys = list(xs), list(ys)
-    if not xs or not ys:
-        return 0
-    return min(distance(x, y) for x in xs for y in ys)
-
-
-def dist_sup(xs, ys) -> int:
-    """One-sided worst cases: sup of d({x}, ys) and d(xs, {y})."""
-    xs, ys = list(xs), list(ys)
-    best = 0
-    for x in xs:
-        best = max(best, set_distance([x], ys))
-    for y in ys:
-        best = max(best, set_distance(xs, [y]))
-    return best
 
 
 class FactorSet:

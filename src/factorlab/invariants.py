@@ -15,7 +15,7 @@ spanning tree of the complete distance graph (Prim), which equals the
 smallest N whose threshold graph is connected; the equal-length degree
 is the largest such bottleneck of a diagonal block. The row and column
 minima of the (k, l) block give the set distance d(Z_k, Z_l) and the
-one-sided dist_sup, which yield the adjacent-length degree, the
+one-sided sup distance, which yield the adjacent-length degree, the
 successive distance and its weak form. The monotone catenary degree is
 the larger of the equal-length and adjacent-length degrees.
 
@@ -111,50 +111,13 @@ def equal_catenary(fs: factor.FactorSet) -> int:
     return max((_bottleneck(table, span) for span in fs.spans.values()), default=0)
 
 
-def adjacent_catenary(fs: factor.FactorSet) -> int:
-    """Largest set distance between fibers of adjacent lengths."""
-    return _adjacent_max(fs, pair_tables(fs)[0])
-
-
-def monotone_catenary(fs: factor.FactorSet) -> int:
-    return max(equal_catenary(fs), adjacent_catenary(fs))
-
-
-def successive_distance(fs: factor.FactorSet, z: factor.Factorization) -> int:
-    """Smallest N reaching each length adjacent to |z| within distance N."""
-    ls = fs.lengths
-    pos = ls.index(z.length)
-    row = fs.distance_table[fs.all.index(z)]
-    spans = [fs.spans[ls[i]] for i in (pos - 1, pos + 1) if 0 <= i < len(ls)]
-    return max((min(row[s.start:s.stop]) for s in spans), default=0)
-
-
-def element_successive_distance(fs: factor.FactorSet) -> int:
-    """Worst one-sided distance between fibers of adjacent lengths."""
-    return _adjacent_max(fs, pair_tables(fs)[1])
-
-
-def weak_successive_distance(fs: factor.FactorSet) -> int:
-    """Smallest N with d(Z_k, Z_l) <= N * |l - k| for all length pairs."""
-    return _weak(pair_tables(fs)[0])
-
-
-def _adjacent_max(fs: factor.FactorSet, pairs: dict) -> int:
-    ls = fs.lengths
-    return max((pairs[kl] for kl in zip(ls, ls[1:])), default=0)
-
-
-def _weak(dists: dict) -> int:
-    return max((-(-d // (l - k)) for (k, l), d in dists.items()), default=0)
-
-
 def pair_tables(fs: factor.FactorSet):
     """(set distance, one-sided sup) for every pair of lengths k < l.
 
     near[l][i] = d({z_i}, Z_l) is the minimum of row i over the block of
     Z_l. Block (k, l) has row minima near[l] on Z_k and column minima
-    near[k] on Z_l: the set distance is their least value, dist_sup their
-    largest.
+    near[k] on Z_l: the set distance is their least value, the one-sided
+    sup their largest.
     """
     table = fs.distance_table
     spans = fs.spans
@@ -210,8 +173,9 @@ class InvariantReport(NamedTuple):
 def element_report(fs: factor.FactorSet) -> InvariantReport:
     ls = length_set(fs)
     dists, sups = pair_tables(fs)
+    adjacent = list(zip(ls.lengths, ls.lengths[1:]))
     c_eq = equal_catenary(fs)
-    c_adj = _adjacent_max(fs, dists)
+    c_adj = max((dists[kl] for kl in adjacent), default=0)
     return InvariantReport(
         element=fs.element,
         lengths=ls,
@@ -220,8 +184,8 @@ def element_report(fs: factor.FactorSet) -> InvariantReport:
         c_eq=c_eq,
         c_adj=c_adj,
         c_mon=max(c_eq, c_adj),
-        delta_elem=_adjacent_max(fs, sups),
-        delta_w=_weak(dists),
+        delta_elem=max((sups[kl] for kl in adjacent), default=0),
+        delta_w=max((-(-d // (l - k)) for (k, l), d in dists.items()), default=0),
         pair_distance=dists,
         pair_dist_sup=sups,
     )

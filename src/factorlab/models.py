@@ -30,7 +30,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from operator import add, le, mul
+from operator import add, le, mul, sub
 from typing import Any, NamedTuple
 
 from .errors import (
@@ -604,12 +604,22 @@ def generator_atoms(desc: Numerical | Affine | Sumset) -> tuple[Element, ...]:
     Every member is a sum of generators, so every atom is a generator. A
     generator g is not an atom exactly when another generator h divides
     it: split a non-trivial g = b + c and take for h any generator in a
-    sum for b.
+    sum for b. Numerical and affine models read every g - h off one
+    ``member_mask`` below the componentwise maximum of the generators.
     """
-    atoms = [
-        g for g in desc.generators
-        if not any(map(_divisors(desc, g), (h for h in desc.generators if h != g)))
-    ]
+    gens = desc.generators
+    if isinstance(desc, Sumset):
+        atoms = [g for g in gens
+                 if not any(map(_divisors(desc, g), (h for h in gens if h != g)))]
+    else:
+        points = [(g,) if isinstance(desc, Numerical) else g for g in gens]
+        top = tuple(map(max, zip(*points)))
+        strides = box_strides(top)
+        mask = member_mask(desc, top)
+        atoms = [g for g, p in zip(gens, points)
+                 if not any(q != p and all(map(le, q, p))
+                            and mask >> sum(map(mul, map(sub, p, q), strides)) & 1
+                            for q in points)]
     return tuple(sorted(atoms, key=lambda u: element_sort_key(desc, u)))
 
 

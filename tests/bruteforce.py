@@ -254,9 +254,14 @@ def brute_is_relation_atom(desc: models.MonoidDescriptor, pair) -> bool:
 # distances and chain invariants, from scratch
 
 
+def brute_gcd(z1, z2) -> dict:
+    """Atom -> the smaller of its two multiplicities, where both are positive."""
+    return dict(Counter(dict(z1)) & Counter(dict(z2)))
+
+
 def brute_distance(z1, z2) -> int:
     c1, c2 = Counter(dict(z1)), Counter(dict(z2))
-    shared = {k: min(c1[k], c2[k]) for k in set(c1) & set(c2)}
+    shared = brute_gcd(z1, z2)
     r1 = sum(c1[k] - shared.get(k, 0) for k in c1)
     r2 = sum(c2[k] - shared.get(k, 0) for k in c2)
     return max(r1, r2)

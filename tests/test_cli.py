@@ -281,6 +281,16 @@ def test_interrupt_exits_130_in_one_line(capsys, n23_path, monkeypatch):
     assert (code, out, err) == (130, "", "factorlab: interrupted\n")
 
 
+def test_out_of_memory_exits_3_in_one_line(capsys, n23_path, monkeypatch):
+    def exhausted(desc, top):
+        raise MemoryError
+
+    monkeypatch.setattr(models, "member_mask", exhausted)
+    code, out, err = run(capsys, ["factorize", "--monoid", n23_path,
+                                  "--element", "10" + "0" * 12])
+    assert (code, out, err) == (cli.EXIT_BUDGET, "", "factorlab: out of memory\n")
+
+
 def test_exit_two_on_missing_file(capsys, tmp_path):
     code, _, err = run(capsys, ["validate", "--monoid",
                                 str(tmp_path / "absent.json")])

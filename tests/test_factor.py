@@ -13,12 +13,8 @@ from factorlab import (
     NotAMember,
     TableMismatch,
     distance,
-    dist_sup,
     factorizations,
-    gcd_factorizations,
     make_factorization,
-    pi,
-    set_distance,
 )
 from factorlab import factor, models
 from test_models import AFF, FP21, FP22, N23, PROD, SUM
@@ -74,7 +70,7 @@ def test_product_fiber_combines_components():
     assert fs.lengths == (7, 8)
     assert len(fs.all) == 2
     for z in fs.all:
-        assert pi(fs.table, z) == el
+        assert models.product_of(fs.descriptor, fs.table.atoms, z.counts) == el
 
 
 def test_product_distance_subadditive_over_components():
@@ -155,7 +151,7 @@ def test_pi_recovers_element_everywhere():
         for el in bruteforce.brute_members(desc, bound):
             fs = factorizations(desc, el)
             for z in fs.all:
-                assert pi(fs.table, z) == el
+                assert models.product_of(desc, fs.table.atoms, z.counts) == el
 
 
 # ---------------------------------------------------------------------------
@@ -182,23 +178,23 @@ def test_distance_hand_values():
 
 
 def test_gcd_factorizations():
+    """d(a, b) = max(|a|, |b|) - |gcd(a, b)|."""
     t = _table()
     a = _z(t, [(0, 5), (1, 1)])
     b = _z(t, [(0, 2), (1, 3)])
-    g = gcd_factorizations(a, b)
-    assert g.counts == ((0, 2), (1, 1))
+    g = bruteforce.brute_gcd(a.counts, b.counts)
+    assert g == {0: 2, 1: 1}
+    assert distance(a, b) == max(a.length, b.length) - sum(g.values()) == 3
 
 
 def test_set_distance_and_dist_sup():
     fs = factorizations(N23, 12)
-    z4 = fs.by_length(4)
-    z5 = fs.by_length(5)
-    z6 = fs.by_length(6)
-    assert set_distance(z4, z6) == 6
-    assert set_distance(z4, z5) == 3
-    assert dist_sup(z4, z5) == 3
-    assert set_distance([], z4) == 0
-    assert set_distance(z4, z4) == 0
+    z4, z5, z6 = ([z.counts for z in fs.by_length(k)] for k in (4, 5, 6))
+    assert bruteforce.brute_set_distance(z4, z6) == 6
+    assert bruteforce.brute_set_distance(z4, z5) == 3
+    assert bruteforce.brute_dist_sup(z4, z5) == 3
+    assert bruteforce.brute_set_distance([], z4) == 0
+    assert bruteforce.brute_set_distance(z4, z4) == 0
 
 
 def test_table_mismatch_is_rejected():

@@ -10,21 +10,16 @@ from hypothesis import strategies as st
 import bruteforce
 from factorlab import (
     LengthSet,
-    adjacent_catenary,
     catenary,
     element_report,
-    element_successive_distance,
     enumerate_elements,
     equal_catenary,
     factorizations,
     global_estimates,
     length_set,
     length_set_sumset,
-    monotone_catenary,
-    successive_distance,
     unions_of_lengths,
     unique_representations,
-    weak_successive_distance,
 )
 from factorlab import factor, invariants, models
 from test_models import AFF, FP21, FP22, N23, PROD, SUM, SUMSETS
@@ -145,10 +140,10 @@ def test_adjacent_catenary_matches_bruteforce():
     for desc, bound in SWEEP:
         for el in bruteforce.brute_members(desc, bound):
             fs = factorizations(desc, el)
-            assert adjacent_catenary(fs) == \
-                bruteforce.brute_adjacent_catenary(fs)
+            r = element_report(fs)
+            assert r.c_adj == bruteforce.brute_adjacent_catenary(fs)
             by = bruteforce.fibers(fs)
-            dists = element_report(fs).pair_distance
+            dists = r.pair_distance
             assert list(dists) == list(itertools.combinations(by, 2))
             for (k, l), d in dists.items():
                 assert d == bruteforce.brute_set_distance(by[k], by[l]), \
@@ -159,7 +154,7 @@ def test_monotone_catenary_matches_bruteforce():
     for desc, bound in SWEEP:
         for el in bruteforce.brute_members(desc, bound):
             fs = factorizations(desc, el)
-            assert monotone_catenary(fs) == \
+            assert element_report(fs).c_mon == \
                 bruteforce.brute_monotone_catenary(fs), (desc, el)
 
 
@@ -167,15 +162,15 @@ def test_successive_distances_match_bruteforce():
     for desc, bound in SWEEP:
         for el in bruteforce.brute_members(desc, bound):
             fs = factorizations(desc, el)
-            assert element_successive_distance(fs) == \
+            r = element_report(fs)
+            assert r.delta_elem == \
                 bruteforce.brute_element_successive_distance(fs)
-            assert weak_successive_distance(fs) == \
-                bruteforce.brute_weak_successive_distance(fs)
-            for z in fs.all:
-                assert successive_distance(fs, z) == \
-                    bruteforce.brute_successive_distance(fs, z), (desc, el, z)
+            assert r.delta_w == bruteforce.brute_weak_successive_distance(fs)
+            assert r.delta_elem == max(
+                bruteforce.brute_successive_distance(fs, z) for z in fs.all), \
+                (desc, el)
             by = bruteforce.fibers(fs)
-            sups = element_report(fs).pair_dist_sup
+            sups = r.pair_dist_sup
             assert list(sups) == list(itertools.combinations(by, 2))
             for (k, l), d in sups.items():
                 assert d == bruteforce.brute_dist_sup(by[k], by[l]), (desc, el)
@@ -183,8 +178,8 @@ def test_successive_distances_match_bruteforce():
 
 def test_successive_distance_per_factorization():
     fs = factorizations(N23, 12)
-    per = {z.counts: successive_distance(fs, z) for z in fs.all}
-    assert max(per.values()) == element_successive_distance(fs)
+    per = {z.counts: bruteforce.brute_successive_distance(fs, z) for z in fs.all}
+    assert max(per.values()) == element_report(fs).delta_elem
     assert all(v >= 0 for v in per.values())
 
 

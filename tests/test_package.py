@@ -2,6 +2,7 @@
 
 import importlib
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -19,15 +20,12 @@ EXPORTS = {
                "FactorlabError", "MalformedDescriptor", "NotAMember",
                "ShapeMismatch", "TableMismatch"],
     "factor": ["AtomTable", "DEFAULT_BUDGET", "FactorSet", "Factorization",
-               "dist_sup", "distance", "factorizations", "gcd_factorizations",
-               "make_factorization", "pi", "set_distance"],
+               "distance", "factorizations", "make_factorization"],
     "invariants": ["GlobalEstimate", "InvariantReport", "LengthSet",
-                   "adjacent_catenary", "catenary", "element_report",
-                   "element_successive_distance", "enumerate_elements",
+                   "catenary", "element_report", "enumerate_elements",
                    "equal_catenary", "global_estimates", "length_set",
-                   "length_set_sumset", "monotone_catenary",
-                   "successive_distance", "unions_of_lengths",
-                   "unique_representations", "weak_successive_distance"],
+                   "length_set_sumset", "unions_of_lengths",
+                   "unique_representations"],
     "models": ["Affine", "FinitelyPrimaryValue", "MonoidDescriptor",
                "Numerical", "Pattern", "Product", "Sumset", "ValidationReport",
                "atoms_dividing", "cancellative", "canon", "check_descriptor",
@@ -40,10 +38,11 @@ EXPORTS = {
 }
 PUBLIC = sorted(name for module, names in EXPORTS.items()
                 for name in (module, *names))
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_all_lists_the_public_names():
-    assert len(PUBLIC) == 78
+    assert len(PUBLIC) == 69
     assert factorlab.__all__ == PUBLIC
 
 
@@ -96,3 +95,11 @@ def test_membership_keeps_no_process_global_memo():
     cached = [name for name, value in vars(models).items()
               if hasattr(value, "cache_info")]
     assert cached == []
+
+
+def test_readme_library_example_runs():
+    """The python block under "## Library use" runs against the package."""
+    section = README.read_text(encoding="utf-8").split("\n## Library use\n")[1]
+    block = section.split("```python\n")[1].split("```")[0]
+    assert "from factorlab import" in block
+    exec(compile(block, str(README), "exec"), {})

@@ -1,7 +1,5 @@
 """Atoms from generators and the reachability-pruned search, against oracles."""
 
-import functools
-
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -161,7 +159,9 @@ def test_search_makes_no_membership_call_per_node(monkeypatch):
 
 @pytest.fixture
 def mask_tops(monkeypatch):
-    """The tops of the member masks built after set-up, in order."""
+    """The tops of the member masks built, in order. Besides the element's
+    mask, ``generator_atoms`` builds one below the componentwise maximum of
+    the generators on every call."""
     tops = []
     member_mask = models.member_mask
 
@@ -169,11 +169,6 @@ def mask_tops(monkeypatch):
         tops.append(top)
         return member_mask(desc, top)
 
-    # generator_atoms builds one mask per generator on every call; memoised
-    # here, those masks are set-up and only the element's masks count.
-    monkeypatch.setattr(models, "generator_atoms",
-                        functools.cache(models.generator_atoms))
-    models.generator_atoms(AFF)
     monkeypatch.setattr(models, "member_mask", counted)
     return tops
 
@@ -181,22 +176,20 @@ def mask_tops(monkeypatch):
 def test_factorize_builds_one_member_mask_per_element(mask_tops):
     fs = factor.factorizations(AFF, (24, 24))
     assert len(fs.all) == 189
-    assert mask_tops == [(24, 24)]
+    assert mask_tops == [(24, 24), (3, 3)]
 
 
 def test_is_atom_builds_one_member_mask(mask_tops):
     assert not models.is_atom(AFF, (24, 24))
-    assert mask_tops == [(24, 24)]
+    assert mask_tops == [(24, 24), (3, 3)]
 
 
 def test_product_factorize_builds_one_member_mask_per_slot(mask_tops):
     """The slot's membership check hands its atoms to the slot's fiber."""
     num = models.Numerical(generators=(6, 9, 20))
-    models.generator_atoms(num)
-    mask_tops.clear()
     fs = factor.factorizations(models.Product(factors=(num,), free_rank=0), ((600,), ()))
     assert len(fs.all) == 191
-    assert mask_tops == [(600,)]
+    assert mask_tops == [(600,), (20,)]
 
 
 @pytest.mark.parametrize("call", [
@@ -204,12 +197,11 @@ def test_product_factorize_builds_one_member_mask_per_slot(mask_tops):
 ], ids=["factorizations", "atoms_dividing", "is_atom"])
 def test_a_product_builds_each_slot_structure_once(mask_tops, monkeypatch, call):
     """A slot's membership witness serves its atoms and its fiber: one
-    member mask for a numerical slot, one reach for a sumset slot."""
+    member mask for a numerical slot, one reach for a sumset slot. Besides
+    those, a slot's ``generator_atoms`` builds one mask below the largest
+    generator, and a sumset slot's one reach below each generator."""
     num = models.Numerical(generators=(6, 9, 20))
     sumset = models.Sumset(generators=((0, 1), (0, 2, 3)))
-    models.generator_atoms(num)
-    models.generator_atoms(sumset)
-    mask_tops.clear()
     targets = []
     reachable = models.sumset_reachable
 
@@ -220,5 +212,7 @@ def test_a_product_builds_each_slot_structure_once(mask_tops, monkeypatch, call)
     monkeypatch.setattr(models, "sumset_reachable", counted)
     call(models.Product(factors=(num, sumset), free_rank=0),
          ((600, tuple(range(7))), ()))
-    assert mask_tops == [(600,)]
-    assert targets == [tuple(range(7))]
+    assert mask_tops == [(600,), (20,)]
+    # A sumset fiber comes from the recurrence, which needs no atoms.
+    sumset_atoms = [] if call is factor.factorizations else list(sumset.generators)
+    assert targets == [tuple(range(7))] + sumset_atoms
