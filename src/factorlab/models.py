@@ -30,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 from operator import add, le, mul, sub
 from typing import Any, NamedTuple
 
@@ -605,21 +606,28 @@ def generator_atoms(desc: Numerical | Affine | Sumset) -> tuple[Element, ...]:
     generator g is not an atom exactly when another generator h divides
     it: split a non-trivial g = b + c and take for h any generator in a
     sum for b. Numerical and affine models read every g - h off one
-    ``member_mask`` below the componentwise maximum of the generators.
+    ``member_mask`` below the componentwise maximum of the generators when
+    that box has no more points than the boxes below the generators
+    together (always, for a numerical model); otherwise, and for sumsets,
+    each generator gets its own ``_divisors``.
     """
     gens = desc.generators
-    if isinstance(desc, Sumset):
-        atoms = [g for g in gens
-                 if not any(map(_divisors(desc, g), (h for h in gens if h != g)))]
-    else:
+    one_mask = False
+    if not isinstance(desc, Sumset):
         points = [(g,) if isinstance(desc, Numerical) else g for g in gens]
         top = tuple(map(max, zip(*points)))
+        one_mask = math.prod(x + 1 for x in top) <= sum(
+            math.prod(x + 1 for x in p) for p in points)
+    if one_mask:
         strides = box_strides(top)
         mask = member_mask(desc, top)
         atoms = [g for g, p in zip(gens, points)
                  if not any(q != p and all(map(le, q, p))
                             and mask >> sum(map(mul, map(sub, p, q), strides)) & 1
                             for q in points)]
+    else:
+        atoms = [g for g in gens
+                 if not any(map(_divisors(desc, g), (h for h in gens if h != g)))]
     return tuple(sorted(atoms, key=lambda u: element_sort_key(desc, u)))
 
 

@@ -192,6 +192,17 @@ def test_product_factorize_builds_one_member_mask_per_slot(mask_tops):
     assert mask_tops == [(600,), (20,)]
 
 
+def test_spread_affine_generators_build_one_mask_each(mask_tops):
+    """When the box below the generators' componentwise maximum has more
+    points than their own boxes together, each generator gets its own mask:
+    here 4 x 1001 + 16 points, not 1001^4."""
+    axes = [tuple(1000 * (i == j) for j in range(4)) for i in range(4)]
+    desc = models.Affine(dim=4, generators=(*axes, (1, 1, 1, 1)))
+    assert models.atoms_dividing(desc, (1, 1, 1, 1)) == [(1, 1, 1, 1)]
+    assert mask_tops[0] == (1, 1, 1, 1)
+    assert sorted(mask_tops[1:]) == sorted(desc.generators)
+
+
 @pytest.mark.parametrize("call", [
     factor.factorizations, models.atoms_dividing, models.is_atom,
 ], ids=["factorizations", "atoms_dividing", "is_atom"])
