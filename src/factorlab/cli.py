@@ -12,23 +12,25 @@ request; every command runs in one process.
 and calls ``handler(args, desc)`` (``desc`` is None without it). The
 handler returns (descriptor to hash or None, results, warnings).
 
+Every command computes its fibers; none is read from or written to disk,
+so ``--cache-dir``, like ``--jobs``, is accepted with no effect.
+
 Exit codes: 0 success, 2 malformed input, failed validation or an
-unusable file such as the cache directory, 3 enumeration budget
-exhausted or memory exhausted (``factorlab: out of memory``, for example
-by a huge element's bit masks), 4 a verification scenario's claim
-failed, 130 interrupted. A process killed from outside, as by the
-kernel's out-of-memory killer, cannot report this.
+unreadable file, 3 enumeration budget exhausted or memory exhausted
+(``factorlab: out of memory``, for example by a huge element's bit
+masks), 4 a verification scenario's claim failed, 130 interrupted. A
+process killed from outside, as by the kernel's out-of-memory killer,
+cannot report this.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-# Each handler imports the cache, invariants, aamp or relations module it
-# calls, so a request loads only the modules its command runs.
+# Each handler imports the invariants, aamp or relations module it calls,
+# so a request loads only the modules its command runs.
 from . import errors, factor, models
 
 EXIT_OK = 0
@@ -53,8 +55,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "(exit 3 when exceeded)")
     common.add_argument("--output", choices=("json", "table"), default="table")
     common.add_argument("--cache-dir", default=None,
-                        help="factorization cache directory "
-                             "(default: $FACTORLAB_CACHE)")
+                        help="has no effect, as every fiber is computed")
     common.add_argument("--jobs", type=int, default=1,
                         help="must be at least 1; has no effect, as every "
                              "command runs in one process")
@@ -211,13 +212,6 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
     return values
 
 
-def _load_fiber(args, desc: models.MonoidDescriptor, el) -> factor.FactorSet:
-    from . import cache
-
-    return cache.load_or_compute(desc, el, args.budget,
-                                 cache.resolve_cache_dir(args.cache_dir))
-
-
 Outcome = tuple[models.MonoidDescriptor | None, dict, list]
 
 
@@ -237,7 +231,8 @@ def run_atoms(args, desc) -> Outcome:
 
 
 def run_factorize(args, desc) -> Outcome:
-    fs = _load_fiber(args, desc, models.parse_element_literal(desc, args.element))
+    el = models.parse_element_literal(desc, args.element)
+    fs = factor.factorizations(desc, el, args.budget)
     results = factor.factor_set_to_json(fs)
     results["lengthSet"] = list(fs.lengths)
     return desc, results, []
@@ -246,7 +241,8 @@ def run_factorize(args, desc) -> Outcome:
 def run_invariants(args, desc) -> Outcome:
     from . import invariants
 
-    fs = _load_fiber(args, desc, models.parse_element_literal(desc, args.element))
+    el = models.parse_element_literal(desc, args.element)
+    fs = factor.factorizations(desc, el, args.budget)
     return desc, invariants.element_report(fs).to_json(desc), []
 
 
@@ -382,7 +378,7 @@ def run_probe_growth(args, desc) -> Outcome:
     for n in range(1, args.n_max + 1):
         current = models.multiply(desc, current, base)
         try:
-            fs = _load_fiber(args, desc, current)
+            fs = factor.factorizations(desc, current, args.budget)
         except errors.BudgetExceeded as exc:
             warnings.append(invariants.budget_warning(desc, current, exc.limit))
             break

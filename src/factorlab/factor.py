@@ -65,7 +65,7 @@ def make_factorization(table: AtomTable, pairs) -> Factorization:
 
     Each pair is checked against the table and for a negative
     multiplicity before pairs with the same id are merged: this is the
-    entry for pairs the searches did not produce, such as cache entries.
+    entry for pairs the searches did not produce.
     """
     merged: dict[int, int] = {}
     for i, m in pairs:
@@ -215,9 +215,6 @@ def factor_set(desc: models.MonoidDescriptor, el, atoms, raw) -> FactorSet:
     return FactorSet(descriptor=desc, element=el, table=table, all=sols)
 
 
-_BITS = bytes.maketrans(b"01", b"\0\1")
-
-
 def _enumerate_value(desc, el, atoms, budget):
     """DFS for cancellative value models, into remainders that can finish.
 
@@ -243,8 +240,8 @@ def _enumerate_value(desc, el, atoms, budget):
         room = models.box_mask(el, u, strides)
         reach.append(models.close_under(reach[-1], room, d))
         step.append(room & (reach[-1] << d))
-    reach = [_byte_table(m, size) for m in reversed(reach)]
-    step = [_byte_table(m, size) for m in reversed(step)]
+    reach = [models.byte_table(m, size) for m in reversed(reach)]
+    step = [models.byte_table(m, size) for m in reversed(step)]
     sols, stack = [], [(size - 1, 0, ())]
     while stack:
         r, idx, acc = stack.pop()
@@ -264,11 +261,6 @@ def _enumerate_value(desc, el, atoms, budget):
                 break
             idx += 1
     return sols
-
-
-def _byte_table(mask: int, size: int) -> bytes:
-    """Bit i of mask at index i, as 0 or 1, for i < size."""
-    return format(mask, f"0{size}b")[::-1].encode().translate(_BITS)
 
 
 # The row of a member with more factorizations than the budget allows.
@@ -409,13 +401,3 @@ def factor_set_to_json(fs: FactorSet) -> dict:
         ],
     }
 
-
-def factor_set_from_json(desc: models.MonoidDescriptor, doc: dict) -> FactorSet:
-    el = models.canon(desc, doc["element"])
-    atoms = tuple(models.canon(desc, u) for u in doc["atoms"])
-    table = AtomTable(desc, atoms)
-    sols = tuple(
-        make_factorization(table, [(i, m) for i, m in entry["counts"]])
-        for entry in doc["factorizations"]
-    )
-    return FactorSet(descriptor=desc, element=el, table=table, all=sols)

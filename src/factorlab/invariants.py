@@ -214,10 +214,12 @@ def enumerate_elements(
         # member_mask numbers the box with the first coordinate lowest, the
         # order in which product() yields the reversed points
         dim = getattr(desc, "dim", 1)
-        bits = bin(models.member_mask(desc, (weight_bound,) * dim))[:1:-1]
+        top = (weight_bound,) * dim
+        bits = models.byte_table(models.member_mask(desc, top),
+                                 (weight_bound + 1) ** dim)
         box = itertools.product(range(weight_bound + 1), repeat=dim)
         out = [v[0] if isinstance(desc, models.Numerical) else v[::-1]
-               for v in itertools.compress(box, map("1".__eq__, bits))
+               for v in itertools.compress(box, bits)
                if sum(v) <= weight_bound]
     elif isinstance(desc, models.FinitelyPrimaryValue):
         box = models.fp_box(desc, (weight_bound,) * desc.rank)[0]

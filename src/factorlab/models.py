@@ -263,7 +263,7 @@ def _pattern_entry(e: Any) -> tuple[str, int]:
 
 
 def canonical_dumps(obj: Any) -> str:
-    """Deterministic JSON used for hashing and cache files."""
+    """Deterministic JSON used for hashing and reports."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
@@ -403,12 +403,6 @@ def element_to_json(desc: MonoidDescriptor, el: Element) -> Any:
     }
 
 
-def element_hash(desc: MonoidDescriptor, el: Element) -> str:
-    return hashlib.sha256(
-        canonical_dumps(element_to_json(desc, el)).encode()
-    ).hexdigest()
-
-
 def parse_element_literal(desc: MonoidDescriptor, text: str) -> Element:
     """Parse the CLI literal form of an element.
 
@@ -544,6 +538,14 @@ def close_under(mask: int, room: int, shift: int) -> int:
         wide &= wide << shift
         shift <<= 1
     return mask
+
+
+_BITS = bytes.maketrans(b"01", b"\0\1")
+
+
+def byte_table(mask: int, size: int) -> bytes:
+    """Bit i of mask at index i, as 0 or 1, for i < size."""
+    return format(mask, f"0{size}b")[::-1].encode().translate(_BITS)
 
 
 def member_mask(desc: Numerical | Affine, top: Vector) -> int:

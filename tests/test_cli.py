@@ -1,5 +1,6 @@
-"""Command line surface: envelopes, exit codes, caching, determinism."""
+"""Command line surface: envelopes, exit codes, the retired cache, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -303,17 +304,6 @@ def test_exit_two_on_missing_required_bound(capsys, n23_path):
     assert "--bound" in err
 
 
-def test_exit_two_on_an_unusable_cache_dir(capsys, n23_path, tmp_path):
-    blocker = tmp_path / "file"
-    blocker.write_text("")
-    code, out, err = run(capsys, ["factorize", "--monoid", n23_path,
-                                  "--element", "12", "--cache-dir",
-                                  str(blocker / "sub")])
-    assert (code, out) == (2, "")
-    assert err.startswith("factorlab: ") and err.count("\n") == 1
-    assert "Not a directory" in err
-
-
 def test_exit_three_on_budget(capsys, n23_path):
     code, _, err = run(capsys, ["factorize", "--monoid", n23_path,
                                 "--element", "600", "--budget", "40"])
@@ -465,22 +455,7 @@ def test_a_zero_budget_is_still_a_budget(capsys, n23_path):
 
 
 # ---------------------------------------------------------------------------
-# caching
-
-
-def test_cache_roundtrip_bytes(capsys, n23_path, tmp_path):
-    cache_dir = str(tmp_path / "cache")
-    argv = ["factorize", "--monoid", n23_path, "--element", "12",
-            "--cache-dir", cache_dir, "--output", "json"]
-    code1, out1, _ = run(capsys, argv)
-    files = []
-    for root, _, names in os.walk(cache_dir):
-        files.extend(os.path.join(root, n) for n in names)
-    assert len(files) == 1
-    assert files[0].endswith(".json")
-    code2, out2, _ = run(capsys, argv)
-    assert (code1, code2) == (0, 0)
-    assert out1 == out2
+# the retired cache: --cache-dir and FACTORLAB_CACHE have no effect
 
 
 @pytest.mark.parametrize("garbage", [
@@ -493,55 +468,70 @@ def test_cache_roundtrip_bytes(capsys, n23_path, tmp_path):
     '[{"counts": [[0, 6]]}, {"counts": [[1, 4]]}]}',
     '{"element": 12, "atoms": [2, 3], "factorizations": [{"counts": [[0, -1]]}]}',
     "[" * 100_000,
+    '{"element": 12, "atoms": [2, 3], "factorizations": '
+    '[{"counts": [[0, 6]], "length": 6}]}',
 ], ids=["empty", "not-json", "list", "missing-keys", "atom-outside-table",
-        "unsorted", "negative-multiplicity", "deeply-nested"])
+        "unsorted", "negative-multiplicity", "deeply-nested", "tampered"])
 def test_damaged_cache_entry_is_a_miss(capsys, n23_path, tmp_path, garbage):
-    cache_dir = str(tmp_path / "cache")
-    argv = ["invariants", "--monoid", n23_path, "--element", "12",
-            "--output", "json"]
-    code, uncached, _ = run(capsys, argv)
+    """An entry where the retired cache kept Z(12) of <2,3> is neither read
+    nor rewritten. The cache trusted a well-formed entry: the tampered one,
+    holding only 2^6, gave lengthSet [6] and c = 0."""
+    desc = cli.load_descriptor(n23_path)
+    name = hashlib.sha256(models.canonical_dumps(12).encode()).hexdigest()
+    entry = tmp_path / "cache" / models.descriptor_hash(desc) / f"{name}.json"
+    entry.parent.mkdir(parents=True)
+    entry.write_text(garbage)
+    doc = run_json(capsys, ["invariants", "--monoid", n23_path, "--element",
+                            "12", "--cache-dir", str(tmp_path / "cache")])
+    assert doc["results"]["lengthSet"] == [4, 5, 6]
+    assert doc["results"]["c"] == 3
+    assert entry.read_text() == garbage
+
+
+@pytest.mark.parametrize("argv", [
+    ["factorize", "--element", "12"],
+    ["invariants", "--element", "12"],
+    ["probe-growth", "--family", "power", "--element", "5", "--n-max", "3"],
+], ids=["factorize", "invariants", "probe-growth"])
+def test_a_cache_dir_is_never_written(capsys, n23_path, tmp_path, monkeypatch,
+                                      argv):
+    argv = argv + ["--monoid", n23_path, "--output", "json"]
+    monkeypatch.delenv("FACTORLAB_CACHE", raising=False)
+    code, plain, _ = run(capsys, argv)
     assert code == 0
-    run(capsys, argv + ["--cache-dir", cache_dir])
-    (entry,) = [os.path.join(root, n)
-                for root, _, names in os.walk(cache_dir) for n in names]
-    with open(entry, "w", encoding="utf-8") as fh:
-        fh.write(garbage)
-    code, out, err = run(capsys, argv + ["--cache-dir", cache_dir])
-    assert (code, err) == (0, "")
-    assert out == uncached
-    with open(entry, encoding="utf-8") as fh:
-        assert json.load(fh)["element"] == 12
-
-
-def test_a_cached_fiber_keeps_to_the_budget(capsys, n23_path, tmp_path):
-    """A fiber cached under the default budget overflows a smaller one, as
-    computing it would: 12 = 2+2+2+2+2+2 = 2+2+2+3+3 = 3+3+3+3."""
-    argv = ["factorize", "--monoid", n23_path, "--element", "12",
-            "--cache-dir", str(tmp_path / "cache")]
-    assert run(capsys, argv)[0] == 0
-    assert run(capsys, argv + ["--budget", "2"]) == \
-        (3, "", "factorlab: enumeration budget 2 exhausted\n")
-    assert run(capsys, argv + ["--budget", "3"])[0] == 0
+    assert run(capsys, argv + ["--cache-dir", str(tmp_path / "c")]) == \
+        (0, plain, "")
+    assert not (tmp_path / "c").exists()
 
 
 def test_cache_env_var(capsys, n23_path, tmp_path, monkeypatch):
-    env_dir = tmp_path / "envcache"
-    monkeypatch.setenv("FACTORLAB_CACHE", str(env_dir))
-    code, _, _ = run(capsys, ["factorize", "--monoid", n23_path,
-                              "--element", "8"])
+    """FACTORLAB_CACHE is ignored."""
+    argv = ["factorize", "--monoid", n23_path, "--element", "8"]
+    monkeypatch.delenv("FACTORLAB_CACHE", raising=False)
+    code, plain, _ = run(capsys, argv)
     assert code == 0
-    assert env_dir.is_dir()
+    monkeypatch.setenv("FACTORLAB_CACHE", str(tmp_path / "envcache"))
+    assert run(capsys, argv) == (0, plain, "")
+    assert not (tmp_path / "envcache").exists()
 
 
-def test_explicit_cache_dir_beats_env(capsys, n23_path, tmp_path, monkeypatch):
-    env_dir = tmp_path / "envcache"
-    flag_dir = tmp_path / "flagcache"
-    monkeypatch.setenv("FACTORLAB_CACHE", str(env_dir))
-    code, _, _ = run(capsys, ["factorize", "--monoid", n23_path,
-                              "--element", "8", "--cache-dir", str(flag_dir)])
+def test_an_unusable_cache_dir_is_ignored(capsys, n23_path, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = ["factorize", "--monoid", n23_path, "--element", "12"]
+    code, plain, _ = run(capsys, argv)
     assert code == 0
-    assert flag_dir.is_dir()
-    assert not env_dir.exists()
+    assert run(capsys, argv + ["--cache-dir", str(blocker / "sub")]) == \
+        (0, plain, "")
+
+
+def test_a_cached_fiber_keeps_to_the_budget(capsys, n23_path):
+    """A budget equal to |Z(a)| suffices and one less exits 3:
+    12 = 2+2+2+2+2+2 = 2+2+2+3+3 = 3+3+3+3."""
+    argv = ["factorize", "--monoid", n23_path, "--element", "12"]
+    assert run(capsys, argv + ["--budget", "2"]) == \
+        (3, "", "factorlab: enumeration budget 2 exhausted\n")
+    assert run(capsys, argv + ["--budget", "3"])[0] == 0
 
 
 def test_no_cache_without_configuration(capsys, n23_path, monkeypatch):
@@ -630,7 +620,7 @@ def loaded_after(code: str, modules) -> list[str]:
 SUBMODULES = tuple(f"factorlab.{name}" for name in (
     "aamp", "cache", "cli", "errors", "factor", "invariants", "models",
     "relations"))
-SWEEP_UNUSED = ("factorlab.aamp", "factorlab.relations")
+SWEEP_UNUSED = ("factorlab.aamp", "factorlab.cache", "factorlab.relations")
 FIBER_UNUSED = ("factorlab.invariants", *SWEEP_UNUSED, "fractions")
 # The records are NamedTuples and plain classes: no command needs the
 # dataclass machinery, or the inspect, ast and dis modules it pulls in.

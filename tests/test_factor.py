@@ -1,6 +1,4 @@
-"""Factorization enumeration, distances and fiber serialization."""
-
-import json
+"""Factorization enumeration, distances and fiber order."""
 
 import pytest
 from hypothesis import given, settings
@@ -16,7 +14,7 @@ from factorlab import (
     factorizations,
     make_factorization,
 )
-from factorlab import factor, models
+from factorlab import models
 from test_models import AFF, FP21, FP22, N23, PROD, SUM
 
 
@@ -240,17 +238,7 @@ def test_length_difference_lower_bound():
 
 
 # ---------------------------------------------------------------------------
-# serialization
-
-
-def test_factor_set_json_roundtrip_is_byte_stable():
-    fs = factorizations(AFF, (3, 3))
-    doc = factor.factor_set_to_json(fs)
-    blob = models.canonical_dumps(doc)
-    again = factor.factor_set_from_json(AFF, json.loads(blob))
-    assert factor.factor_set_to_json(again) == doc
-    assert models.canonical_dumps(factor.factor_set_to_json(again)) == blob
-    assert by_atoms(again) == by_atoms(fs)
+# order
 
 
 def test_order_is_deterministic():
