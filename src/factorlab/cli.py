@@ -47,7 +47,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--bound", type=int, default=None,
-                        help="weight bound for element sweeps")
+                        help="weight bound for element sweeps; for "
+                             "validate, the per-coordinate bound of the "
+                             "fp-value closure check, or at least the "
+                             "largest generator weight")
     common.add_argument("--length-bound", type=int, default=None,
                         help="length bound for relation enumeration")
     common.add_argument("--budget", type=int, default=factor.DEFAULT_BUDGET,

@@ -17,7 +17,8 @@ Elements are canonical hashable values: an int, a tuple of ints, a
 strictly increasing tuple starting at 0 for sumsets, or a
 (components, free exponents) pair of tuples for products. Every function
 here is pure and keeps no memo: numerical and affine membership reads a
-bit mask of the box below the element, built per call.
+bit mask of the box below the element, built per call, and the atoms
+dividing the element are read off that same mask.
 
 The ``weight`` of an element (value, coordinate sum, maximum, or the sum
 over product slots) is additive under multiplication and strictly
@@ -30,7 +31,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import math
 from operator import add, le, mul, sub
 from typing import Any, NamedTuple
 
@@ -561,24 +561,6 @@ def member_mask(desc: Numerical | Affine, top: Vector) -> int:
     return mask
 
 
-def _divisors(desc: Numerical | Affine | Sumset, a: Element, reach=None):
-    """u -> whether u + c = a for some member c; the identity tests a.
-    Numerical and affine models read a - u off one ``member_mask`` below a;
-    a sumset's c is contained in a: it is sought in ``sumset_reachable``."""
-    if isinstance(desc, Sumset):
-        reach = sumset_reachable(desc, a) if reach is None else reach
-        return lambda u: any(_set_add(u, c) == a for c in reach)
-    top = (a,) if isinstance(desc, Numerical) else a
-    strides = box_strides(top)
-    mask, last = member_mask(desc, top), sum(map(mul, top, strides))
-
-    def divides(u: Element) -> bool:
-        u = (u,) if isinstance(desc, Numerical) else u
-        return all(map(le, u, top)) and (
-            mask >> (last - sum(map(mul, u, strides)))) & 1 == 1
-    return divides
-
-
 def fp_box(desc: FinitelyPrimaryValue, top: Vector):
     """(members, their numbers, member mask, sums mask) of the box below top:
     the nonzero members in lexicographic order, and the member mask shifted
@@ -604,32 +586,12 @@ def fp_box(desc: FinitelyPrimaryValue, top: Vector):
 def generator_atoms(desc: Numerical | Affine | Sumset) -> tuple[Element, ...]:
     """The atoms of a finitely generated model, in weight-then-lex order.
 
-    Every member is a sum of generators, so every atom is a generator. A
-    generator g is not an atom exactly when another generator h divides
-    it: split a non-trivial g = b + c and take for h any generator in a
-    sum for b. Numerical and affine models read every g - h off one
-    ``member_mask`` below the componentwise maximum of the generators when
-    that box has no more points than the boxes below the generators
-    together (always, for a numerical model); otherwise, and for sumsets,
-    each generator gets its own ``_divisors``.
+    Every member is a sum of generators, so every atom is a generator: the
+    atoms are the generators that are atoms dividing themselves, each read
+    off its own ``member_witness``.
     """
-    gens = desc.generators
-    one_mask = False
-    if not isinstance(desc, Sumset):
-        points = [(g,) if isinstance(desc, Numerical) else g for g in gens]
-        top = tuple(map(max, zip(*points)))
-        one_mask = math.prod(x + 1 for x in top) <= sum(
-            math.prod(x + 1 for x in p) for p in points)
-    if one_mask:
-        strides = box_strides(top)
-        mask = member_mask(desc, top)
-        atoms = [g for g, p in zip(gens, points)
-                 if not any(q != p and all(map(le, q, p))
-                            and mask >> sum(map(mul, map(sub, p, q), strides)) & 1
-                            for q in points)]
-    else:
-        atoms = [g for g in gens
-                 if not any(map(_divisors(desc, g), (h for h in gens if h != g)))]
+    atoms = [g for g in desc.generators
+             if g in witnessed_atoms(desc, g, member_witness(desc, g))]
     return tuple(sorted(atoms, key=lambda u: element_sort_key(desc, u)))
 
 
@@ -647,10 +609,11 @@ def is_atom(desc: MonoidDescriptor, el: Element) -> bool:
 
 
 def member_witness(desc: MonoidDescriptor, a: Element):
-    """What deciding that a is a member finds, or NotAMember naming a: the
-    atoms dividing a (numerical, affine), its ``sumset_reachable`` (sumset),
-    None (fp-value), or a list of the slots' witnesses, every slot decided
-    before any slot's atoms are taken (product). Atoms and fibers reuse it."""
+    """What deciding that a is a member builds, or NotAMember naming a:
+    (top, ``member_mask(top)``) with top the vector of a (numerical,
+    affine), its ``sumset_reachable`` (sumset), None (fp-value), or a list
+    of the slots' witnesses, every slot decided before any slot's atoms are
+    taken (product). Atoms and fibers reuse it."""
     if isinstance(desc, Product):
         try:
             return [member_witness(f, c) for f, c in zip(desc.factors, a[0])]
@@ -662,9 +625,9 @@ def member_witness(desc: MonoidDescriptor, a: Element):
     elif isinstance(desc, FinitelyPrimaryValue):
         found, member = None, _fp_member(desc, a)
     else:
-        divides = _divisors(desc, a)
-        member = divides(identity(desc))
-        found = [u for u in generator_atoms(desc) if divides(u)]
+        top = (a,) if isinstance(desc, Numerical) else a
+        found = top, member_mask(desc, top)
+        member = found[1] >> sum(map(mul, top, box_strides(top))) & 1
     if not member:
         raise NotAMember(f"{format_element(desc, a)} is not a member")
     return found
@@ -673,8 +636,8 @@ def member_witness(desc: MonoidDescriptor, a: Element):
 def atoms_dividing(desc: MonoidDescriptor, a: Element) -> list[Element]:
     """Atoms u with u + c = a solvable, in weight-then-lexicographic order.
 
-    Numerical, affine and sumset models keep those of their
-    ``generator_atoms`` that divide a. fp-value models take one bit mask
+    Numerical, affine and sumset models keep the generators that divide a
+    and that no other generator divides. fp-value models take one bit mask
     pass over the box below a, numbered by ``box_strides``: the atoms are
     the nonzero members that are not sums of two of them. Products join
     the atoms of their slots and the free generators a uses. The table is
@@ -686,12 +649,17 @@ def atoms_dividing(desc: MonoidDescriptor, a: Element) -> list[Element]:
 
 
 def witnessed_atoms(desc: MonoidDescriptor, a: Element, witness) -> list[Element]:
-    """``atoms_dividing`` of a member a, given its ``member_witness``."""
-    if isinstance(desc, (Numerical, Affine)):
-        return witness
-    if isinstance(desc, Sumset):
-        divides = _divisors(desc, a, witness)
-        return [u for u in generator_atoms(desc) if divides(u)]
+    """``atoms_dividing`` of a member a, given its ``member_witness``.
+
+    A generator g is an atom dividing a when it divides a and no other
+    generator h divides g (split a non-trivial g = b + c and take for h
+    any generator in a sum for b). Such an h divides a too, so only the
+    generators dividing a are tried. Both facts are read off a's witness:
+    every c with h + c = g lies below g, so below a. Numerical and affine
+    models look a - g and g - h up in a's mask. A sumset's c is contained
+    in a, so it is in a's reach, and u + c = w forces max c = max w - max
+    u: the reach is bucketed by its maximum and only that bucket is tried.
+    """
     if isinstance(desc, FinitelyPrimaryValue):
         # Both parts of a split of u <= a lie in the box. a is the last
         # member; a - u is the identity (bit 0, not in the mask) or one.
@@ -699,12 +667,32 @@ def witnessed_atoms(desc: MonoidDescriptor, a: Element, witness) -> list[Element
         mask |= 1
         out = [u for u, d in zip(members, offsets)
                if not sums >> d & 1 and (mask >> (offsets[-1] - d)) & 1]
-    else:
+    elif isinstance(desc, Product):
         comps, free = a
         out = [embed_component(desc, i, u)
                for i, (f, c, w) in enumerate(zip(desc.factors, comps, witness))
                for u in witnessed_atoms(f, c, w)]
         out.extend(free_generator(desc, j) for j, e in enumerate(free) if e >= 1)
+    else:
+        if isinstance(desc, Sumset):
+            buckets: dict[int, list[Vector]] = {}
+            for c in witness:
+                buckets.setdefault(c[-1], []).append(c)
+
+            def divides(u, w) -> bool:
+                return any(_set_add(u, c) == w for c in buckets.get(w[-1] - u[-1], ()))
+        else:
+            top, mask = witness
+            strides = box_strides(top)
+
+            def divides(u, w) -> bool:
+                if isinstance(desc, Numerical):
+                    return u <= w and mask >> (w - u) & 1
+                return all(map(le, u, w)) and mask >> sum(
+                    map(mul, map(sub, w, u), strides)) & 1
+        divisors = [g for g in desc.generators if divides(g, a)]
+        out = [g for g in divisors
+               if not any(h != g and divides(h, g) for h in divisors)]
     out.sort(key=lambda u: element_sort_key(desc, u))
     return out
 

@@ -76,6 +76,14 @@ def test_validate_defaults_bound(capsys, fp_path):
     assert doc["results"]["smallestValueElement"] == [1, 1]
 
 
+def test_bound_help_names_what_validate_reads_it_as(capsys):
+    with pytest.raises(SystemExit):
+        cli.build_parser().parse_args(["validate", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    assert "per-coordinate bound of the fp-value closure check" in text
+    assert "at least the largest generator weight" in text
+
+
 def test_aamp_check_minimal_bound(capsys):
     doc = run_json(capsys, ["aamp-check", "--set", "2,3,5",
                             "--difference", "1"])

@@ -1,5 +1,7 @@
-"""The package's public names, which it loads on first access."""
+"""The package's public names, which it loads on first access, and its
+modules' own hygiene."""
 
+import ast
 import importlib
 import os
 import pathlib
@@ -39,6 +41,7 @@ EXPORTS = {
 PUBLIC = sorted(name for module, names in EXPORTS.items()
                 for name in (module, *names))
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+SRC = pathlib.Path(factorlab.__file__).resolve().parent
 
 
 def test_all_lists_the_public_names():
@@ -103,3 +106,42 @@ def test_readme_library_example_runs():
     block = section.split("```python\n")[1].split("```")[0]
     assert "from factorlab import" in block
     exec(compile(block, str(README), "exec"), {})
+
+
+def _names_read(tree: ast.AST) -> set[str]:
+    """The names a module reads, bare or as an attribute of anything."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+
+
+def _module_level_names(tree: ast.Module):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                yield from (n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+
+
+def test_no_unused_import_or_unread_private_name():
+    """Every import in the package is read in its module, and every
+    module-level private name is read somewhere in the package."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(SRC.glob("*.py"))}
+    read = {name: _names_read(tree) for name, tree in trees.items()}
+    read_anywhere = set().union(*read.values())
+    unused = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                    isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                unused += [f"{module}: import {alias.name}" for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0])
+                           not in read[module]]
+        unused += [f"{module}: {name}" for name in _module_level_names(tree)
+                   if name.startswith("_") and not name.startswith("__")
+                   and name not in read_anywhere]
+    assert unused == []

@@ -75,6 +75,25 @@ def test_fp_value_models_match_oracle(desc):
     check_against_oracle(desc, 12 - 2 * desc.rank)
 
 
+@st.composite
+def sumsets_with_a_sum_generator(draw):
+    """A ``SUMSETS`` descriptor with one more generator: the sum of two of
+    its generators (maybe one twice), which is never an atom."""
+    desc = draw(SUMSETS)
+    g, h = (draw(st.sampled_from(desc.generators)) for _ in range(2))
+    extra = models.multiply(desc, g, h)
+    return models.Sumset(tuple(sorted({*desc.generators, extra})))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(SUMSETS, sumsets_with_a_sum_generator()))
+def test_sumset_models_match_oracle(desc):
+    """Sumset atoms come from each member's own reach, against the oracles,
+    with generators the members do not contain and generators that are not
+    minimal."""
+    check_against_oracle(desc, 8)
+
+
 GENERATED = [(d, i) for (d, _), i in zip(CASES, CASE_IDS)
              if isinstance(d, (models.Numerical, models.Affine, models.Sumset))]
 
@@ -159,9 +178,8 @@ def test_search_makes_no_membership_call_per_node(monkeypatch):
 
 @pytest.fixture
 def mask_tops(monkeypatch):
-    """The tops of the member masks built, in order. Besides the element's
-    mask, ``generator_atoms`` builds one below the componentwise maximum of
-    the generators on every call."""
+    """The tops of the member masks built, in order. An element's atoms are
+    read off the mask that decides its membership, so no other is built."""
     tops = []
     member_mask = models.member_mask
 
@@ -176,31 +194,34 @@ def mask_tops(monkeypatch):
 def test_factorize_builds_one_member_mask_per_element(mask_tops):
     fs = factor.factorizations(AFF, (24, 24))
     assert len(fs.all) == 189
-    assert mask_tops == [(24, 24), (3, 3)]
+    assert mask_tops == [(24, 24)]
 
 
 def test_is_atom_builds_one_member_mask(mask_tops):
     assert not models.is_atom(AFF, (24, 24))
-    assert mask_tops == [(24, 24), (3, 3)]
+    assert mask_tops == [(24, 24)]
 
 
 def test_product_factorize_builds_one_member_mask_per_slot(mask_tops):
-    """The slot's membership check hands its atoms to the slot's fiber."""
+    """The slot's membership check hands its mask to the slot's atoms and
+    fiber."""
     num = models.Numerical(generators=(6, 9, 20))
     fs = factor.factorizations(models.Product(factors=(num,), free_rank=0), ((600,), ()))
     assert len(fs.all) == 191
-    assert mask_tops == [(600,), (20,)]
+    assert mask_tops == [(600,)]
 
 
 def test_spread_affine_generators_build_one_mask_each(mask_tops):
-    """When the box below the generators' componentwise maximum has more
-    points than their own boxes together, each generator gets its own mask:
-    here 4 x 1001 + 16 points, not 1001^4."""
+    """Generators far apart never get a mask below their componentwise
+    maximum, 1001^4 points here: an element's atoms come from its own mask,
+    and ``generator_atoms`` (so ``validate``) builds one per generator."""
     axes = [tuple(1000 * (i == j) for j in range(4)) for i in range(4)]
     desc = models.Affine(dim=4, generators=(*axes, (1, 1, 1, 1)))
     assert models.atoms_dividing(desc, (1, 1, 1, 1)) == [(1, 1, 1, 1)]
-    assert mask_tops[0] == (1, 1, 1, 1)
-    assert sorted(mask_tops[1:]) == sorted(desc.generators)
+    assert mask_tops == [(1, 1, 1, 1)]
+    mask_tops.clear()
+    assert models.validate(desc).non_minimal_generators == []
+    assert mask_tops == list(desc.generators)
 
 
 @pytest.mark.parametrize("call", [
@@ -208,9 +229,8 @@ def test_spread_affine_generators_build_one_mask_each(mask_tops):
 ], ids=["factorizations", "atoms_dividing", "is_atom"])
 def test_a_product_builds_each_slot_structure_once(mask_tops, monkeypatch, call):
     """A slot's membership witness serves its atoms and its fiber: one
-    member mask for a numerical slot, one reach for a sumset slot. Besides
-    those, a slot's ``generator_atoms`` builds one mask below the largest
-    generator, and a sumset slot's one reach below each generator."""
+    member mask for a numerical slot, one reach for a sumset slot, and
+    nothing else."""
     num = models.Numerical(generators=(6, 9, 20))
     sumset = models.Sumset(generators=((0, 1), (0, 2, 3)))
     targets = []
@@ -223,7 +243,5 @@ def test_a_product_builds_each_slot_structure_once(mask_tops, monkeypatch, call)
     monkeypatch.setattr(models, "sumset_reachable", counted)
     call(models.Product(factors=(num, sumset), free_rank=0),
          ((600, tuple(range(7))), ()))
-    assert mask_tops == [(600,), (20,)]
-    # A sumset fiber comes from the recurrence, which needs no atoms.
-    sumset_atoms = [] if call is factor.factorizations else list(sumset.generators)
-    assert targets == [tuple(range(7))] + sumset_atoms
+    assert mask_tops == [(600,)]
+    assert targets == [tuple(range(7))]
