@@ -22,7 +22,7 @@ _EXPORTS = {
     "errors": (
         "AssertionFailure", "BudgetExceeded", "ClosureViolation",
         "FactorlabError", "MalformedDescriptor", "NotAMember",
-        "ShapeMismatch", "TableMismatch",
+        "ShapeMismatch", "TableMismatch", "TableTooLarge",
     ),
     "factor": (
         "DEFAULT_BUDGET", "AtomTable", "FactorSet", "Factorization",

@@ -16,11 +16,11 @@ Every command computes its fibers; none is read from or written to disk,
 so ``--cache-dir``, like ``--jobs``, is accepted with no effect.
 
 Exit codes: 0 success, 2 malformed input, failed validation or an
-unreadable file, 3 enumeration budget exhausted or memory exhausted
-(``factorlab: out of memory``, for example by a huge element's bit
-masks), 4 a verification scenario's claim failed, 130 interrupted. A
-process killed from outside, as by the kernel's out-of-memory killer,
-cannot report this.
+unreadable file, 3 enumeration budget exhausted, a distance table past
+``invariants.TABLE_LIMIT`` or memory exhausted (``factorlab: out of
+memory``, for example by a huge element's bit masks), 4 a verification
+scenario's claim failed, 130 interrupted. A process killed from outside,
+as by the kernel's out-of-memory killer, cannot report this.
 """
 
 from __future__ import annotations
@@ -382,10 +382,15 @@ def run_probe_growth(args, desc) -> Outcome:
         current = models.multiply(desc, current, base)
         try:
             fs = factor.factorizations(desc, current, args.budget)
+            report = invariants.element_report(fs).to_json(desc)
         except errors.BudgetExceeded as exc:
             warnings.append(invariants.budget_warning(desc, current, exc.limit))
             break
-        report = invariants.element_report(fs).to_json(desc)
+        except errors.TableTooLarge as exc:
+            warnings.append({"element": models.element_to_json(desc, current),
+                             "error": "table-too-large", "factorizations": exc.n,
+                             "limit": exc.limit})
+            break
         rows.append({"n": n, **{key: report[key] for key in _ROW_KEYS}})
     half = rows[len(rows) // 2:]
     verdicts = {
@@ -458,6 +463,9 @@ def main(argv: list[str] | None = None) -> int:
     except errors.BudgetExceeded as exc:
         print(f"factorlab: enumeration budget {exc.limit} exhausted",
               file=sys.stderr)
+        return EXIT_BUDGET
+    except errors.TableTooLarge as exc:
+        print(f"factorlab: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except MemoryError:
         print("factorlab: out of memory", file=sys.stderr)

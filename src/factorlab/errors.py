@@ -46,6 +46,16 @@ class BudgetExceeded(FactorlabError):
         super().__init__(f"enumeration exceeded budget of {limit}")
 
 
+class TableTooLarge(FactorlabError):
+    """A fiber of n factorizations whose n x n distance table passes the limit."""
+
+    def __init__(self, n: int, limit: int):
+        self.n = n
+        self.limit = limit
+        super().__init__(f"distance table of {n} factorizations has {n * n} "
+                         f"entries, over the limit of {limit}")
+
+
 class AssertionFailure(FactorlabError):
     """A bundled verification scenario found a claim that does not hold."""
 

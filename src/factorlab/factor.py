@@ -23,10 +23,10 @@ invariants read it from there.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 from array import array
-from functools import cached_property
 from operator import and_, mul, sub
 from typing import NamedTuple
 
@@ -113,7 +113,7 @@ class FactorSet:
         self.table = table
         self.all = all
 
-    @cached_property
+    @functools.cached_property
     def spans(self) -> dict[int, range]:
         """Length k -> the index range of Z_k in `all`, in length order."""
         out: dict[int, range] = {}
@@ -132,26 +132,16 @@ class FactorSet:
         span = self.spans.get(k, range(0))
         return self.all[span.start:span.stop]
 
-    @cached_property
+    @functools.cached_property
     def distance_table(self) -> tuple[array, ...]:
         """Symmetric n x n table, row i holding d(all[i], all[j]) for all j.
 
-        Each factorization becomes one integer holding every multiplicity
-        in unary, atom a in its own field as wide as its largest
-        multiplicity, so |gcd(x, y)| is the popcount of X & Y. Lengths are
-        sorted, so max(|x|, |y|) is |x| left of x's index and |y| from it
-        on, and each row is one C-level pass over the fiber.
+        |gcd(x, y)| is the popcount of the ``unary_codes`` X & Y. Lengths
+        are sorted, so max(|x|, |y|) is |x| left of x's index and |y| from
+        it on, and each row is one C-level pass over the fiber.
         """
         zs = self.all
-        width: dict[int, int] = {}
-        for z in zs:
-            for i, m in z.counts:
-                width[i] = max(width.get(i, 0), m)
-        offset, shift = {}, 0
-        for i in sorted(width):
-            offset[i] = shift
-            shift += width[i]
-        units = [sum(((1 << m) - 1) << offset[i] for i, m in z.counts) for z in zs]
+        units = unary_codes([z.counts for z in zs])
         lengths = [z.length for z in zs]
         top = lengths[-1] if lengths else 0
         code = "B" if top < 1 << 8 else "H" if top < 1 << 16 else "Q"
@@ -161,6 +151,21 @@ class FactorSet:
             longer = itertools.chain(itertools.repeat(k, j), lengths[j:])
             rows.append(array(code, map(sub, longer, shared)))
         return tuple(rows)
+
+
+def unary_codes(fiber) -> list[int]:
+    """Each factorization of a fiber, given as (atom id, multiplicity)
+    pairs, as one integer holding every multiplicity in unary, atom i in
+    its own field as wide as its largest multiplicity in the fiber, so
+    |gcd(x, y)| is the popcount of X & Y."""
+    pairs = sorted(set(itertools.chain.from_iterable(fiber)))
+    width = dict(pairs)
+    offset, shift = {}, 0
+    for i in width:
+        offset[i] = shift
+        shift += width[i]
+    unit = {(i, m): ((1 << m) - 1) << offset[i] for i, m in pairs}
+    return list(map(sum, map(functools.partial(map, unit.__getitem__), fiber)))
 
 
 def factorizations(
@@ -192,7 +197,7 @@ def _base_fiber(desc, el, witness, budget: int) -> FactorSet:
         # than el and contained in it: el's row of the recurrence is Z(el).
         members = sorted(witness, key=lambda u: models.element_sort_key(desc, u))
         members = members[:members.index(el) + 1]
-        atoms, _, counts, zs = _atom_recurrence(desc, members, budget)
+        atoms, _, counts, zs, _ = _atom_recurrence(desc, members, budget)
         if counts[-1] > budget:
             raise BudgetExceeded(budget)
         return _recurrence_fiber(desc, el, members, atoms, zs[-1])
@@ -271,7 +276,7 @@ def recurrence_rows(desc, members: list, budget: int, fibers: bool):
     """(length mask, |Z(a)|, Z(a) if ``fibers`` else None) for each a of
     any model's members from one ``_atom_recurrence``, or OVERFLOW past
     the budget."""
-    atoms, masks, counts, raw = _atom_recurrence(
+    atoms, masks, counts, raw, _ = _atom_recurrence(
         desc, members, budget if fibers else None)
     for i, el in enumerate(members):
         if counts[i] > budget:
@@ -312,17 +317,21 @@ def _atom_recurrence(desc, members: list, budget: int | None = None):
     holds exactly the factorizations whose atoms are at most k, so each
     gains u_k once. A member's fiber is dropped (None) as soon as its
     count passes the budget; z -> z + u is injective on multisets, so
-    every member pushed from it passes it too.
+    every member pushed from it passes it too. With the fibers it records
+    each push's source, below[i][k] = a for a + u_k = i: under
+    cancellation a is i - u_k, and below[i] maps every atom dividing i.
 
-    Returns (atom member indices, length masks, counts, fibers or None).
+    Returns (atom member indices, length masks, counts, fibers or None,
+    below or None).
     """
     index = {a: i for i, a in enumerate(members)}
     weights = [models.weight(desc, a) for a in members]
     masks = [1] + [0] * (len(members) - 1)
     counts = [1] + [0] * (len(members) - 1)
-    zs = None
+    zs = below = None
     if budget is not None:
         zs = [[()] if budget >= 1 else None] + [[] for _ in members[1:]]
+        below = [{} for _ in members]
     atoms = []
     for u in range(1, len(members)):
         if counts[u]:
@@ -338,11 +347,12 @@ def _atom_recurrence(desc, members: list, budget: int | None = None):
             counts[i] += counts[a]
             if zs is None:
                 continue
+            below[i][k] = a
             if counts[i] > budget:
                 zs[i] = None
             else:
                 zs[i].extend(_with_atom(z, k) for z in zs[a])
-    return atoms, masks, counts, zs
+    return atoms, masks, counts, zs, below
 
 
 def _with_atom(z: tuple, k: int) -> tuple:

@@ -19,14 +19,20 @@ one-sided sup distance, which yield the adjacent-length degree, the
 successive distance and its weak form. The monotone catenary degree is
 the larger of the equal-length and adjacent-length degrees.
 
-Every question about the members below a weight bound reads one sweep
-(``sweep``): global estimates and equal-length relations take its fibers
+Every question about the members below a weight bound reads one run of
+the atom recurrence of ``factor`` over them, listed once, so a member
+overflows the budget exactly when enumerating it would. Equal-length
+relations and the global estimates of sumsets take its fibers
 (``fibers``), length-set questions (structure probes, unions of length
-sets) its length sets and counts (``length_table``). It lists the members
-once, and every model, products included, takes its rows, length masks,
-counts |Z(a)| and, when asked for, fibers Z(a), from one run of the atom
-recurrence of ``factor`` over them, so a member overflows the budget
-exactly when enumerating it would.
+sets) its length sets and counts (``length_table``); both come through
+``sweep``. The global estimates of every cancellative model, products
+included, read its length masks, each member's predecessors a - u and
+its raw fibers in ``recurrence``: c and c_eq from the R-classes of the
+atoms dividing each member, c_adj and delta_w from a gcd-length
+recurrence between length pairs, delta from adjacent length blocks of
+the fiber, with no distance table. Sumsets are not cancellative, so
+their estimates keep the fold of ``element_report`` over the fibers.
+``element_report`` refuses a fiber whose table would pass TABLE_LIMIT.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import itertools
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from . import factor, models
+from . import errors, factor, models
 
 
 class LengthSet(NamedTuple):
@@ -170,7 +176,17 @@ class InvariantReport(NamedTuple):
         }
 
 
+# The most entries, n^2 for a fiber of n factorizations, of the distance
+# table ``element_report`` builds: at about 400 ns an entry on a 2-vCPU
+# machine with Python 3.11, a larger table takes over 10 s.
+TABLE_LIMIT = 25_000_000
+
+
 def element_report(fs: factor.FactorSet) -> InvariantReport:
+    """Every invariant of one element, read off its distance table; raises
+    TableTooLarge, before building it, when it would pass TABLE_LIMIT."""
+    if len(fs.all) ** 2 > TABLE_LIMIT:
+        raise errors.TableTooLarge(len(fs.all), TABLE_LIMIT)
     ls = length_set(fs)
     dists, sups = pair_tables(fs)
     adjacent = list(zip(ls.lengths, ls.lengths[1:]))
@@ -331,8 +347,10 @@ def global_estimates(
 
     Returns (estimates, warnings). An estimate is flagged stabilized when
     its value did not change over the top half of the bound range; budget
-    overflows are recorded per element, never dropped silently. The
-    fibers are streamed, one at a time, through ``element_report``.
+    overflows are recorded per element, never dropped silently. On a
+    cancellative model the rows come from ``recurrence.estimate_rows``,
+    one atom recurrence with no distance table; a sumset's fibers are
+    streamed, one at a time, through ``element_report``.
     """
     warnings = []
 
@@ -353,7 +371,14 @@ def global_estimates(
                 "delta_w": rep.delta_w,
             }
 
-    maxima = running_maxima(summaries(), weight_bound, _ESTIMATE_START)
+    if models.cancellative(desc):
+        from . import recurrence
+
+        rows = recurrence.estimate_rows(desc, weight_bound, budget, warnings,
+                                        _ESTIMATE_START)
+    else:
+        rows = summaries()
+    maxima = running_maxima(rows, weight_bound, _ESTIMATE_START)
     estimates = [
         GlobalEstimate(
             name=name,

@@ -587,11 +587,14 @@ def generator_atoms(desc: Numerical | Affine | Sumset) -> tuple[Element, ...]:
     """The atoms of a finitely generated model, in weight-then-lex order.
 
     Every member is a sum of generators, so every atom is a generator: the
-    atoms are the generators that are atoms dividing themselves, each read
-    off its own ``member_witness``.
+    atoms are the generators that are atoms dividing themselves. A
+    numerical model reads them all off the one ``member_witness`` of its
+    largest generator, whose mask holds every value below it; the others
+    read each off its own.
     """
+    one = isinstance(desc, Numerical) and member_witness(desc, max(desc.generators))
     atoms = [g for g in desc.generators
-             if g in witnessed_atoms(desc, g, member_witness(desc, g))]
+             if g in witnessed_atoms(desc, g, one or member_witness(desc, g))]
     return tuple(sorted(atoms, key=lambda u: element_sort_key(desc, u)))
 
 

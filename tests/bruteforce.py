@@ -11,7 +11,10 @@ both sides multiplied out, the chain invariants from explicit
 threshold-graph connectivity, and AAMP witnesses from every (shift,
 split) candidate in order, each checked by the definition checker
 ``aamp.verify_witness``. None of the enumeration or graph logic in the
-package is reused.
+package is reused, except by ``reference_global_estimates``: it folds the
+package's ``element_report`` (checked against the chain oracles here) over
+``invariants.fibers``, the reference for the global estimates that
+cancellative models read off the atom recurrence.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import functools
 import itertools
 from collections import Counter
 
-from factorlab import aamp, factor, models
+from factorlab import aamp, factor, invariants, models
 
 
 # ---------------------------------------------------------------------------
@@ -521,3 +524,40 @@ def brute_first_witness(L, d: int, M: int):
             if aamp.verify_witness(ls, d, M, w):
                 return w
     return None
+
+
+# ---------------------------------------------------------------------------
+# global estimates
+
+
+def reference_global_estimates(desc, weight_bound: int,
+                               budget: int = factor.DEFAULT_BUDGET):
+    """(estimates as (name, value, stabilized) triples, warnings): every
+    fiber of ``invariants.fibers`` through ``element_report``, folded into
+    running maxima here. A value is stabilized when it equals the maximum
+    over the members of weight at most half the bound."""
+    half = weight_bound // 2
+    final = {"delta_set": set(), "rho": 1, "c": 0, "c_eq": 0, "c_adj": 0,
+             "c_mon": 0, "delta": 0, "delta_w": 0}
+    at_half = {name: type(value)(value) for name, value in final.items()}
+    warnings = []
+    for el, fs in invariants.fibers(desc, weight_bound, budget):
+        if fs is None:
+            warnings.append(invariants.budget_warning(desc, el, budget))
+            continue
+        rep = invariants.element_report(fs)
+        values = {"delta_set": set(rep.lengths.delta()), "rho": rep.elasticity,
+                  "c": rep.c, "c_eq": rep.c_eq, "c_adj": rep.c_adj,
+                  "c_mon": rep.c_mon, "delta": rep.delta_elem,
+                  "delta_w": rep.delta_w}
+        for fold in (final, at_half) if models.weight(desc, el) <= half else (final,):
+            for name, value in values.items():
+                if name == "delta_set":
+                    fold[name] |= value
+                else:
+                    fold[name] = max(fold[name], value)
+    estimates = []
+    for name, value in final.items():
+        shown = tuple(sorted(value)) if name == "delta_set" else value
+        estimates.append((name, shown, value == at_half[name]))
+    return estimates, warnings

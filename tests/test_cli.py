@@ -319,6 +319,47 @@ def test_exit_three_on_budget(capsys, n23_path):
     assert "budget" in err
 
 
+def test_invariants_exits_three_on_a_table_past_the_limit(capsys, monkeypatch,
+                                                          n23_path):
+    """Z(24) of <2, 3> holds 5 factorizations: a 25-entry table."""
+    from factorlab import invariants
+
+    argv = ["invariants", "--monoid", n23_path, "--element", "24"]
+    monkeypatch.setattr(invariants, "TABLE_LIMIT", 24)
+    assert run(capsys, argv) == (3, "", "factorlab: distance table of 5 "
+                                 "factorizations has 25 entries, over the limit of 24\n")
+    monkeypatch.setattr(invariants, "TABLE_LIMIT", 25)
+    assert run(capsys, argv)[0] == 0
+
+
+def test_probe_growth_stops_with_a_warning_at_the_table_limit(capsys, monkeypatch,
+                                                              n23_path):
+    """Powers of 6 in <2, 3> have fibers of 2, 3, 4, ... factorizations."""
+    from factorlab import invariants
+
+    monkeypatch.setattr(invariants, "TABLE_LIMIT", 10)
+    doc = run_json(capsys, ["probe-growth", "--monoid", n23_path, "--family",
+                            "power", "--element", "6", "--n-max", "4"])
+    assert [row["n"] for row in doc["results"]["rows"]] == [1, 2]
+    assert doc["warnings"] == [{"element": 18, "error": "table-too-large",
+                                "factorizations": 4, "limit": 10}]
+    assert doc["results"]["stabilized"] is False
+
+
+def test_only_sumset_global_is_held_to_the_table_limit(capsys, monkeypatch, tmp_path,
+                                                      n23_path):
+    from factorlab import invariants
+
+    monkeypatch.setattr(invariants, "TABLE_LIMIT", 1)
+    sumset = tmp_path / "sumset.json"
+    sumset.write_text(json.dumps({"model": "sumset",
+                                  "generators": [[0, 1], [0, 2, 3]]}))
+    code, out, err = run(capsys, ["global", "--monoid", str(sumset), "--bound", "6"])
+    assert (code, out) == (3, "")
+    assert err.startswith("factorlab: distance table of ") and err.count("\n") == 1
+    assert run(capsys, ["global", "--monoid", n23_path, "--bound", "30"])[0] == 0
+
+
 def test_exit_four_on_failed_claim(capsys, monkeypatch, n23_path):
     def broken(args, desc):
         raise errors.AssertionFailure("forced failure", {"k": 1})
@@ -627,9 +668,11 @@ def loaded_after(code: str, modules) -> list[str]:
 
 SUBMODULES = tuple(f"factorlab.{name}" for name in (
     "aamp", "cache", "cli", "errors", "factor", "invariants", "models",
-    "relations"))
+    "recurrence", "relations"))
 SWEEP_UNUSED = ("factorlab.aamp", "factorlab.cache", "factorlab.relations")
-FIBER_UNUSED = ("factorlab.invariants", *SWEEP_UNUSED, "fractions")
+# Only the global estimates of a cancellative model run the recurrence module.
+NO_GLOBAL = SWEEP_UNUSED + ("factorlab.recurrence",)
+FIBER_UNUSED = ("factorlab.invariants", *NO_GLOBAL, "fractions")
 # The records are NamedTuples and plain classes: no command needs the
 # dataclass machinery, or the inspect, ast and dis modules it pulls in.
 NEVER_USED = ("dataclasses", "inspect")
@@ -651,10 +694,12 @@ def test_package_import_loads_no_submodule():
     (["global", "--bound", "12"], SWEEP_UNUSED),
     (["global", "--bound", "24", "--jobs", "2"],
      SWEEP_UNUSED + ("multiprocessing", "concurrent.futures.process")),
-    (["unions", "--bound", "12", "--k", "3"], SWEEP_UNUSED),
-    (["invariants", "--element", "12"], SWEEP_UNUSED),
-    (["structure-probe", "--bound", "12"], ("factorlab.relations",)),
-    (["relation-atoms", "--length-bound", "3"], ("factorlab.aamp",)),
+    (["unions", "--bound", "12", "--k", "3"], NO_GLOBAL),
+    (["invariants", "--element", "12"], NO_GLOBAL),
+    (["structure-probe", "--bound", "12"], ("factorlab.relations",
+                                            "factorlab.recurrence")),
+    (["relation-atoms", "--length-bound", "3"], ("factorlab.aamp",
+                                                 "factorlab.recurrence")),
 ], ids=["factorize", "atoms", "validate", "global", "global-jobs-2", "unions",
         "invariants", "structure-probe", "relation-atoms"])
 def test_a_command_loads_only_the_modules_it_runs(n23_path, argv, unused):

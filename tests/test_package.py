@@ -20,7 +20,7 @@ EXPORTS = {
     "cache": ["load_or_compute"],
     "errors": ["AssertionFailure", "BudgetExceeded", "ClosureViolation",
                "FactorlabError", "MalformedDescriptor", "NotAMember",
-               "ShapeMismatch", "TableMismatch"],
+               "ShapeMismatch", "TableMismatch", "TableTooLarge"],
     "factor": ["AtomTable", "DEFAULT_BUDGET", "FactorSet", "Factorization",
                "distance", "factorizations", "make_factorization"],
     "invariants": ["GlobalEstimate", "InvariantReport", "LengthSet",
@@ -45,7 +45,7 @@ SRC = pathlib.Path(factorlab.__file__).resolve().parent
 
 
 def test_all_lists_the_public_names():
-    assert len(PUBLIC) == 69
+    assert len(PUBLIC) == 70
     assert factorlab.__all__ == PUBLIC
 
 

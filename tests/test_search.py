@@ -245,3 +245,11 @@ def test_a_product_builds_each_slot_structure_once(mask_tops, monkeypatch, call)
          ((600, tuple(range(7))), ()))
     assert mask_tops == [(600,)]
     assert targets == [tuple(range(7))]
+
+
+def test_numerical_generators_share_one_member_mask(mask_tops):
+    """Every numerical generator's atoms are read off the one mask below the
+    largest generator, whatever the number of generators."""
+    desc = models.Numerical(generators=(100, 150, 250, 301, 399))
+    assert models.validate(desc).non_minimal_generators == [250]
+    assert mask_tops == [(399,)]
