@@ -22,11 +22,11 @@ _EXPORTS = {
     "errors": (
         "AssertionFailure", "BudgetExceeded", "ClosureViolation",
         "FactorlabError", "MalformedDescriptor", "NotAMember",
-        "ShapeMismatch", "TableMismatch", "TableTooLarge",
+        "ShapeMismatch", "TableTooLarge",
     ),
     "factor": (
-        "DEFAULT_BUDGET", "AtomTable", "FactorSet", "Factorization",
-        "distance", "factorizations", "make_factorization",
+        "DEFAULT_BUDGET", "FactorSet", "Factorization", "distance",
+        "factorizations",
     ),
     "invariants": (
         "GlobalEstimate", "InvariantReport", "LengthSet", "catenary",

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 # Each handler imports the invariants, aamp or relations module it calls,
@@ -245,7 +246,13 @@ def run_invariants(args, desc) -> Outcome:
     from . import invariants
 
     el = models.parse_element_literal(desc, args.element)
-    fs = factor.factorizations(desc, el, args.budget)
+    most = math.isqrt(invariants.TABLE_LIMIT)  # element_report refuses more
+    try:
+        fs = factor.factorizations(desc, el, min(args.budget, most))
+    except errors.BudgetExceeded:
+        if args.budget <= most:
+            raise
+        raise errors.TableTooLarge(None, invariants.TABLE_LIMIT) from None
     return desc, invariants.element_report(fs).to_json(desc), []
 
 

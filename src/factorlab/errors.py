@@ -1,5 +1,7 @@
 """Exception types shared across the workbench."""
 
+from math import isqrt
+
 
 class FactorlabError(Exception):
     """Base class for all workbench errors."""
@@ -31,10 +33,6 @@ class NotAMember(FactorlabError):
     """An element of the right shape that does not belong to the monoid."""
 
 
-class TableMismatch(FactorlabError):
-    """Factorizations from different atom tables were combined."""
-
-
 class BudgetExceeded(FactorlabError):
     """An enumeration grew past the configured cap.
 
@@ -47,13 +45,17 @@ class BudgetExceeded(FactorlabError):
 
 
 class TableTooLarge(FactorlabError):
-    """A fiber of n factorizations whose n x n distance table passes the limit."""
+    """A fiber of n factorizations whose n x n distance table passes the
+    limit; n is None when enumeration stopped past isqrt(limit) of them."""
 
-    def __init__(self, n: int, limit: int):
+    def __init__(self, n: int | None, limit: int):
         self.n = n
         self.limit = limit
-        super().__init__(f"distance table of {n} factorizations has {n * n} "
-                         f"entries, over the limit of {limit}")
+        super().__init__(
+            f"distance table of more than {isqrt(limit)} factorizations "
+            f"passes the limit of {limit} entries" if n is None else
+            f"distance table of {n} factorizations has {n * n} entries, "
+            f"over the limit of {limit}")
 
 
 class AssertionFailure(FactorlabError):

@@ -1,17 +1,18 @@
 """Factorization enumeration and the distance calculus.
 
 A factorization of a member a is a multiset of atoms whose product is a,
-stored as sorted (atom id, multiplicity) pairs against a per-element
-AtomTable. On the cancellative value models enumeration is a depth-first
-search over atoms in increasing id order, taking each atom's multiplicity
-in turn, so each multiset is produced exactly once. A table of the
-remainders that each suffix of the atoms can reach, computed per element
-before the search, keeps it out of every branch that cannot finish, so
-its work follows the size of the fiber. The table is a set of bit masks
-over the box below the element, closed by ``models.close_under``, the
-pass behind numerical and affine membership. A sumset element's fiber is
-its row of the atom recurrence (which every sweep runs) over the members
-contained in it. Product elements are factored one slot at a time.
+stored as its counts, sorted (atom id, multiplicity) pairs whose ids
+index the atoms of a's FactorSet. On the cancellative value models
+enumeration is a depth-first search over atoms in increasing id order,
+taking each atom's multiplicity in turn, so each multiset is produced
+exactly once. A table of the remainders that each suffix of the atoms
+can reach, computed per element before the search, keeps it out of
+every branch that cannot finish, so its work follows the size of the
+fiber. The table is a set of bit masks over the box below the element,
+closed by ``models.close_under``, the pass behind numerical and affine
+membership. A sumset element's fiber is its row of the atom recurrence
+(which every sweep runs) over the members contained in it. Product
+elements are factored one slot at a time.
 
 The distance between two factorizations of the same element removes the
 greatest common subfactorization and takes the larger remaining length:
@@ -31,25 +32,9 @@ from operator import and_, mul, sub
 from typing import NamedTuple
 
 from . import models
-from .errors import BudgetExceeded, TableMismatch
+from .errors import BudgetExceeded
 
 DEFAULT_BUDGET = 2_000_000
-
-_TOKENS = itertools.count()
-
-
-class AtomTable:
-    """Atoms dividing one element, ids dense in global atom order.
-
-    Each table takes a fresh token, which its factorizations carry, so a
-    table equals only itself.
-    """
-
-    def __init__(self, descriptor: models.MonoidDescriptor,
-                 atoms: tuple[models.Element, ...]):
-        self.descriptor = descriptor
-        self.atoms = atoms
-        self.token = next(_TOKENS)
 
 
 class Factorization(NamedTuple):
@@ -57,39 +42,10 @@ class Factorization(NamedTuple):
 
     counts: tuple[tuple[int, int], ...]
     length: int
-    table_token: int
-
-
-def make_factorization(table: AtomTable, pairs) -> Factorization:
-    """A Factorization from (atom id, multiplicity) pairs in any order.
-
-    Each pair is checked against the table and for a negative
-    multiplicity before pairs with the same id are merged: this is the
-    entry for pairs the searches did not produce.
-    """
-    merged: dict[int, int] = {}
-    for i, m in pairs:
-        if not 0 <= i < len(table.atoms):
-            raise IndexError(f"atom id {i} outside table")
-        if m < 0:
-            raise ValueError("negative multiplicity")
-        merged[i] = merged.get(i, 0) + m
-    counts = tuple(sorted((i, m) for i, m in merged.items() if m > 0))
-    return Factorization(
-        counts=counts,
-        length=sum(m for _, m in counts),
-        table_token=table.token,
-    )
-
-
-def _check_tables(x: Factorization, y: Factorization) -> None:
-    if x.table_token != y.table_token:
-        raise TableMismatch("factorizations come from different atom tables")
 
 
 # No caller in the package; kept because perfbench/trace_child.py wraps it.
 def distance(x: Factorization, y: Factorization) -> int:
-    _check_tables(x, y)
     xm, ym = dict(x.counts), dict(y.counts)
     left = sum(max(m - ym.get(i, 0), 0) for i, m in xm.items())
     right = sum(max(m - xm.get(i, 0), 0) for i, m in ym.items())
@@ -97,20 +53,21 @@ def distance(x: Factorization, y: Factorization) -> int:
 
 
 class FactorSet:
-    """The complete set Z(a) for one element, canonically ordered.
+    """The complete set Z(a) for one element, canonically ordered, and the
+    atoms dividing it, in global order, which the atom ids of Z(a) index.
 
     Factorizations are sorted by length, so each length fiber is one
     contiguous run of indices into `all`.
     """
 
     def __init__(self, descriptor: models.MonoidDescriptor,
-                 element: models.Element, table: AtomTable,
+                 element: models.Element, atoms: tuple[models.Element, ...],
                  all: tuple[Factorization, ...]):
         if any(x.length > y.length for x, y in zip(all, all[1:])):
             raise ValueError("factorizations must be sorted by length")
         self.descriptor = descriptor
         self.element = element
-        self.table = table
+        self.atoms = atoms
         self.all = all
 
     @functools.cached_property
@@ -213,11 +170,9 @@ def factor_set(desc: models.MonoidDescriptor, el, atoms, raw) -> FactorSet:
     with ids strictly increasing and multiplicities positive, the form the
     searches and the fiber stream produce, so no pair is merged or checked.
     """
-    table = AtomTable(desc, tuple(atoms))
-    token = table.token
     keyed = sorted((sum(m for _, m in z), tuple(z)) for z in raw)
-    sols = tuple(Factorization(counts, length, token) for length, counts in keyed)
-    return FactorSet(descriptor=desc, element=el, table=table, all=sols)
+    sols = tuple(Factorization(counts, length) for length, counts in keyed)
+    return FactorSet(descriptor=desc, element=el, atoms=tuple(atoms), all=sols)
 
 
 def _enumerate_value(desc, el, atoms, budget):
@@ -374,7 +329,7 @@ def product_fiber(desc: models.Product, el, parts, budget: int) -> FactorSet:
     if math.prod(len(p.all) for p in parts) > budget:
         raise BudgetExceeded(budget)
     slot_atoms = [
-        [models.embed_component(desc, i, u) for u in p.table.atoms]
+        [models.embed_component(desc, i, u) for u in p.atoms]
         for i, p in enumerate(parts)
     ]
     free_atoms = [
@@ -404,7 +359,7 @@ def factor_set_to_json(fs: FactorSet) -> dict:
     desc = fs.descriptor
     return {
         "element": models.element_to_json(desc, fs.element),
-        "atoms": [models.element_to_json(desc, u) for u in fs.table.atoms],
+        "atoms": [models.element_to_json(desc, u) for u in fs.atoms],
         "factorizations": [
             {"counts": [[i, m] for i, m in z.counts], "length": z.length}
             for z in fs.all

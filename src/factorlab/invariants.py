@@ -271,8 +271,10 @@ def sweep(
         yield el, mask, count, fs
 
 
-def _bits(mask: int) -> tuple[int, ...]:
-    return tuple(k for k in range(mask.bit_length()) if mask >> k & 1)
+def mask_lengths(mask: int) -> tuple[int, ...]:
+    """The lengths in a length mask (bit k set for each length k), in order."""
+    size = mask.bit_length()
+    return tuple(itertools.compress(range(size), models.byte_table(mask, size)))
 
 
 def fibers(desc: models.MonoidDescriptor, weight_bound: int,
@@ -416,7 +418,7 @@ def length_table(
     the rows of ``sweep`` without fibers."""
     return [
         LengthRow(el, None, None) if count is None
-        else LengthRow(el, LengthSet(_bits(mask)), count)
+        else LengthRow(el, LengthSet(mask_lengths(mask)), count)
         for el, mask, count, _ in sweep(desc, weight_bound, budget, False)
     ]
 

@@ -133,9 +133,8 @@ def estimate_rows(desc, weight_bound: int, budget: int, warnings: list, start: d
     members = invariants.enumerate_elements(desc, weight_bound)
     atoms, masks, counts, raw, below = factor._atom_recurrence(desc, members, budget)
     lows = [(m & -m).bit_length() - 1 for m in masks]
-    kept = [invariants.LengthSet(tuple(itertools.compress(range(lo, m.bit_length()),
-            models.byte_table(m >> lo, m.bit_length() - lo)))) if n <= budget else None
-            for m, n, lo in zip(masks, counts, lows)]
+    kept = [invariants.LengthSet(invariants.mask_lengths(m)) if n <= budget else None
+            for m, n in zip(masks, counts)]
     last = {a: i for i, parents in enumerate(below) for a in parents.values()}
     atom_weights = [models.weight(desc, members[u]) for u in atoms]
     top = max((ls.lengths[-1] for ls in kept if ls), default=0)

@@ -26,28 +26,28 @@ Profile = frozenset
 
 
 class RelationPair(NamedTuple):
+    """Two factorizations of one element over its FactorSet's atoms."""
+
     element: models.Element
     left: factor.Factorization
     right: factor.Factorization
-    table: factor.AtomTable
+    atoms: tuple[models.Element, ...]
 
     @property
     def equal_length(self) -> bool:
         return self.left.length == self.right.length
 
     def profile(self):
-        """Table-independent identity: element plus atom multisets."""
+        """Identity independent of atom ids: element plus atom multisets."""
         def side(z):
-            return Profile(
-                (self.table.atoms[i], m) for i, m in z.counts
-            )
+            return Profile((self.atoms[i], m) for i, m in z.counts)
 
         return (self.element, side(self.left), side(self.right))
 
     def to_json(self, desc: models.MonoidDescriptor) -> dict:
         def side(z):
             return [
-                [models.element_to_json(desc, self.table.atoms[i]), m]
+                [models.element_to_json(desc, self.atoms[i]), m]
                 for i, m in z.counts
             ]
 
@@ -101,7 +101,7 @@ def enumerate_equal_length_relations(
     if weight_bound is None:
         weight_bound = _default_weight_bound(desc, length_bound)
     pairs = [
-        RelationPair(element=el, left=x, right=y, table=fs.table)
+        RelationPair(element=el, left=x, right=y, atoms=fs.atoms)
         for el, fs, zs in _length_fibers(desc, length_bound, weight_bound, budget)
         for x, y in itertools.combinations_with_replacement(zs, 2)
     ]
@@ -141,7 +141,7 @@ def is_relation_atom(desc: models.MonoidDescriptor, pair: RelationPair) -> bool:
     x, y = pair.left, pair.right
     if x.length != y.length or x.length < 1:
         return False
-    sx, sy = (_splits(desc, pair.table.atoms, z) for z in (x, y))
+    sx, sy = (_splits(desc, pair.atoms, z) for z in (x, y))
     return not _splits_apart(sx, sy, x.length)
 
 
@@ -164,10 +164,10 @@ def relation_atoms(
     for el, fs, zs in _length_fibers(desc, length_bound, weight_bound, budget):
         if len(zs) < 2:
             continue
-        splits = [_splits(desc, fs.table.atoms, z) for z in zs]
+        splits = [_splits(desc, fs.atoms, z) for z in zs]
         for (x, sx), (y, sy) in itertools.combinations(zip(zs, splits), 2):
             if not _splits_apart(sx, sy, x.length):
-                found.append(RelationPair(element=el, left=x, right=y, table=fs.table))
+                found.append(RelationPair(element=el, left=x, right=y, atoms=fs.atoms))
     return found, {"lengthBound": length_bound, "weightBound": weight_bound}
 
 

@@ -211,14 +211,7 @@ def brute_factorizations(desc: models.MonoidDescriptor, a) -> set:
 
 
 def factor_set_as_multisets(fs: factor.FactorSet) -> set:
-    out = set()
-    for z in fs.all:
-        out.add(
-            tuple(
-                sorted((fs.table.atoms[i], m) for i, m in z.counts)
-            )
-        )
-    return out
+    return {tuple(sorted((fs.atoms[i], m) for i, m in z.counts)) for z in fs.all}
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +236,7 @@ def brute_is_relation_atom(desc: models.MonoidDescriptor, pair) -> bool:
     x, y = pair.left, pair.right
     if x.length != y.length or x.length < 1:
         return False
-    atoms = pair.table.atoms
+    atoms = pair.atoms
 
     def splits(z):
         return {(k, models.product_of(desc, atoms, taken),

@@ -326,10 +326,32 @@ def test_invariants_exits_three_on_a_table_past_the_limit(capsys, monkeypatch,
 
     argv = ["invariants", "--monoid", n23_path, "--element", "24"]
     monkeypatch.setattr(invariants, "TABLE_LIMIT", 24)
-    assert run(capsys, argv) == (3, "", "factorlab: distance table of 5 "
-                                 "factorizations has 25 entries, over the limit of 24\n")
+    assert run(capsys, argv) == (3, "", "factorlab: distance table of more than 4 "
+                                 "factorizations passes the limit of 24 entries\n")
     monkeypatch.setattr(invariants, "TABLE_LIMIT", 25)
     assert run(capsys, argv)[0] == 0
+
+
+def test_invariants_enumerates_no_further_than_the_table_limit(capsys, monkeypatch,
+                                                              n23_path):
+    """At TABLE_LIMIT 24 the fiber is enumerated to isqrt(24) = 4
+    factorizations at most; a smaller budget still stops it first."""
+    from factorlab import invariants
+
+    budgets = []
+    enumerate_fiber = factor.factorizations
+
+    def spy(desc, el, budget):
+        budgets.append(budget)
+        return enumerate_fiber(desc, el, budget)
+
+    monkeypatch.setattr(factor, "factorizations", spy)
+    monkeypatch.setattr(invariants, "TABLE_LIMIT", 24)
+    argv = ["invariants", "--monoid", n23_path, "--element", "24"]
+    assert run(capsys, argv)[0] == 3
+    assert run(capsys, argv + ["--budget", "3"]) == (
+        3, "", "factorlab: enumeration budget 3 exhausted\n")
+    assert budgets == [4, 3]
 
 
 def test_probe_growth_stops_with_a_warning_at_the_table_limit(capsys, monkeypatch,

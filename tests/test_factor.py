@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 
 import bruteforce
 from factorlab import (
-    AtomTable,
     BudgetExceeded,
+    Factorization,
     NotAMember,
-    TableMismatch,
     distance,
     factorizations,
-    make_factorization,
 )
 from factorlab import models
 from test_models import AFF, FP21, FP22, N23, PROD, SUM
@@ -68,7 +66,7 @@ def test_product_fiber_combines_components():
     assert fs.lengths == (7, 8)
     assert len(fs.all) == 2
     for z in fs.all:
-        assert models.product_of(fs.descriptor, fs.table.atoms, z.counts) == el
+        assert models.product_of(fs.descriptor, fs.atoms, z.counts) == el
 
 
 def test_product_distance_subadditive_over_components():
@@ -77,18 +75,18 @@ def test_product_distance_subadditive_over_components():
         f1 = factorizations(N23, raw1)
         f2 = factorizations(FP21, raw2)
         fs = factorizations(desc, ((f1.element, f2.element), ()))
-        index = {u: i for i, u in enumerate(fs.table.atoms)}
+        index = {u: i for i, u in enumerate(fs.atoms)}
 
         def embed(z1, z2):
             pairs = [
-                (index[models.embed_component(desc, 0, f1.table.atoms[j])], m)
+                (index[models.embed_component(desc, 0, f1.atoms[j])], m)
                 for j, m in z1.counts
             ]
             pairs += [
-                (index[models.embed_component(desc, 1, f2.table.atoms[j])], m)
+                (index[models.embed_component(desc, 1, f2.atoms[j])], m)
                 for j, m in z2.counts
             ]
-            return make_factorization(fs.table, pairs)
+            return _z(pairs)
 
         combos = {embed(z1, z2) for z1 in f1.all for z2 in f2.all}
         assert combos == set(fs.all)
@@ -149,26 +147,26 @@ def test_pi_recovers_element_everywhere():
         for el in bruteforce.brute_members(desc, bound):
             fs = factorizations(desc, el)
             for z in fs.all:
-                assert models.product_of(desc, fs.table.atoms, z.counts) == el
+                assert models.product_of(desc, fs.atoms, z.counts) == el
 
 
 # ---------------------------------------------------------------------------
 # distances
 
 
-def _table():
-    return AtomTable(descriptor=N23, atoms=(2, 3))
-
-
-def _z(table, pairs):
-    return make_factorization(table, pairs)
+def _z(pairs):
+    """The Factorization of (atom id, multiplicity) pairs in any order."""
+    merged: dict = {}
+    for i, m in pairs:
+        merged[i] = merged.get(i, 0) + m
+    counts = tuple(sorted(merged.items()))
+    return Factorization(counts, sum(m for _, m in counts))
 
 
 def test_distance_hand_values():
-    t = _table()
-    a = _z(t, [(0, 6)])
-    b = _z(t, [(1, 4)])
-    c = _z(t, [(0, 3), (1, 2)])
+    a = _z([(0, 6)])
+    b = _z([(1, 4)])
+    c = _z([(0, 3), (1, 2)])
     assert distance(a, b) == 6
     assert distance(a, c) == 3
     assert distance(b, c) == 3
@@ -177,9 +175,8 @@ def test_distance_hand_values():
 
 def test_gcd_factorizations():
     """d(a, b) = max(|a|, |b|) - |gcd(a, b)|."""
-    t = _table()
-    a = _z(t, [(0, 5), (1, 1)])
-    b = _z(t, [(0, 2), (1, 3)])
+    a = _z([(0, 5), (1, 1)])
+    b = _z([(0, 2), (1, 3)])
     g = bruteforce.brute_gcd(a.counts, b.counts)
     assert g == {0: 2, 1: 1}
     assert distance(a, b) == max(a.length, b.length) - sum(g.values()) == 3
@@ -195,15 +192,6 @@ def test_set_distance_and_dist_sup():
     assert bruteforce.brute_set_distance(z4, z4) == 0
 
 
-def test_table_mismatch_is_rejected():
-    t1 = _table()
-    t2 = AtomTable(descriptor=N23, atoms=(2, 3))
-    a = _z(t1, [(0, 1)])
-    b = _z(t2, [(0, 1)])
-    with pytest.raises(TableMismatch):
-        distance(a, b)
-
-
 counts_strategy = st.lists(
     st.tuples(st.integers(min_value=0, max_value=5),
               st.integers(min_value=1, max_value=6)),
@@ -214,8 +202,7 @@ counts_strategy = st.lists(
 @given(counts_strategy, counts_strategy, counts_strategy)
 @settings(max_examples=120)
 def test_distance_metric_axioms(p1, p2, p3):
-    t = AtomTable(descriptor=N23, atoms=(2, 3, 4, 5, 6, 7))
-    z1, z2, z3 = (_z(t, p) for p in (p1, p2, p3))
+    z1, z2, z3 = (_z(p) for p in (p1, p2, p3))
     assert distance(z1, z2) == distance(z2, z1)
     assert (distance(z1, z2) == 0) == (z1 == z2)
     assert distance(z1, z3) <= distance(z1, z2) + distance(z2, z3)
@@ -224,8 +211,7 @@ def test_distance_metric_axioms(p1, p2, p3):
 @given(counts_strategy, counts_strategy)
 @settings(max_examples=120)
 def test_distance_matches_bruteforce(p1, p2):
-    t = AtomTable(descriptor=N23, atoms=(2, 3, 4, 5, 6, 7))
-    z1, z2 = _z(t, p1), _z(t, p2)
+    z1, z2 = _z(p1), _z(p2)
     assert distance(z1, z2) == bruteforce.brute_distance(z1.counts, z2.counts)
 
 
@@ -247,3 +233,14 @@ def test_order_is_deterministic():
     assert [z.counts for z in first.all] == [z.counts for z in second.all]
     lengths = [z.length for z in first.all]
     assert lengths == sorted(lengths)
+
+
+def test_two_enumerations_of_an_element_are_equal():
+    """A factorization is its counts and length, against the atoms of its
+    FactorSet, so enumerating one element twice gives equal fibers."""
+    for desc, el in [(N23, 12), (AFF, (3, 3)), (FP22, (4, 4)),
+                     (SUM, (0, 1, 2, 3, 4)),
+                     (PROD, models.canon(PROD, ((6, (2, 2)), (3,))))]:
+        first, second = factorizations(desc, el), factorizations(desc, el)
+        assert first.atoms == second.atoms
+        assert first.all == second.all

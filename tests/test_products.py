@@ -28,7 +28,7 @@ def report(desc, el):
 
 def multisets(fs, embed=lambda u: u):
     """Z(a) as frozensets of (atom, multiplicity), atoms passed through embed."""
-    return {frozenset((embed(fs.table.atoms[j]), m) for j, m in z.counts)
+    return {frozenset((embed(fs.atoms[j]), m) for j, m in z.counts)
             for z in fs.all}
 
 

@@ -1,7 +1,6 @@
 """Record types: reprs, immutability, hashing, validation, pickling.
 
-``k in length_set`` and the distinct tokens of two equal atom tables are
-pinned by test_invariants and test_factor.
+``k in length_set`` is pinned by test_invariants.
 """
 
 import pickle
@@ -9,15 +8,14 @@ import pickle
 import pytest
 
 from factorlab import (
-    AtomTable,
     FactorSet,
+    Factorization,
     Numerical,
     Pattern,
     descriptor_from_json,
     descriptor_to_json,
     factorizations,
     length_set,
-    make_factorization,
 )
 from test_models import FP22, N23, PROD
 
@@ -47,11 +45,9 @@ def test_descriptors_are_dict_keys():
 
 
 def test_factor_set_rejects_an_unsorted_list():
-    table = AtomTable(descriptor=N23, atoms=(2, 3))
-    long, short = (make_factorization(table, [(0, 3)]),
-                   make_factorization(table, [(1, 2)]))
+    long, short = Factorization(((0, 3),), 3), Factorization(((1, 2),), 2)
     with pytest.raises(ValueError, match="sorted by length"):
-        FactorSet(descriptor=N23, element=6, table=table, all=(long, short))
+        FactorSet(descriptor=N23, element=6, atoms=(2, 3), all=(long, short))
 
 
 @pytest.mark.parametrize("desc,element", [(N23, 30), (FP22, (5, 4)),
@@ -63,8 +59,7 @@ def test_factor_set_pickles_with_its_distance_table(desc, element):
     back = pickle.loads(pickle.dumps(fs))
     assert back.descriptor == desc
     assert back.element == fs.element
-    assert back.table.atoms == fs.table.atoms
-    assert back.table.token == fs.table.token
+    assert back.atoms == fs.atoms
     assert back.all == fs.all
     assert back.distance_table == table
     assert back.spans == fs.spans

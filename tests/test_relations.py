@@ -66,9 +66,10 @@ def test_affine_square_swap_is_a_relation_atom():
 
 
 def doubled(desc, pair):
-    """The square of a pair, on the pair's own atom table."""
+    """The square of a pair, over the pair's own atoms."""
     def twice(z):
-        return factor.make_factorization(pair.table, ((i, 2 * m) for i, m in z.counts))
+        return factor.Factorization(tuple((i, 2 * m) for i, m in z.counts),
+                                    2 * z.length)
 
     return pair._replace(element=models.multiply(desc, pair.element, pair.element),
                          left=twice(pair.left), right=twice(pair.right))

@@ -132,12 +132,12 @@ def test_recurrence_atoms_are_the_atoms(desc, bound):
 @given(SUMSETS, st.integers(0, 9))
 def test_sumset_fibers_are_recurrence_rows_that_match_the_oracle(desc, bound):
     """A sumset fiber is one row of the atom recurrence: Z(a), over the
-    table of the atoms dividing a, overflowing exactly past |Z(a)|."""
+    atoms dividing a, overflowing exactly past |Z(a)|."""
     for el in bruteforce.brute_members(desc, bound):
         fs = factor.factorizations(desc, el)
         assert bruteforce.factor_set_as_multisets(fs) == \
             bruteforce.brute_factorizations(desc, el), el
-        assert list(fs.table.atoms) == models.atoms_dividing(desc, el)
+        assert list(fs.atoms) == models.atoms_dividing(desc, el)
         assert len(factor.factorizations(desc, el, budget=len(fs.all)).all) == len(fs.all)
         with pytest.raises(BudgetExceeded):
             factor.factorizations(desc, el, budget=len(fs.all) - 1)
