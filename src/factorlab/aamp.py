@@ -124,13 +124,18 @@ def least_fit(
 ) -> tuple[int, AAMPWitness]:
     """Least M such that L is an AAMP with difference d, and ``is_aamp``'s
     witness at M: the least need over the shifts, each with its longest
-    split (at most max L - min L)."""
+    split (at most max L - min L). The need of shift y is at least
+    y - min L, so the scan stops at the first shift that cannot do better."""
     ls = _as_sorted(L)
     if not ls:
         raise ValueError("empty set has no AAMP structure")
     if d < 1:
         raise ValueError("difference must be positive")
-    best = min(max(y - ls[0], ls[-1] - y - _fit(ls, d, y)[1][-1]) for y in ls)
+    best = ls[-1] - ls[0]
+    for y in ls:
+        if y - ls[0] >= best:
+            break
+        best = min(best, max(y - ls[0], ls[-1] - y - _fit(ls, d, y)[1][-1]))
     witness = is_aamp(ls, d, best)
     if witness is None:
         raise AssertionError(f"no witness at the least bound {best}")
@@ -155,7 +160,7 @@ def structure_probe(
     """Minimal AAMP bound per element and its running maximum M*.
 
     Candidate differences default to 1 plus the smallest gap seen in the
-    sweep. M* is flagged stabilized when it stopped changing over the
+    length table. M* is flagged stabilized when it stopped changing over the
     top half of the weight range.
     """
     table = invariants.length_table(desc, weight_bound, budget)

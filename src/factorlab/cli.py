@@ -242,17 +242,25 @@ def run_factorize(args, desc) -> Outcome:
     return desc, results, []
 
 
+def _report_fiber(desc, el, budget: int) -> factor.FactorSet:
+    """Z(el) enumerated to at most the isqrt(TABLE_LIMIT) factorizations
+    ``element_report`` accepts; TableTooLarge when that cap stops it."""
+    from . import invariants
+
+    most = math.isqrt(invariants.TABLE_LIMIT)
+    try:
+        return factor.factorizations(desc, el, min(budget, most))
+    except errors.BudgetExceeded:
+        if budget <= most:
+            raise
+        raise errors.TableTooLarge(None, invariants.TABLE_LIMIT) from None
+
+
 def run_invariants(args, desc) -> Outcome:
     from . import invariants
 
     el = models.parse_element_literal(desc, args.element)
-    most = math.isqrt(invariants.TABLE_LIMIT)  # element_report refuses more
-    try:
-        fs = factor.factorizations(desc, el, min(args.budget, most))
-    except errors.BudgetExceeded:
-        if args.budget <= most:
-            raise
-        raise errors.TableTooLarge(None, invariants.TABLE_LIMIT) from None
+    fs = _report_fiber(desc, el, args.budget)
     return desc, invariants.element_report(fs).to_json(desc), []
 
 
@@ -388,7 +396,7 @@ def run_probe_growth(args, desc) -> Outcome:
     for n in range(1, args.n_max + 1):
         current = models.multiply(desc, current, base)
         try:
-            fs = factor.factorizations(desc, current, args.budget)
+            fs = _report_fiber(desc, current, args.budget)
             report = invariants.element_report(fs).to_json(desc)
         except errors.BudgetExceeded as exc:
             warnings.append(invariants.budget_warning(desc, current, exc.limit))

@@ -10,9 +10,9 @@ can reach, computed per element before the search, keeps it out of
 every branch that cannot finish, so its work follows the size of the
 fiber. The table is a set of bit masks over the box below the element,
 closed by ``models.close_under``, the pass behind numerical and affine
-membership. A sumset element's fiber is its row of the atom recurrence
-(which every sweep runs) over the members contained in it. Product
-elements are factored one slot at a time.
+membership. A sumset element's fiber is its row of ``atom_recurrence``
+over the members contained in it. Product elements are factored one slot
+at a time.
 
 The distance between two factorizations of the same element removes the
 greatest common subfactorization and takes the larger remaining length:
@@ -154,10 +154,10 @@ def _base_fiber(desc, el, witness, budget: int) -> FactorSet:
         # than el and contained in it: el's row of the recurrence is Z(el).
         members = sorted(witness, key=lambda u: models.element_sort_key(desc, u))
         members = members[:members.index(el) + 1]
-        atoms, _, counts, zs, _ = _atom_recurrence(desc, members, budget)
+        atoms, _, counts, zs, _ = atom_recurrence(desc, members, budget)
         if counts[-1] > budget:
             raise BudgetExceeded(budget)
-        return _recurrence_fiber(desc, el, members, atoms, zs[-1])
+        return recurrence_fiber(desc, el, members, atoms, zs[-1])
     atoms = models.witnessed_atoms(desc, el, witness)
     return factor_set(desc, el, atoms, _enumerate_value(desc, el, atoms, budget))
 
@@ -223,27 +223,7 @@ def _enumerate_value(desc, el, atoms, budget):
     return sols
 
 
-# The row of a member with more factorizations than the budget allows.
-OVERFLOW = (0, None, None)
-
-
-def recurrence_rows(desc, members: list, budget: int, fibers: bool):
-    """(length mask, |Z(a)|, Z(a) if ``fibers`` else None) for each a of
-    any model's members from one ``_atom_recurrence``, or OVERFLOW past
-    the budget."""
-    atoms, masks, counts, raw, _ = _atom_recurrence(
-        desc, members, budget if fibers else None)
-    for i, el in enumerate(members):
-        if counts[i] > budget:
-            yield OVERFLOW
-        elif not fibers:
-            yield masks[i], counts[i], None
-        else:
-            zs, raw[i] = raw[i], None
-            yield masks[i], counts[i], _recurrence_fiber(desc, el, members, atoms, zs)
-
-
-def _recurrence_fiber(desc, el, members: list, atoms: list, zs) -> FactorSet:
+def recurrence_fiber(desc, el, members: list, atoms: list, zs) -> FactorSet:
     """Z(el) from its recurrence row, over the atoms it uses in order."""
     ids = sorted({k for z in zs for k, _ in z})
     local = {k: n for n, k in enumerate(ids)}
@@ -251,7 +231,7 @@ def _recurrence_fiber(desc, el, members: list, atoms: list, zs) -> FactorSet:
                       [[(local[k], m) for k, m in z] for z in zs])
 
 
-def _atom_recurrence(desc, members: list, budget: int | None = None):
+def atom_recurrence(desc, members: list, budget: int | None = None):
     """The atom recurrence over any model's members, in weight order
     (Barron, O'Neill and Pelayo; García-Sánchez, O'Neill and Webb for
     affine semigroups).

@@ -19,19 +19,19 @@ one-sided sup distance, which yield the adjacent-length degree, the
 successive distance and its weak form. The monotone catenary degree is
 the larger of the equal-length and adjacent-length degrees.
 
-Every question about the members below a weight bound reads one run of
-the atom recurrence of ``factor`` over them, listed once, so a member
-overflows the budget exactly when enumerating it would. Equal-length
-relations and the global estimates of sumsets take its fibers
-(``fibers``), length-set questions (structure probes, unions of length
-sets) its length sets and counts (``length_table``); both come through
-``sweep``. The global estimates of every cancellative model, products
-included, read its length masks, each member's predecessors a - u and
-its raw fibers in ``recurrence``: c and c_eq from the R-classes of the
-atoms dividing each member, c_adj and delta_w from a gcd-length
-recurrence between length pairs, delta from adjacent length blocks of
-the fiber, with no distance table. Sumsets are not cancellative, so
-their estimates keep the fold of ``element_report`` over the fibers.
+Every question about the members below a weight bound lists them once
+with ``enumerate_elements`` and reads one run of ``factor.atom_recurrence``
+over them, so a member overflows the budget exactly when enumerating it
+would. Equal-length relations and the global estimates of sumsets take
+its fibers (``fibers``), length-set questions (structure probes, unions
+of length sets) only its length masks and counts (``length_table``).
+The global estimates of every cancellative model, products included,
+read its length masks, each member's predecessors a - u and its raw
+fibers in ``recurrence``: c and c_eq from the R-classes of the atoms
+dividing each member, c_adj and delta_w from a gcd-length recurrence
+between length pairs, delta from adjacent length blocks of the fiber,
+with no distance table. Sumsets are not cancellative, so their
+estimates keep the fold of ``element_report`` over the fibers.
 ``element_report`` refuses a fiber whose table would pass TABLE_LIMIT.
 """
 
@@ -246,31 +246,6 @@ def enumerate_elements(
     return out
 
 
-# ---------------------------------------------------------------------------
-# the sweep
-
-
-def sweep(
-    desc: models.MonoidDescriptor,
-    weight_bound: int,
-    budget: int,
-    fibers: bool,
-):
-    """Yield (member, length mask, |Z(member)|, Z(member)) in weight order.
-
-    Bit k of the mask is set when k is a length. A member overflows, and
-    comes as (member, 0, None, None), exactly when factor.factorizations
-    would raise BudgetExceeded for it at this budget. Otherwise Z(member)
-    is what factor.factorizations returns when ``fibers`` is set, built
-    when its member is reached, and None when it is not. Every model takes
-    its rows from the one atom recurrence, in this process.
-    """
-    members = enumerate_elements(desc, weight_bound)
-    rows = factor.recurrence_rows(desc, members, budget, fibers)
-    for el, (mask, count, fs) in zip(members, rows):
-        yield el, mask, count, fs
-
-
 def mask_lengths(mask: int) -> tuple[int, ...]:
     """The lengths in a length mask (bit k set for each length k), in order."""
     size = mask.bit_length()
@@ -279,8 +254,15 @@ def mask_lengths(mask: int) -> tuple[int, ...]:
 
 def fibers(desc: models.MonoidDescriptor, weight_bound: int,
            budget: int = factor.DEFAULT_BUDGET):
-    """(member, Z(member)) in weight order, None on overflow: ``sweep``'s fibers."""
-    return ((el, fs) for el, _, _, fs in sweep(desc, weight_bound, budget, True))
+    """(member, Z(member)) in weight order from one ``factor.atom_recurrence``,
+    None where factor.factorizations would raise BudgetExceeded; each fiber
+    is built, and its raw row freed, when its member is reached."""
+    members = enumerate_elements(desc, weight_bound)
+    atoms, _, counts, raw, _ = factor.atom_recurrence(desc, members, budget)
+    for i, el in enumerate(members):
+        zs, raw[i] = raw[i], None
+        yield el, (None if counts[i] > budget
+                   else factor.recurrence_fiber(desc, el, members, atoms, zs))
 
 
 # ---------------------------------------------------------------------------
@@ -414,12 +396,14 @@ def length_table(
     weight_bound: int,
     budget: int = factor.DEFAULT_BUDGET,
 ) -> list[LengthRow]:
-    """Every member of weight <= bound with its length set, in weight order:
-    the rows of ``sweep`` without fibers."""
+    """Every member of weight <= bound with its length set, in weight order,
+    from the masks and counts of one fiberless ``factor.atom_recurrence``."""
+    members = enumerate_elements(desc, weight_bound)
+    _, masks, counts, _, _ = factor.atom_recurrence(desc, members)
     return [
-        LengthRow(el, None, None) if count is None
+        LengthRow(el, None, None) if count > budget
         else LengthRow(el, LengthSet(mask_lengths(mask)), count)
-        for el, mask, count, _ in sweep(desc, weight_bound, budget, False)
+        for el, mask, count in zip(members, masks, counts)
     ]
 
 

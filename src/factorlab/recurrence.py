@@ -3,7 +3,7 @@
 ``invariants.global_estimates`` folds running maxima of element invariants
 over the members below a weight bound. On a cancellative model (every
 model but sumsets, products with a sumset slot included) this module
-gives those maxima from one run of ``factor._atom_recurrence``, its length
+gives those maxima from one run of ``factor.atom_recurrence``, its length
 masks L(a), below[a] = {k: a - u_k for each atom u_k dividing a} and raw
 fibers, with no FactorSet, distance table or spanning tree:
 
@@ -131,7 +131,7 @@ def estimate_rows(desc, weight_bound: int, budget: int, warnings: list, start: d
     weight order, each holding the values that raise the maxima so far; a
     budget warning per member past the budget goes to ``warnings``."""
     members = invariants.enumerate_elements(desc, weight_bound)
-    atoms, masks, counts, raw, below = factor._atom_recurrence(desc, members, budget)
+    atoms, masks, counts, raw, below = factor.atom_recurrence(desc, members, budget)
     lows = [(m & -m).bit_length() - 1 for m in masks]
     kept = [invariants.LengthSet(invariants.mask_lengths(m)) if n <= budget else None
             for m, n in zip(masks, counts)]

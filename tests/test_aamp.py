@@ -58,6 +58,23 @@ def test_minimal_bound_never_exceeds_span():
                 assert is_aamp(values, d, m - 1) is None
 
 
+def test_least_fit_stops_at_the_first_shift_that_cannot_do_better(monkeypatch):
+    """A 50-term progression needs 0 at its least shift, and every later
+    shift y needs at least y - min L > 0: one fit to find the bound, one
+    for ``is_aamp``'s witness."""
+    fits = []
+    fit = aamp._fit
+
+    def spy(ls, d, y):
+        fits.append(y)
+        return fit(ls, d, y)
+
+    monkeypatch.setattr(aamp, "_fit", spy)
+    values = range(7, 7 + 3 * 50, 3)
+    assert aamp.least_fit(values, 3)[0] == 0
+    assert len(fits) <= 2
+
+
 def test_rejects_bad_inputs():
     with pytest.raises(ValueError):
         is_aamp((), 2, 0)

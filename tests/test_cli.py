@@ -364,8 +364,33 @@ def test_probe_growth_stops_with_a_warning_at_the_table_limit(capsys, monkeypatc
                             "power", "--element", "6", "--n-max", "4"])
     assert [row["n"] for row in doc["results"]["rows"]] == [1, 2]
     assert doc["warnings"] == [{"element": 18, "error": "table-too-large",
-                                "factorizations": 4, "limit": 10}]
+                                "factorizations": None, "limit": 10}]
     assert doc["results"]["stabilized"] is False
+
+
+def test_probe_growth_enumerates_no_further_than_the_table_limit(capsys, monkeypatch,
+                                                                n23_path):
+    """At TABLE_LIMIT 10 each power of 6 is enumerated to isqrt(10) = 3
+    factorizations at most; a smaller budget still stops it first."""
+    from factorlab import invariants
+
+    budgets = []
+    enumerate_fiber = factor.factorizations
+
+    def spy(desc, el, budget):
+        budgets.append(budget)
+        return enumerate_fiber(desc, el, budget)
+
+    monkeypatch.setattr(factor, "factorizations", spy)
+    monkeypatch.setattr(invariants, "TABLE_LIMIT", 10)
+    argv = ["probe-growth", "--monoid", n23_path, "--family", "power",
+            "--element", "6", "--n-max", "4"]
+    assert run_json(capsys, argv)["warnings"][0]["error"] == "table-too-large"
+    assert budgets == [3, 3, 3]
+    budgets.clear()
+    assert run_json(capsys, argv + ["--budget", "2"])["warnings"] == [
+        {"element": 12, "error": "budget-exceeded", "budget": 2}]
+    assert budgets == [2, 2]
 
 
 def test_only_sumset_global_is_held_to_the_table_limit(capsys, monkeypatch, tmp_path,

@@ -53,7 +53,7 @@ def test_recurrence_set_distances_are_the_pair_tables(desc, bound):
     """d(Z_k, Z_l) = (l - k) + T(a; k, l - k) for every member a and every
     pair of its lengths k < l, T from the parents' gap tables."""
     members = invariants.enumerate_elements(desc, bound)
-    _, masks, _, _, below = factor._atom_recurrence(
+    _, masks, _, _, below = factor.atom_recurrence(
         desc, members, factor.DEFAULT_BUDGET)
     top = max(m.bit_length() for m in masks) - 1
     gap_tables = recurrence._GapTables(top)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bruteforce
-from factorlab import factor, invariants, models
+from factorlab import aamp, factor, invariants, models
 from factorlab.errors import BudgetExceeded
 from test_models import (AFF, FP21, FP22, N23, PROD, SUM, SUMSETS, affine_models,
                          products)
@@ -94,3 +94,20 @@ def test_budget_boundary_of_one_element():
                             "budget": n - 1}
     with pytest.raises(BudgetExceeded):
         factor.factorizations(N23, 12, n - 1)
+
+
+def test_length_questions_build_no_fiber(monkeypatch):
+    """Length tables, unions and both structure probes read the recurrence's
+    masks and counts only, on every model; the guard does catch a fiber."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a FactorSet was built")
+
+    monkeypatch.setattr(factor.FactorSet, "__init__", refuse)
+    for desc, bound in [(N23, 16), (AFF, 7), (FP22, 8), (SUM, 6), (PROD, 5),
+                        (SUM_PROD, 5)]:
+        invariants.length_table(desc, bound)
+        invariants.unions_of_lengths(desc, 3, bound)
+        aamp.structure_probe(desc, bound)
+        aamp.unions_structure_probe(desc, range(2, 6), bound)
+    with pytest.raises(AssertionError, match="FactorSet"):
+        factor.factorizations(N23, 12)

@@ -146,3 +146,23 @@ def test_no_unused_import_or_unread_private_name():
                    if not name.startswith("__") and name not in read_anywhere
                    and name not in factorlab.__all__]
     assert unused == []
+
+
+def test_no_module_reads_another_modules_private_name():
+    """No module of the package reads an underscore-prefixed name of
+    another, as an attribute of that module or by importing it."""
+    modules = {path.stem for path in SRC.glob("*.py")}
+
+    def private(name):
+        return name.startswith("_") and not name.startswith("__")
+
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found += [f"{path.name}: from .{node.module or ''} import {a.name}"
+                          for a in node.names if private(a.name)]
+            elif (isinstance(node, ast.Attribute) and private(node.attr)
+                  and isinstance(node.value, ast.Name) and node.value.id in modules):
+                found.append(f"{path.name}: {node.value.id}.{node.attr}")
+    assert found == []

@@ -115,11 +115,11 @@ def test_generator_atoms_split_the_generators(desc):
 @given(st.one_of(NUMERICAL, affine_models(max_dim=2), SUMSETS, fp_value_models()),
        st.integers(0, 12))
 def test_recurrence_atoms_are_the_atoms(desc, bound):
-    """The sweep takes as atoms the members no lighter pass reached."""
+    """The atom recurrence takes as atoms the members no lighter pass reached."""
     if isinstance(desc, models.FinitelyPrimaryValue):
         bound = min(bound, 12 - 2 * desc.rank)
     members = invariants.enumerate_elements(desc, bound)
-    atoms = [members[i] for i in factor._atom_recurrence(desc, members)[0]]
+    atoms = [members[i] for i in factor.atom_recurrence(desc, members)[0]]
     if isinstance(desc, models.FinitelyPrimaryValue):
         want = [u for u in members if bruteforce.brute_is_atom(desc, u)]
     else:
