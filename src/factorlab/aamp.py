@@ -84,14 +84,16 @@ def verify_witness(
 
 def _fit(ls: list[int], d: int, y: int) -> tuple[tuple[int, ...], list[int]]:
     """The period of the shift y in ls and its valid splits, increasing."""
-    residues = {(x - y) % d for x in ls}
-    splits = [0]
+    period = sorted({(x - y) % d for x in ls} | {d})
+    # each residue of the progression -> the step to its next value
+    step = {r: s - r for r, s in zip(period, period[1:])}
+    splits, t = [0], 0
     for x in ls[ls.index(y) + 1:]:
-        t = splits[-1]  # the progression's next value after t, in O(|D|)
-        if x - y != t + 1 + min((r - t - 1) % d for r in residues):
+        if x - y != t + step[t % d]:
             break
-        splits.append(x - y)
-    return tuple(sorted(residues | {d})), splits
+        t = x - y
+        splits.append(t)
+    return tuple(period), splits
 
 
 def is_aamp(
@@ -163,17 +165,16 @@ def structure_probe(
     length table. M* is flagged stabilized when it stopped changing over the
     top half of the weight range.
     """
-    table = invariants.length_table(desc, weight_bound, budget)
-    good = [row for row in table if row.lengths is not None]
+    rows, warnings = invariants.length_table(desc, weight_bound, budget)
     if d_candidates is None:
-        gaps = {g for row in good for g in row.lengths.delta()}
+        gaps = {g for row in rows for g in row.lengths.delta()}
         ds = (1,) if not gaps else tuple(sorted({1, min(gaps)}))
     else:
         ds = tuple(sorted(set(d_candidates)))
     if not ds or any(d < 1 for d in ds):
         raise ValueError("difference candidates must be positive integers")
     per_element = []
-    for row in good:
+    for row in rows:
         m, d = min((minimal_bound(row.lengths, d), d) for d in ds)
         per_element.append(
             {"element": row.element, "lengths": row.lengths, "m": m, "d": d})
@@ -186,7 +187,7 @@ def structure_probe(
         "dCandidates": ds,
         "stabilized": stabilized,
         "perElement": per_element,
-        "warnings": invariants.table_warnings(desc, table, budget),
+        "warnings": warnings,
     }
 
 
@@ -207,9 +208,8 @@ def unions_structure_probe(
     ks = sorted(set(k_range))
     if ks and ks[0] < 0:
         raise ValueError("union indices must be nonnegative")
-    table = invariants.length_table(desc, weight_bound, budget)
-    warnings = invariants.table_warnings(desc, table, budget)
-    sets = [row.lengths for row in table if row.lengths is not None]
+    table, warnings = invariants.length_table(desc, weight_bound, budget)
+    sets = [row.lengths for row in table]
     delta_set = sorted({g for ls in sets for g in ls.delta()})
     if not delta_set:
         return {
@@ -221,9 +221,10 @@ def unions_structure_probe(
         }
     dmin = delta_set[0]
     rho = max(ls.rho() for ls in sets)
+    union_at = invariants.unions_containing(table)
     rows = []
     for k in ks:
-        union = invariants.union_containing(table, k)
+        union = union_at(k)
         best_m, best_d = min((minimal_bound(union, d), d) for d in {1, dmin})
         rows.append(
             {

@@ -160,8 +160,6 @@ def _render_table(value, indent: int = 0, lines: list[str] | None = None) -> lis
                 _render_table(item, indent + 1, lines)
             else:
                 lines.append(f"{pad}- {_scalar(item)}")
-    else:
-        lines.append(f"{pad}{_scalar(value)}")
     return lines
 
 

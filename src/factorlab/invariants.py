@@ -24,7 +24,9 @@ with ``enumerate_elements`` and reads one run of ``factor.atom_recurrence``
 over them, so a member overflows the budget exactly when enumerating it
 would. Equal-length relations and the global estimates of sumsets take
 its fibers (``fibers``), length-set questions (structure probes, unions
-of length sets) only its length masks and counts (``length_table``).
+of length sets) only its length masks and counts (``length_table``): a
+row per member within the budget, a warning per other member, and every
+union U_k from one pass over the rows (``unions_containing``).
 The global estimates of every cancellative model, products included,
 read its length masks, each member's predecessors a - u and its raw
 fibers in ``recurrence``: c and c_eq from the R-classes of the atoms
@@ -380,37 +382,30 @@ def global_estimates(
 
 
 class LengthRow(NamedTuple):
-    """One member of a length table.
-
-    ``lengths`` and ``count`` (the size of Z(element)) are None when the
-    element has more factorizations than the budget allows.
-    """
+    """One member of a length table: its length set and |Z(element)|."""
 
     element: models.Element
-    lengths: LengthSet | None
-    count: int | None
+    lengths: LengthSet
+    count: int
 
 
 def length_table(
     desc: models.MonoidDescriptor,
     weight_bound: int,
     budget: int = factor.DEFAULT_BUDGET,
-) -> list[LengthRow]:
-    """Every member of weight <= bound with its length set, in weight order,
-    from the masks and counts of one fiberless ``factor.atom_recurrence``."""
+) -> tuple[list[LengthRow], list[dict]]:
+    """(rows, warnings) over the members of weight <= bound, in weight order,
+    from one fiberless ``factor.atom_recurrence``: a row for each member
+    with at most ``budget`` factorizations, a warning for each other."""
     members = enumerate_elements(desc, weight_bound)
     _, masks, counts, _, _ = factor.atom_recurrence(desc, members)
-    return [
-        LengthRow(el, None, None) if count > budget
-        else LengthRow(el, LengthSet(mask_lengths(mask)), count)
-        for el, mask, count in zip(members, masks, counts)
-    ]
-
-
-def table_warnings(desc: models.MonoidDescriptor, rows, budget: int) -> list[dict]:
-    """One budget-exceeded warning per overflowed LengthRow, in row order."""
-    return [budget_warning(desc, row.element, budget)
-            for row in rows if row.lengths is None]
+    rows, warnings = [], []
+    for el, mask, count in zip(members, masks, counts):
+        if count > budget:
+            warnings.append(budget_warning(desc, el, budget))
+        else:
+            rows.append(LengthRow(el, LengthSet(mask_lengths(mask)), count))
+    return rows, warnings
 
 
 def budget_warning(desc: models.MonoidDescriptor, el, limit: int) -> dict:
@@ -421,13 +416,17 @@ def budget_warning(desc: models.MonoidDescriptor, el, limit: int) -> dict:
     }
 
 
-def union_containing(table: list[LengthRow], k: int) -> LengthSet:
-    """Union of the table's length sets that contain k, always with k."""
-    union = {k}
-    for row in table:
-        if row.lengths is not None and k in row.lengths:
-            union.update(row.lengths.lengths)
-    return length_set_of(union)
+def unions_containing(rows: list[LengthRow]):
+    """k -> U_k, the union of the rows' length sets that contain k, always
+    with k itself, from one pass: each row ORs its length mask into the
+    union of every length it contains."""
+    masks: dict[int, int] = {}
+    for row in rows:
+        ls = row.lengths.lengths
+        mask = sum(1 << l for l in ls)
+        for l in ls:
+            masks[l] = masks.get(l, 0) | mask
+    return lambda k: LengthSet(mask_lengths(masks[k]) if k in masks else (k,))
 
 
 def unions_of_lengths(
@@ -444,12 +443,8 @@ def unions_of_lengths(
     """
     if k < 0:
         raise ValueError("union indices must be nonnegative")
-    table = length_table(desc, weight_bound, budget)
-    union = union_containing(table, k)
-    report = {
-        "k": k,
-        "union": union,
-        "rhoK": union.lengths[-1],
-        "bound": weight_bound,
-    }
-    return report, table_warnings(desc, table, budget)
+    rows, warnings = length_table(desc, weight_bound, budget)
+    union = unions_containing(rows)(k)
+    report = {"k": k, "union": union, "rhoK": union.lengths[-1],
+              "bound": weight_bound}
+    return report, warnings

@@ -255,23 +255,19 @@ def verify_interval_relations(k_max: int, k_atom_max: int | None = None) -> dict
     }
 
 
-def verify_unique_representation(
-    difference: int = 10,
-    k_max: int = 5,
-    shifts: tuple[int, int] = (2, 2),
-) -> dict:
+def verify_unique_representation(difference: int = 10, k_max: int = 5) -> dict:
     """Two structured length sets whose sumset pins its representations.
 
-    For each k the two sets are a progression of step ``difference`` plus
-    one or two sporadic tail points. Just above the progressions' top the
-    sumset has exactly one representation from each side, and the two
-    first coordinates differ by at least k * difference.
+    For each k the two sets are a progression of step ``difference`` from
+    2 plus one or two sporadic tail points. Just above the progressions'
+    top the sumset has exactly one representation from each side, and the
+    two first coordinates differ by at least k * difference.
     """
     if difference < 4:
         raise ValueError("difference must be at least 4")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    y1, y2 = shifts
+    y1, y2 = 2, 2
     rows = []
     for k in range(1, k_max + 1):
         top = k * difference
@@ -312,4 +308,4 @@ def verify_unique_representation(
                 "separation": gap,
             }
         )
-    return {"difference": difference, "kMax": k_max, "shifts": list(shifts), "rows": rows}
+    return {"difference": difference, "kMax": k_max, "shifts": [y1, y2], "rows": rows}

@@ -503,11 +503,48 @@ def test_structure_probe_rejects_a_bad_k_range(capsys, n23_path, k_range,
     (["--k-range", "2,5"], "--k-range requires --target unions"),
     (["--target", "unions", "--k-range", "2,5", "--d-candidates", "1,2"],
      "--d-candidates does not apply to --target unions"),
-], ids=["k-range-without-unions", "d-candidates-with-unions"])
+    (["--target", "unions"], "--target unions requires --k-range"),
+    (["--d-candidates", "0"], "difference candidates must be positive integers"),
+], ids=["k-range-without-unions", "d-candidates-with-unions",
+        "unions-without-k-range", "zero-d-candidate"])
 def test_structure_probe_rejects_a_flag_it_would_ignore(capsys, n23_path,
                                                         extra, message):
     code, out, err = run(capsys, ["structure-probe", "--monoid", n23_path,
                                   "--bound", "10", *extra])
+    assert (code, out) == (2, "")
+    assert err == f"factorlab: {message}\n"
+
+
+def test_structure_probe_fits_the_given_differences(capsys, n23_path):
+    doc = run_json(capsys, ["structure-probe", "--monoid", n23_path,
+                            "--bound", "12", "--d-candidates", "3,2"])
+    results = doc["results"]
+    assert results["dCandidates"] == [2, 3]
+    assert {row["d"] for row in results["perElement"]} <= {2, 3}
+
+
+@pytest.mark.parametrize("model,argv,message", [
+    (None, ["aamp-check", "--set", "x", "--d", "1"], "--set expects integers: x"),
+    (None, ["aamp-check", "--set", ",", "--d", "1"], "--set is empty"),
+    (None, ["aamp-check", "--set", "2,4", "--d", "0"],
+     "--difference must be positive"),
+    ("numerical", ["relation-atoms"], "this command requires --length-bound"),
+    ("numerical", ["probe-growth", "--family", "power", "--element", "6",
+                   "--n-max", "0"], "--n-max must be at least 1"),
+    ("numerical", ["probe-growth", "--family", "power", "--n-max", "3"],
+     "--family power requires --element"),
+    ("numerical", ["probe-growth", "--family", "diagonal", "--n-max", "3"],
+     "--family diagonal needs a multi-coordinate model"),
+    ("sumset", ["probe-growth", "--family", "diagonal", "--n-max", "3"],
+     "--family diagonal needs a coordinate model"),
+], ids=["set-not-integers", "set-empty", "zero-difference",
+        "relation-atoms-without-length-bound", "zero-n-max",
+        "power-without-element", "diagonal-on-numerical", "diagonal-on-sumset"])
+def test_input_errors_exit_two_in_one_line(capsys, model, argv, message):
+    """``model`` names a bench descriptor, or is None for a command without one."""
+    if model is not None:
+        argv = argv + ["--monoid", os.path.join(DESCRIPTORS, f"{model}.json")]
+    code, out, err = run(capsys, argv)
     assert (code, out) == (2, "")
     assert err == f"factorlab: {message}\n"
 

@@ -89,18 +89,19 @@ AFF_SUM = models.Product(factors=(AFF, SUM), free_rank=1)
 @pytest.mark.parametrize("desc,bound", FIXED + [(AFF_SUM, 8)],
                          ids=FIXED_IDS + ["AFF_SUM"])
 def test_length_table_rows_match_the_fibers(desc, bound):
-    """Both views of the one sweep agree at every budget edge c - 1, c."""
-    counts = {row.count for row in invariants.length_table(desc, bound)}
+    """Both views of the one sweep agree at every budget edge c - 1, c: the
+    rows are the stream's fibers, the warnings its overflowed members."""
+    counts = {row.count for row in invariants.length_table(desc, bound)[0]}
     for budget in sorted({n for c in counts for n in (c - 1, c)}):
-        table = invariants.length_table(desc, bound, budget)
+        table, warnings = invariants.length_table(desc, bound, budget)
         stream = list(invariants.fibers(desc, bound, budget))
-        assert [row.element for row in table] == [el for el, _ in stream]
-        for row, (el, fs) in zip(table, stream):
-            if fs is None:
-                assert row.lengths is None and row.count is None, (budget, el)
-            else:
-                assert row.lengths == invariants.length_set(fs), (budget, el)
-                assert row.count == len(fs.all), (budget, el)
+        built = [(el, fs) for el, fs in stream if fs is not None]
+        assert [row.element for row in table] == [el for el, _ in built]
+        for row, (el, fs) in zip(table, built):
+            assert row.lengths == invariants.length_set(fs), (budget, el)
+            assert row.count == len(fs.all), (budget, el)
+        assert warnings == [invariants.budget_warning(desc, el, budget)
+                            for el, fs in stream if fs is None], budget
 
 
 def test_product_sweep_lists_each_slot_once(monkeypatch):
@@ -116,7 +117,7 @@ def test_product_sweep_lists_each_slot_once(monkeypatch):
         return enumerate_elements(d, bound)
 
     monkeypatch.setattr(invariants, "enumerate_elements", counted)
-    table = invariants.length_table(desc, 10)
+    table, _ = invariants.length_table(desc, 10)
     assert listed == [desc, *desc.factors]
     assert [row.element for row in table] == enumerate_elements(desc, 10)
 

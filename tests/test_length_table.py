@@ -25,7 +25,8 @@ FIXED_IDS = ["N23", "AFF", "FP21", "FP22", "SUM", "PROD", "SUM_PROD"]
 
 
 def check_against_oracle(desc, bound):
-    table = invariants.length_table(desc, bound)
+    table, warnings = invariants.length_table(desc, bound)
+    assert warnings == []
     assert [row.element for row in table] == bruteforce.brute_members(desc, bound)
     for row in table:
         zs = bruteforce.brute_factorizations(desc, row.element)
@@ -65,23 +66,23 @@ def test_product_models_match_oracle(desc, bound):
 
 @pytest.mark.parametrize("desc,bound", FIXED, ids=FIXED_IDS)
 def test_overflow_exactly_where_enumeration_raises(desc, bound):
-    counts = {row.count for row in invariants.length_table(desc, bound)}
+    """A member is a row exactly when its enumeration fits the budget and
+    is warned about exactly when it raises, both in weight order."""
+    counts = {row.count for row in invariants.length_table(desc, bound)[0]}
     budgets = sorted({n for c in counts for n in (c - 1, c)})
+    members = invariants.enumerate_elements(desc, bound)
     for budget in budgets:
-        table = invariants.length_table(desc, bound, budget)
-        for row in table:
+        table, warnings = invariants.length_table(desc, bound, budget)
+        fits, raises = [], []
+        for el in members:
             try:
-                factor.factorizations(desc, row.element, budget)
+                fits.append((el, len(factor.factorizations(desc, el, budget).all)))
             except BudgetExceeded:
-                assert row.lengths is None and row.count is None, (budget, row)
-            else:
-                assert row.count is not None and row.count <= budget
-        warned = [w["element"] for w in invariants.table_warnings(desc, table, budget)]
-        assert warned == [
-            models.element_to_json(desc, row.element)
-            for row in table
-            if row.lengths is None
-        ]
+                raises.append({"element": models.element_to_json(desc, el),
+                               "error": "budget-exceeded", "budget": budget})
+        assert [(row.element, row.count) for row in table] == fits, budget
+        assert all(row.count <= budget for row in table), budget
+        assert warnings == raises, budget
 
 
 def test_budget_boundary_of_one_element():
@@ -111,3 +112,30 @@ def test_length_questions_build_no_fiber(monkeypatch):
         aamp.unions_structure_probe(desc, range(2, 6), bound)
     with pytest.raises(AssertionError, match="FactorSet"):
         factor.factorizations(N23, 12)
+
+
+@pytest.mark.parametrize("desc,bound", FIXED, ids=FIXED_IDS)
+def test_every_union_matches_its_definition(desc, bound):
+    table, _ = invariants.length_table(desc, bound)
+    union_at = invariants.unions_containing(table)
+    top = max(row.lengths.lengths[-1] for row in table)
+    for k in range(top + 3):
+        union = {k}.union(*(row.lengths.lengths for row in table
+                            if k in row.lengths.lengths))
+        assert union_at(k).lengths == tuple(sorted(union)), k
+
+
+def test_unions_make_no_membership_test_per_row(monkeypatch):
+    """Every U_k comes from one pass over the table that ORs length masks,
+    not from asking each row whether its length set contains k."""
+    def refuse(self, k):
+        raise AssertionError("a length set was asked for a member")
+
+    monkeypatch.setattr(invariants.LengthSet, "__contains__", refuse)
+    for desc, bound in [(N23, 16), (AFF, 7), (FP22, 8), (SUM, 6), (PROD, 5),
+                        (SUM_PROD, 5)]:
+        report, _ = invariants.unions_of_lengths(desc, 3, bound)
+        assert 3 in report["union"].lengths
+        aamp.unions_structure_probe(desc, range(8), bound)
+    with pytest.raises(AssertionError, match="asked for a member"):
+        assert 3 in invariants.LengthSet((3,))

@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorlab import cli, factor, invariants, models
-from test_models import PROD, Numerical, Product, products
+from factorlab import cli, factor, invariants, models, relations
+from factorlab.errors import BudgetExceeded
+from test_models import PROD, Affine, Numerical, Product, products
 
 N357_N25 = Product(factors=(Numerical((3, 5, 7)), Numerical((2, 5))), free_rank=0)
 
@@ -106,3 +107,27 @@ def test_global_catenary_is_the_largest_slot_catenary(desc, bound):
 @settings(max_examples=15, deadline=None)
 def test_global_catenary_of_generated_products(desc, bound):
     check_global_catenary(desc, bound)
+
+
+def test_a_product_past_the_budget_raises_though_each_slot_fits():
+    """(12, 12) of <2,3> x <2,3> has 3 factorizations in each slot and 9 in
+    the product."""
+    desc = Product(factors=(Numerical((2, 3)), Numerical((2, 3))), free_rank=0)
+    assert len(factor.factorizations(desc.factors[0], 12, 5).all) == 3
+    assert len(factor.factorizations(desc, ((12, 12), ()), 9).all) == 9
+    with pytest.raises(BudgetExceeded) as exc:
+        factor.factorizations(desc, ((12, 12), ()), 5)
+    assert exc.value.limit == 5
+
+
+def test_a_product_without_fp_value_slots_bounds_its_generator_weights():
+    """<2,3> x <(1,0),(1,1),(0,2)> with free rank 1: its largest generator
+    weight, 3, is the least validation bound and, times the length bound,
+    the default weight bound of relation atoms."""
+    desc = Product(factors=(Numerical((2, 3)),
+                            Affine(dim=2, generators=((1, 0), (1, 1), (0, 2)))),
+                   free_rank=1)
+    assert models.max_generator_weight(desc) == 3
+    assert models.validate(desc).to_json()["verifiedBound"] == 3
+    _, info = relations.relation_atoms(desc, 2)
+    assert info == {"lengthBound": 2, "weightBound": 6}
