@@ -14,7 +14,8 @@ valid splits m are then the common prefix, from 0, of the nonnegative
 part of L - y and the progression of that period, and each needs the
 bound max(y - min L, max L - y - m). ``verify_witness``, an independent
 checker of the definition, rechecks every witness returned. Probes
-aggregate minimal bounds over enumerated elements or unions of length sets.
+aggregate minimal bounds over enumerated elements or unions of length
+sets into (report, warnings), the report in JSON values.
 """
 
 from __future__ import annotations
@@ -158,37 +159,37 @@ def structure_probe(
     weight_bound: int,
     d_candidates: Iterable[int] | None = None,
     budget: int = factor.DEFAULT_BUDGET,
-) -> dict:
+) -> tuple[dict, list[dict]]:
     """Minimal AAMP bound per element and its running maximum M*.
 
-    Candidate differences default to 1 plus the smallest gap seen in the
-    length table. M* is flagged stabilized when it stopped changing over the
-    top half of the weight range.
+    Returns (report, warnings), the report in JSON values. Candidate
+    differences default to 1 plus the smallest gap seen in the length
+    table. M* is flagged stabilized when it stopped changing over the top
+    half of the weight range.
     """
     rows, warnings = invariants.length_table(desc, weight_bound, budget)
     if d_candidates is None:
         gaps = {g for row in rows for g in row.lengths.delta()}
-        ds = (1,) if not gaps else tuple(sorted({1, min(gaps)}))
+        ds = [1] if not gaps else sorted({1, min(gaps)})
     else:
-        ds = tuple(sorted(set(d_candidates)))
+        ds = sorted(set(d_candidates))
     if not ds or any(d < 1 for d in ds):
         raise ValueError("difference candidates must be positive integers")
-    per_element = []
+    per_element, fits = [], []
     for row in rows:
         m, d = min((minimal_bound(row.lengths, d), d) for d in ds)
-        per_element.append(
-            {"element": row.element, "lengths": row.lengths, "m": m, "d": d})
+        per_element.append({"element": models.element_to_json(desc, row.element),
+                            "lengths": list(row.lengths.lengths), "m": m, "d": d})
+        fits.append((models.weight(desc, row.element), {"mStar": m}))
     m_star, stabilized = invariants.running_maxima(
-        ((models.weight(desc, r["element"]), {"mStar": r["m"]}) for r in per_element),
-        weight_bound, {"mStar": 0})["mStar"]
+        fits, weight_bound, {"mStar": 0})["mStar"]
     return {
         "mStar": m_star,
         "bound": weight_bound,
         "dCandidates": ds,
         "stabilized": stabilized,
         "perElement": per_element,
-        "warnings": warnings,
-    }
+    }, warnings
 
 
 def unions_structure_probe(
@@ -196,10 +197,11 @@ def unions_structure_probe(
     k_range: Iterable[int],
     weight_bound: int,
     budget: int = factor.DEFAULT_BUDGET,
-) -> dict:
+) -> tuple[dict, list[dict]]:
     """Fit unions of length sets as AAMPs with difference 1 or min Delta.
 
-    Also tabulates the density |U_k| / k against the slope
+    Returns (report, warnings), the report in JSON values with each union
+    as a list. Also tabulates the density |U_k| / k against the slope
     (rho - 1/rho) / min Delta that the density approaches in k, as an
     informational trend only; both are exact fractions written as
     strings ("3/2"). Delta, rho and every union come from one length
@@ -217,8 +219,7 @@ def unions_structure_probe(
             "reason": "no length gaps below the bound (half-factorial so far)",
             "bound": weight_bound,
             "rows": [],
-            "warnings": warnings,
-        }
+        }, warnings
     dmin = delta_set[0]
     rho = max(ls.rho() for ls in sets)
     union_at = invariants.unions_containing(table)
@@ -229,7 +230,7 @@ def unions_structure_probe(
         rows.append(
             {
                 "k": k,
-                "union": union,
+                "union": list(union.lengths),
                 "m": best_m,
                 "d": best_d,
                 "density": str(Fraction(len(union.lengths), k)) if k else None,
@@ -241,5 +242,4 @@ def unions_structure_probe(
         "dmin": dmin,
         "densityTarget": str((rho - 1 / rho) / dmin),
         "rows": rows,
-        "warnings": warnings,
-    }
+    }, warnings

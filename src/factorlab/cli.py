@@ -10,24 +10,25 @@ request; every command runs in one process.
 
 ``main`` loads the ``--monoid`` descriptor once, if the command has one,
 and calls ``handler(args, desc)`` (``desc`` is None without it). The
-handler returns (descriptor to hash or None, results, warnings).
+handler returns (descriptor to hash or None, results, warnings); the
+probes and unions pass on the library's JSON-ready (report, warnings).
 
 Every command computes its fibers; none is read from or written to disk,
 so ``--cache-dir``, like ``--jobs``, is accepted with no effect.
 
 Exit codes: 0 success, 2 malformed input, failed validation or an
-unreadable file, 3 enumeration budget exhausted, a distance table past
-``invariants.TABLE_LIMIT`` or memory exhausted (``factorlab: out of
-memory``, for example by a huge element's bit masks), 4 a verification
-scenario's claim failed, 130 interrupted. A process killed from outside,
-as by the kernel's out-of-memory killer, cannot report this.
+unreadable file, 3 enumeration budget exhausted, a distance table too
+large for ``invariants.element_report`` or memory exhausted
+(``factorlab: out of memory``, for example by a huge element's bit
+masks), 4 a verification scenario's claim failed, 130 interrupted. A
+process killed from outside, as by the kernel's out-of-memory killer,
+cannot report this.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 # Each handler imports the invariants, aamp or relations module it calls,
@@ -94,7 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("aamp-check", parents=[common],
                        help="test a finite set for almost-arithmetic structure")
     p.add_argument("--set", required=True, dest="length_set",
-                   help="comma separated integers, e.g. 2,4,6")
+                   help="comma separated integers, e.g. 2,4,6; as "
+                        "--set=-5,-3,100 when the first is negative")
     p.add_argument("--d", "--difference", type=int, required=True,
                    dest="difference")
     p.add_argument("--m", type=int, default=None,
@@ -240,25 +242,11 @@ def run_factorize(args, desc) -> Outcome:
     return desc, results, []
 
 
-def _report_fiber(desc, el, budget: int) -> factor.FactorSet:
-    """Z(el) enumerated to at most the isqrt(TABLE_LIMIT) factorizations
-    ``element_report`` accepts; TableTooLarge when that cap stops it."""
-    from . import invariants
-
-    most = math.isqrt(invariants.TABLE_LIMIT)
-    try:
-        return factor.factorizations(desc, el, min(budget, most))
-    except errors.BudgetExceeded:
-        if budget <= most:
-            raise
-        raise errors.TableTooLarge(None, invariants.TABLE_LIMIT) from None
-
-
 def run_invariants(args, desc) -> Outcome:
     from . import invariants
 
     el = models.parse_element_literal(desc, args.element)
-    fs = _report_fiber(desc, el, args.budget)
+    fs = invariants.report_fiber(desc, el, args.budget)
     return desc, invariants.element_report(fs).to_json(desc), []
 
 
@@ -274,10 +262,7 @@ def run_unions(args, desc) -> Outcome:
     from . import invariants
 
     bound = _require_bound(args)
-    row, warnings = invariants.unions_of_lengths(
-        desc, args.k, bound, args.budget)
-    row["union"] = list(row["union"].lengths)
-    return desc, row, warnings
+    return desc, *invariants.unions_of_lengths(desc, args.k, bound, args.budget)
 
 
 def run_aamp_check(args, desc) -> Outcome:
@@ -311,18 +296,14 @@ def run_structure_probe(args, desc) -> Outcome:
             raise errors.MalformedDescriptor(
                 "--d-candidates does not apply to --target unions")
         lo, hi = _parse_k_range(args.k_range)
-        report = aamp.unions_structure_probe(
+        return desc, *aamp.unions_structure_probe(
             desc, range(lo, hi + 1), bound, args.budget)
-    else:
-        if args.k_range is not None:
-            raise errors.MalformedDescriptor("--k-range requires --target unions")
-        d_candidates = None
-        if args.d_candidates is not None:
-            d_candidates = _parse_int_list(args.d_candidates, "--d-candidates")
-        report = aamp.structure_probe(
-            desc, bound, d_candidates, args.budget)
-    warnings = report.pop("warnings", [])
-    return desc, _probe_to_json(desc, report), warnings
+    if args.k_range is not None:
+        raise errors.MalformedDescriptor("--k-range requires --target unions")
+    d_candidates = None
+    if args.d_candidates is not None:
+        d_candidates = _parse_int_list(args.d_candidates, "--d-candidates")
+    return desc, *aamp.structure_probe(desc, bound, d_candidates, args.budget)
 
 
 def _parse_k_range(text: str) -> tuple[int, int]:
@@ -335,24 +316,6 @@ def _parse_k_range(text: str) -> tuple[int, int]:
         raise errors.MalformedDescriptor(
             f"--k-range lo must not exceed hi: {text}")
     return lo, hi
-
-
-def _probe_to_json(desc: models.MonoidDescriptor, report: dict) -> dict:
-    out = dict(report)
-    if "perElement" in out:
-        out["perElement"] = [
-            {
-                "element": models.element_to_json(desc, row["element"]),
-                "lengths": list(row["lengths"].lengths),
-                "m": row["m"],
-                "d": row["d"],
-            }
-            for row in out["perElement"]
-        ]
-    if "rows" in out:
-        out["rows"] = [dict(row, union=list(row["union"].lengths))
-                       for row in out["rows"]]
-    return out
 
 
 def run_relation_atoms(args, desc) -> Outcome:
@@ -394,7 +357,7 @@ def run_probe_growth(args, desc) -> Outcome:
     for n in range(1, args.n_max + 1):
         current = models.multiply(desc, current, base)
         try:
-            fs = _report_fiber(desc, current, args.budget)
+            fs = invariants.report_fiber(desc, current, args.budget)
             report = invariants.element_report(fs).to_json(desc)
         except errors.BudgetExceeded as exc:
             warnings.append(invariants.budget_warning(desc, current, exc.limit))

@@ -154,7 +154,7 @@ def _base_fiber(desc, el, witness, budget: int) -> FactorSet:
         # than el and contained in it: el's row of the recurrence is Z(el).
         members = sorted(witness, key=lambda u: models.element_sort_key(desc, u))
         members = members[:members.index(el) + 1]
-        atoms, _, counts, zs, _ = atom_recurrence(desc, members, budget)
+        atoms, _, counts, zs, *_ = atom_recurrence(desc, members, budget)
         if counts[-1] > budget:
             raise BudgetExceeded(budget)
         return recurrence_fiber(desc, el, members, atoms, zs[-1])
@@ -257,7 +257,7 @@ def atom_recurrence(desc, members: list, budget: int | None = None):
     cancellation a is i - u_k, and below[i] maps every atom dividing i.
 
     Returns (atom member indices, length masks, counts, fibers or None,
-    below or None).
+    below or None, member weights).
     """
     index = {a: i for i, a in enumerate(members)}
     weights = [models.weight(desc, a) for a in members]
@@ -287,7 +287,7 @@ def atom_recurrence(desc, members: list, budget: int | None = None):
                 zs[i] = None
             else:
                 zs[i].extend(_with_atom(z, k) for z in zs[a])
-    return atoms, masks, counts, zs, below
+    return atoms, masks, counts, zs, below, weights
 
 
 def _with_atom(z: tuple, k: int) -> tuple:

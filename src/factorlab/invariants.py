@@ -34,12 +34,15 @@ dividing each member, c_adj and delta_w from a gcd-length recurrence
 between length pairs, delta from adjacent length blocks of the fiber,
 with no distance table. Sumsets are not cancellative, so their
 estimates keep the fold of ``element_report`` over the fibers.
-``element_report`` refuses a fiber whose table would pass TABLE_LIMIT.
+``element_report`` refuses a fiber whose table would pass TABLE_LIMIT,
+and ``report_fiber`` enumerates no further. ``unions_of_lengths``
+returns (report, warnings), the report in JSON values.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -184,6 +187,18 @@ class InvariantReport(NamedTuple):
 TABLE_LIMIT = 25_000_000
 
 
+def report_fiber(desc: models.MonoidDescriptor, el, budget: int) -> factor.FactorSet:
+    """Z(el) enumerated to at most the isqrt(TABLE_LIMIT) factorizations
+    ``element_report`` accepts; TableTooLarge when that cap stops it."""
+    most = math.isqrt(TABLE_LIMIT)
+    try:
+        return factor.factorizations(desc, el, min(budget, most))
+    except errors.BudgetExceeded:
+        if budget <= most:
+            raise
+        raise errors.TableTooLarge(None, TABLE_LIMIT) from None
+
+
 def element_report(fs: factor.FactorSet) -> InvariantReport:
     """Every invariant of one element, read off its distance table; raises
     TableTooLarge, before building it, when it would pass TABLE_LIMIT."""
@@ -260,7 +275,7 @@ def fibers(desc: models.MonoidDescriptor, weight_bound: int,
     None where factor.factorizations would raise BudgetExceeded; each fiber
     is built, and its raw row freed, when its member is reached."""
     members = enumerate_elements(desc, weight_bound)
-    atoms, _, counts, raw, _ = factor.atom_recurrence(desc, members, budget)
+    atoms, _, counts, raw, *_ = factor.atom_recurrence(desc, members, budget)
     for i, el in enumerate(members):
         zs, raw[i] = raw[i], None
         yield el, (None if counts[i] > budget
@@ -398,7 +413,7 @@ def length_table(
     from one fiberless ``factor.atom_recurrence``: a row for each member
     with at most ``budget`` factorizations, a warning for each other."""
     members = enumerate_elements(desc, weight_bound)
-    _, masks, counts, _, _ = factor.atom_recurrence(desc, members)
+    _, masks, counts, *_ = factor.atom_recurrence(desc, members)
     rows, warnings = [], []
     for el, mask, count in zip(members, masks, counts):
         if count > budget:
@@ -437,14 +452,14 @@ def unions_of_lengths(
 ):
     """Union of all length sets below the bound containing k, with k itself.
 
-    Returns (report dict, warnings). The k-th power of any atom realizes
-    length k, so seeding with {k} keeps the estimate a true lower bound
-    even at bounds too small to exhibit any such power.
+    Returns (report, warnings), the report in JSON values with the union
+    as a list. The k-th power of any atom realizes length k, so seeding
+    with {k} keeps the estimate a true lower bound even at bounds too
+    small to exhibit any such power.
     """
     if k < 0:
         raise ValueError("union indices must be nonnegative")
     rows, warnings = length_table(desc, weight_bound, budget)
-    union = unions_containing(rows)(k)
-    report = {"k": k, "union": union, "rhoK": union.lengths[-1],
-              "bound": weight_bound}
-    return report, warnings
+    union = unions_containing(rows)(k).lengths
+    return {"k": k, "union": list(union), "rhoK": union[-1],
+            "bound": weight_bound}, warnings

@@ -131,12 +131,12 @@ def estimate_rows(desc, weight_bound: int, budget: int, warnings: list, start: d
     weight order, each holding the values that raise the maxima so far; a
     budget warning per member past the budget goes to ``warnings``."""
     members = invariants.enumerate_elements(desc, weight_bound)
-    atoms, masks, counts, raw, below = factor.atom_recurrence(desc, members, budget)
+    atoms, masks, counts, raw, below, weights = factor.atom_recurrence(
+        desc, members, budget)
     lows = [(m & -m).bit_length() - 1 for m in masks]
     kept = [invariants.LengthSet(invariants.mask_lengths(m)) if n <= budget else None
             for m, n in zip(masks, counts)]
     last = {a: i for i, parents in enumerate(below) for a in parents.values()}
-    atom_weights = [models.weight(desc, members[u]) for u in atoms]
     top = max((ls.lengths[-1] for ls in kept if ls), default=0)
     adjacent_gaps = set().union(*(ls.delta() for ls in kept if ls))
     gaps, gap_tables = range(1, top + 1), _GapTables(top)
@@ -146,7 +146,7 @@ def estimate_rows(desc, weight_bound: int, budget: int, warnings: list, start: d
         if kept[i] is None:
             warnings.append(invariants.budget_warning(desc, el, budget))
             continue
-        weight, mask, parents, ls = models.weight(desc, el), masks[i], below[i], kept[i]
+        weight, mask, parents, ls = weights[i], masks[i], below[i], kept[i]
         lengths, deltas = ls.lengths, ls.delta()
         row = {"delta_set": frozenset(deltas), "rho": ls.rho(), "delta_w": 0}
         divisors[i] = sum(map((1).__lshift__, parents))
@@ -170,7 +170,7 @@ def estimate_rows(desc, weight_bound: int, budget: int, warnings: list, start: d
         adjacent = list(zip(lengths, lengths[1:]))
         row["c_adj"] = max(
             (l - k + gap_tables.get(tables[l - k], k) for k, l in adjacent), default=0)
-        present = [(masks[a] << 1, atom_weights[u]) for u, a in parents.items()]
+        present = [(masks[a] << 1, weights[atoms[u]]) for u, a in parents.items()]
         changes = {d: functools.reduce(or_, (m ^ m >> d for m, _ in present))
                    for d in deltas}
         by_length = None

@@ -215,6 +215,8 @@ def test_search_returns_the_generate_and_verify_witness(values, d, data):
     least = next(b for b in itertools.count()
                  if bruteforce.brute_first_witness(values, d, b) is not None)
     assert minimal_bound(values, d) == least
+    assert aamp.least_fit(values, d) == (
+        least, bruteforce.brute_first_witness(values, d, least))
 
 
 @given(
@@ -287,40 +289,40 @@ def test_constructed_progressions_are_recognized_and_closed():
 
 
 def test_structure_probe_on_interval_sets():
-    report = aamp.structure_probe(N23, 16)
+    report, warnings = aamp.structure_probe(N23, 16)
     assert report["mStar"] == 0
     assert report["stabilized"]
-    assert report["dCandidates"] == (1,)
-    assert report["warnings"] == []
+    assert report["dCandidates"] == [1]
+    assert warnings == []
     assert all(row["m"] == 0 for row in report["perElement"])
 
 
 def test_structure_probe_with_explicit_candidates():
     # intervals absorb any difference via the full period [0, d]
-    report = aamp.structure_probe(N23, 14, d_candidates=(2, 3))
-    assert report["dCandidates"] == (2, 3)
+    report, _ = aamp.structure_probe(N23, 14, d_candidates=(2, 3))
+    assert report["dCandidates"] == [2, 3]
     assert report["mStar"] == 0
     assert all(row["d"] == 2 for row in report["perElement"])
 
 
 def test_structure_probe_interval_models_need_no_fuzz():
     free = Affine(dim=2, generators=((1, 0), (0, 1)))
-    assert aamp.structure_probe(free, 6)["mStar"] == 0
-    assert aamp.structure_probe(FP21, 12)["mStar"] == 0
+    assert aamp.structure_probe(free, 6)[0]["mStar"] == 0
+    assert aamp.structure_probe(FP21, 12)[0]["mStar"] == 0
 
 
 def test_unions_probe_trivial_when_no_gaps():
-    half_factorial = aamp.unions_structure_probe(
+    half_factorial, _ = aamp.unions_structure_probe(
         Numerical(generators=(2,)), range(1, 4), 12
     )
     assert half_factorial["trivial"]
 
 
 def test_unions_probe_reports_density():
-    report = aamp.unions_structure_probe(N23, range(2, 9), 40)
+    report, _ = aamp.unions_structure_probe(N23, range(2, 9), 40)
     assert not report["trivial"]
     assert report["dmin"] == 1
     rows = {row["k"]: row for row in report["rows"]}
-    assert rows[4]["union"].lengths == (3, 4, 5, 6)
+    assert rows[4]["union"] == [3, 4, 5, 6]
     assert all(row["m"] == 0 for row in report["rows"])
     assert all(row["d"] == 1 for row in report["rows"])

@@ -8,8 +8,10 @@ import sys
 
 import pytest
 
+import bruteforce
 from factorlab import cli, errors, factor, models
 from test_length_table import SUM_PROD
+from test_models import AFF, FP22, N23, PROD, SUM
 
 N23_DOC = {"model": "numerical", "generators": [2, 3]}
 FP_DOC = {
@@ -18,6 +20,8 @@ FP_DOC = {
     "exponent": 2,
     "exceptional": [[{"exact": 1}, {"atLeast": 1}]],
 }
+AFF_DOC = {"model": "affine", "dim": 2,
+           "generators": [[2, 0], [1, 1], [0, 2], [3, 0], [0, 3]]}
 
 
 @pytest.fixture
@@ -123,17 +127,25 @@ def test_probe_growth_power_family(capsys, n23_path):
     assert doc["results"]["stabilized"] is True
 
 
-def test_probe_growth_rows_are_invariant_report_subsets(capsys, fp_path):
+@pytest.mark.parametrize("doc,step", [(FP_DOC, 2), (AFF_DOC, 1)],
+                         ids=["fp-value", "affine"])
+def test_probe_growth_rows_are_invariant_report_subsets(capsys, tmp_path, doc,
+                                                         step):
+    """The diagonal family steps by (e, e) on an fp-value model of
+    exponent e and by (1, 1) on an affine model."""
     from factorlab import invariants
 
-    doc = run_json(capsys, ["probe-growth", "--monoid", fp_path,
+    path = tmp_path / "desc.json"
+    path.write_text(json.dumps(doc))
+    doc = run_json(capsys, ["probe-growth", "--monoid", str(path),
                             "--family", "diagonal", "--n-max", "3"])
     rows = doc["results"]["rows"]
     assert len(rows) == 3
-    desc = cli.load_descriptor(fp_path)
-    base, current = models.canon(desc, (2, 2)), models.identity(desc)
+    desc = cli.load_descriptor(str(path))
+    base, current = models.canon(desc, (step, step)), models.identity(desc)
     for n, row in enumerate(rows, 1):
         current = models.multiply(desc, current, base)
+        assert row["element"] == [n * step] * 2
         report = invariants.element_report(
             factor.factorizations(desc, current)).to_json(desc)
         keys = ("element", "lengthSet", "delta", "rho", "c", "cMon", "deltaW")
@@ -152,6 +164,55 @@ def test_aamp_check_fits_with_one_search(capsys, monkeypatch):
     assert doc["results"]["minimalBound"] == 2
     assert doc["results"]["witness"]["shift"] == 2
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("desc,bound", [
+    (N23, 16), (AFF, 7), (FP22, 8), (SUM, 6), (PROD, 5), (SUM_PROD, 5),
+], ids=["N23", "AFF", "FP22", "SUM", "PROD", "SUM_PROD"])
+@pytest.mark.parametrize("budget", [factor.DEFAULT_BUDGET, 2],
+                         ids=["budget-default", "budget-2"])
+def test_library_reports_are_the_printed_results(capsys, tmp_path, desc, bound,
+                                                 budget):
+    """Both probes and the unions of lengths return JSON values that the CLI
+    prints unchanged under ``results``, with their warnings beside them."""
+    from factorlab import aamp, invariants
+
+    path = tmp_path / "desc.json"
+    path.write_text(json.dumps(models.descriptor_to_json(desc)))
+    common = ["--monoid", str(path), "--bound", str(bound),
+              "--budget", str(budget), "--output", "json"]
+    for call, argv in [
+        (lambda: aamp.structure_probe(desc, bound, None, budget),
+         ["structure-probe"]),
+        (lambda: aamp.unions_structure_probe(desc, range(7), bound, budget),
+         ["structure-probe", "--target", "unions", "--k-range", "0,6"]),
+        (lambda: invariants.unions_of_lengths(desc, 3, bound, budget),
+         ["unions", "--k", "3"]),
+    ]:
+        report, warnings = call()
+        code, out, err = run(capsys, argv + common)
+        assert code == 0, err
+        printed = json.loads(out)
+        assert models.canonical_dumps(report) == models.canonical_dumps(
+            printed["results"])
+        assert json.loads(models.canonical_dumps(report)) == report
+        assert warnings == printed["warnings"]
+
+
+def test_relation_atoms_lists_the_library_atoms(capsys, tmp_path):
+    from factorlab import relations
+
+    path = tmp_path / "n345.json"
+    path.write_text(json.dumps({"model": "numerical", "generators": [3, 4, 5]}))
+    results = run_json(capsys, ["relation-atoms", "--monoid", str(path),
+                                "--length-bound", "3"])["results"]
+    desc = models.Numerical(generators=(3, 4, 5))
+    found, _ = relations.relation_atoms(desc, 3)
+    assert found
+    assert all(bruteforce.brute_is_relation_atom(desc, p) for p in found)
+    assert results["atoms"] == [p.to_json(desc) for p in found]
+    assert results["count"] == len(found)
+    assert results["enumeration"] == {"lengthBound": 3, "weightBound": 15}
 
 
 def test_structure_probe_unions_target(capsys, n23_path):

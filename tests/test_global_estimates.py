@@ -49,11 +49,34 @@ def test_cancellative_models_match_the_reference_fold(case):
 
 
 @pytest.mark.parametrize("desc,bound", FIXED, ids=FIXED_IDS)
+def test_estimate_rows_read_each_weight_off_the_recurrence(monkeypatch, desc,
+                                                           bound):
+    """Once the recurrence has run, the rows compute no weight: every
+    member's and atom's weight comes from the list it returns."""
+    def refuse(*args):
+        raise AssertionError("a weight was recomputed")
+
+    recur = factor.atom_recurrence
+
+    def then_refuse(*args, **kwargs):
+        out = recur(*args, **kwargs)
+        monkeypatch.setattr(models, "weight", refuse)
+        return out
+
+    monkeypatch.setattr(factor, "atom_recurrence", then_refuse)
+    rows = list(recurrence.estimate_rows(
+        desc, bound, factor.DEFAULT_BUDGET, [], invariants._ESTIMATE_START))
+    assert rows
+    with pytest.raises(AssertionError, match="recomputed"):
+        models.weight(desc, invariants.enumerate_elements(desc, 0)[0])
+
+
+@pytest.mark.parametrize("desc,bound", FIXED, ids=FIXED_IDS)
 def test_recurrence_set_distances_are_the_pair_tables(desc, bound):
     """d(Z_k, Z_l) = (l - k) + T(a; k, l - k) for every member a and every
     pair of its lengths k < l, T from the parents' gap tables."""
     members = invariants.enumerate_elements(desc, bound)
-    _, masks, _, _, below = factor.atom_recurrence(
+    _, masks, _, _, below, _ = factor.atom_recurrence(
         desc, members, factor.DEFAULT_BUDGET)
     top = max(m.bit_length() for m in masks) - 1
     gap_tables = recurrence._GapTables(top)

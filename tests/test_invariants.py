@@ -293,15 +293,15 @@ def test_unions_of_lengths():
     row, warnings = unions_of_lengths(N23, 4, 30)
     assert warnings == []
     assert row["k"] == 4
-    assert row["union"].lengths == (3, 4, 5, 6)
+    assert row["union"] == [3, 4, 5, 6]
     assert row["rhoK"] == 6
 
 
 def test_unions_contains_seed_even_when_unrealized():
     row, _ = unions_of_lengths(N23, 1, 12)
-    assert 1 in row["union"].lengths
+    assert 1 in row["union"]
 
 
 def test_unions_fp_reaches_diagonal_lengths():
     row, _ = unions_of_lengths(FP21, 2, 12)
-    assert {2, 3, 4} <= set(row["union"].lengths)
+    assert {2, 3, 4} <= set(row["union"])

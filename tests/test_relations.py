@@ -195,6 +195,9 @@ def test_interval_scenario_records_relation_atoms():
 def test_interval_scenario_rejects_bad_k():
     with pytest.raises(ValueError):
         verify_interval_relations(0)
+    for k_atom_max in (0, 4):
+        with pytest.raises(ValueError, match="k_atom_max must lie in"):
+            verify_interval_relations(3, k_atom_max)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +221,8 @@ def test_unique_representation_scenario_scales():
 def test_unique_representation_rejects_small_difference():
     with pytest.raises(ValueError):
         verify_unique_representation(difference=3)
+    with pytest.raises(ValueError, match="k_max must be at least 1"):
+        verify_unique_representation(k_max=0)
 
 
 def test_assertion_failure_carries_context():

@@ -20,8 +20,8 @@ def check_against_half(desc, bound):
     assert [e.name for e in full] == [e.name for e in half]
     for top, low in zip(full, half):
         assert top.stabilized == (top.value == low.value), (top.name, bound)
-    probe = aamp.structure_probe(desc, bound)
-    low_m = aamp.structure_probe(desc, bound // 2)["mStar"]
+    probe, _ = aamp.structure_probe(desc, bound)
+    low_m = aamp.structure_probe(desc, bound // 2)[0]["mStar"]
     assert probe["stabilized"] == (probe["mStar"] == low_m), bound
 
 
