@@ -180,7 +180,7 @@ def structure_probe(
         m, d = min((minimal_bound(row.lengths, d), d) for d in ds)
         per_element.append({"element": models.element_to_json(desc, row.element),
                             "lengths": list(row.lengths.lengths), "m": m, "d": d})
-        fits.append((models.weight(desc, row.element), {"mStar": m}))
+        fits.append((row.weight, {"mStar": m}))
     m_star, stabilized = invariants.running_maxima(
         fits, weight_bound, {"mStar": 0})["mStar"]
     return {

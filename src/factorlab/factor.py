@@ -18,7 +18,9 @@ The distance between two factorizations of the same element removes the
 greatest common subfactorization and takes the larger remaining length:
 d(x, y) = max(|x|, |y|) - |gcd(x, y)|. A FactorSet builds the table of
 all pairwise distances of its fiber once, on first use, and the element
-invariants read it from there.
+invariants read it from there. Each row is one int of packed fields
+(``Fields``), a field per factorization, so a row is built and compared
+by a few whole-int operations that act on every field at once.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import functools
 import itertools
 import math
 from array import array
-from operator import and_, mul, sub
+from operator import mul
 from typing import NamedTuple
 
 from . import models
@@ -90,24 +92,61 @@ class FactorSet:
         return self.all[span.start:span.stop]
 
     @functools.cached_property
-    def distance_table(self) -> tuple[array, ...]:
-        """Symmetric n x n table, row i holding d(all[i], all[j]) for all j.
+    def fields(self) -> Fields:
+        """The packing of a distance row: a field per factorization."""
+        return packing(self.all[-1].length if self.all else 0, len(self.all))
 
-        |gcd(x, y)| is the popcount of the ``unary_codes`` X & Y. Lengths
-        are sorted, so max(|x|, |y|) is |x| left of x's index and |y| from
-        it on, and each row is one C-level pass over the fiber.
+    @functools.cached_property
+    def distance_table(self) -> tuple[int, ...]:
+        """Symmetric n x n table, row i packing d(all[i], all[j]) in field j:
+        the fieldwise max(|x|, |y|) with the packed lengths, less |gcd(x, y)|,
+        the sum over the pairs (a, m) of x of the fieldwise min of m and
+        atom a's packed column of multiplicities, cached per (a, m).
         """
-        zs = self.all
-        units = unary_codes([z.counts for z in zs])
-        lengths = [z.length for z in zs]
-        top = lengths[-1] if lengths else 0
-        code = "B" if top < 1 << 8 else "H" if top < 1 << 16 else "Q"
-        rows = []
-        for j, (x, k) in enumerate(zip(units, lengths)):
-            shared = map(int.bit_count, map(and_, itertools.repeat(x), units))
-            longer = itertools.chain(itertools.repeat(k, j), lengths[j:])
-            rows.append(array(code, map(sub, longer, shared)))
-        return tuple(rows)
+        f, zs = self.fields, self.all
+        counts = [dict(z.counts) for z in zs]
+        columns = [f.pack([c.get(a, 0) for c in counts]) for a in range(len(self.atoms))]
+        shared = {(a, m): f.min(columns[a], m * f.ones)
+                  for a, m in set(itertools.chain.from_iterable(z.counts for z in zs))}
+        lengths, gcd = f.pack([z.length for z in zs]), shared.__getitem__
+        return tuple(f.max(lengths, z.length * f.ones) - sum(map(gcd, z.counts))
+                     for z in zs)
+
+
+class Fields:
+    """``count`` values up to ``top`` packed in one int, value j in the
+    field at bit ``width`` * j, each field the fewest whole bytes that also
+    hold FAR, all of a field's bits but its top one. With the top bits
+    clear, (x | HIGH) - y borrows out of no field and keeps the top bit
+    where x >= y, so ``min`` and ``max`` act on every field at once (SWAR)."""
+
+    def __init__(self, top: int, count: int):
+        self.top, self.count = top, count
+        self.nbytes = next(b for b in (1, 2, 4, 8) if top < (1 << 8 * b - 1) - 1)
+        self.width, self.code = 8 * self.nbytes, " BH I   Q"[self.nbytes]
+        self.far = (1 << self.width - 1) - 1
+        self.ones = int.from_bytes(b"\1".ljust(self.nbytes, b"\0") * count, "little")
+        self.high = self.ones << self.width - 1
+
+    def min(self, x: int, y: int) -> int:
+        ge = ((x | self.high) - y) & self.high
+        return x ^ (x ^ y) & ge - (ge >> self.width - 1)
+
+    def max(self, x: int, y: int) -> int:
+        ge = ((x | self.high) - y) & self.high
+        return y ^ (x ^ y) & ge - (ge >> self.width - 1)
+
+    def pack(self, values) -> int:
+        return int.from_bytes(array(self.code, values), "little")
+
+    def unpack(self, x: int) -> array:
+        return array(self.code, x.to_bytes(self.count * self.nbytes, "little"))
+
+
+@functools.lru_cache(maxsize=256)
+def packing(top: int, count: int) -> Fields:
+    """The Fields of ``count`` values up to ``top``, built once for each."""
+    return Fields(top, count)
 
 
 def unary_codes(fiber) -> list[int]:

@@ -10,11 +10,12 @@ length sets over k, and the sumset arithmetic of length sets.
 Every element invariant past the length set is read off one table, the
 pairwise distances of Z(a) that FactorSet.distance_table builds once per
 fiber. Its rows are ordered by length, so each length fiber Z_k is a
-contiguous block. The catenary degree is the largest edge of a minimum
+contiguous block, and each row is one packed int, read with fieldwise
+min and max. The catenary degree is the largest edge of a minimum
 spanning tree of the complete distance graph (Prim), which equals the
 smallest N whose threshold graph is connected; the equal-length degree
-is the largest such bottleneck of a diagonal block. The row and column
-minima of the (k, l) block give the set distance d(Z_k, Z_l) and the
+is the largest such bottleneck of a diagonal block. The fieldwise minima
+and maxima of the (k, l) blocks give the set distance d(Z_k, Z_l) and the
 one-sided sup distance, which yield the adjacent-length degree, the
 successive distance and its weak form. The monotone catenary degree is
 the larger of the equal-length and adjacent-length degrees.
@@ -41,8 +42,10 @@ returns (report, warnings), the report in JSON values.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
+from array import array
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -94,56 +97,59 @@ def unique_representations(
 # catenary degrees and successive distances
 
 
-def _bottleneck(table, span: range) -> int:
-    """Largest MST edge (Prim) of the complete graph on span; 0 for <= 1 node."""
+def _bottleneck(table, span: range, top: int) -> int:
+    """Largest MST edge (Prim) of the complete graph on span; 0 for <= 1 node.
+    The nearest distances are one packed int, FAR at visited nodes; a node
+    no farther than the largest edge so far joins unscanned: it cannot raise it."""
     if len(span) <= 1:
         return 0
-    rest = list(span[1:])
-    best = list(map(table[span[0]].__getitem__, rest))
-    worst = 0
-    while best:
-        d = min(best)
-        p = best.index(d)
-        worst = max(worst, d)
-        u = rest.pop(p)
-        best.pop(p)
-        best = list(map(min, best, map(table[u].__getitem__, rest)))
+    f = factor.packing(top, len(span))
+    shift, mask = f.width * span.start, f.far * f.ones
+    seen, worst = f.far, 0
+    best = table[span.start] >> shift & mask | seen
+    for _ in span[1:]:
+        if near := (worst * f.ones | f.high) - best & f.high:
+            p = (near & -near).bit_length() // f.width - 1
+        else:
+            near = f.unpack(best)
+            worst = min(near)
+            p = near.index(worst)
+        seen |= f.far << f.width * p
+        best = f.min(best, table[span[p]] >> shift & mask) | seen
     return worst
 
 
 def catenary(fs: factor.FactorSet) -> int:
     """Smallest N such that any two factorizations join by an N-chain."""
-    return _bottleneck(fs.distance_table, range(len(fs.all)))
+    return _bottleneck(fs.distance_table, range(len(fs.all)), fs.fields.top)
 
 
 def equal_catenary(fs: factor.FactorSet) -> int:
     """Chains confined to one length fiber; 0 when all fibers are single."""
-    table = fs.distance_table
-    return max((_bottleneck(table, span) for span in fs.spans.values()), default=0)
+    table, top = fs.distance_table, fs.fields.top
+    return max((_bottleneck(table, span, top) for span in fs.spans.values()), default=0)
 
 
 def pair_tables(fs: factor.FactorSet):
     """(set distance, one-sided sup) for every pair of lengths k < l.
 
-    near[l][i] = d({z_i}, Z_l) is the minimum of row i over the block of
-    Z_l. Block (k, l) has row minima near[l] on Z_k and column minima
-    near[k] on Z_l: the set distance is their least value, the one-sided
-    sup their largest.
+    By symmetry the fieldwise min of the rows of Z_l holds d({z_i}, Z_l)
+    in field i. Transposed to a row per z_i, the fieldwise min and max over
+    Z_k hold d(Z_k, Z_l) and the largest d({x}, Z_l), x in Z_k, at each l;
+    the one-sided sup of (k, l) is the larger of Z_k's at l and Z_l's at k.
     """
-    table = fs.distance_table
-    spans = fs.spans
-    near = {
-        l: [min(row[span.start:span.stop]) for row in table]
-        for l, span in spans.items()
-    }
-    dists: dict[tuple[int, int], int] = {}
-    sups: dict[tuple[int, int], int] = {}
-    for k, l in itertools.combinations(spans, 2):
-        sk, sl = spans[k], spans[l]
-        rows = near[l][sk.start:sk.stop]
-        cols = near[k][sl.start:sl.stop]
-        dists[(k, l)] = min(rows)
-        sups[(k, l)] = max(max(rows), max(cols))
+    table, f, spans, n = fs.distance_table, fs.fields, fs.spans, len(fs.all)
+    if len(spans) < 2:
+        return {}, {}
+    near = array(f.code, b"".join(f.unpack(functools.reduce(f.min, table[s.start:s.stop]))
+                                  for s in spans.values()))
+    g = factor.packing(f.top, len(spans))
+    rows = [g.pack(near[i::n]) for i in range(n)]
+    lows, highs = ([g.unpack(functools.reduce(op, rows[s.start:s.stop]))
+                    for s in spans.values()] for op in (g.min, g.max))
+    ls, pairs = list(spans), list(itertools.combinations(range(len(spans)), 2))
+    dists = {(ls[k], ls[l]): lows[k][l] for k, l in pairs}
+    sups = {(ls[k], ls[l]): max(highs[k][l], highs[l][k]) for k, l in pairs}
     return dists, sups
 
 
@@ -182,8 +188,9 @@ class InvariantReport(NamedTuple):
 
 
 # The most entries, n^2 for a fiber of n factorizations, of the distance
-# table ``element_report`` builds: at about 400 ns an entry on a 2-vCPU
-# machine with Python 3.11, a larger table takes over 10 s.
+# table ``element_report`` builds: at about 25 ns an entry on a 2-vCPU
+# machine with Python 3.11, and two bytes while the longest length is
+# below 32,767, a table at the limit takes about 0.6 s and 50 MB.
 TABLE_LIMIT = 25_000_000
 
 
@@ -397,11 +404,12 @@ def global_estimates(
 
 
 class LengthRow(NamedTuple):
-    """One member of a length table: its length set and |Z(element)|."""
+    """One member of a length table: its length set, |Z(element)|, weight."""
 
     element: models.Element
     lengths: LengthSet
     count: int
+    weight: int
 
 
 def length_table(
@@ -413,13 +421,13 @@ def length_table(
     from one fiberless ``factor.atom_recurrence``: a row for each member
     with at most ``budget`` factorizations, a warning for each other."""
     members = enumerate_elements(desc, weight_bound)
-    _, masks, counts, *_ = factor.atom_recurrence(desc, members)
+    _, masks, counts, *_, weights = factor.atom_recurrence(desc, members)
     rows, warnings = [], []
-    for el, mask, count in zip(members, masks, counts):
+    for el, mask, count, weight in zip(members, masks, counts, weights):
         if count > budget:
             warnings.append(budget_warning(desc, el, budget))
         else:
-            rows.append(LengthRow(el, LengthSet(mask_lengths(mask)), count))
+            rows.append(LengthRow(el, LengthSet(mask_lengths(mask)), count, weight))
     return rows, warnings
 
 

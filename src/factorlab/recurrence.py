@@ -88,20 +88,15 @@ def _split_lengths(parents: dict, below: list, masks: list, floor: int) -> int:
     return split
 
 
-class _GapTables:
+class _GapTables(factor.Fields):
     """T(a; k, d) over the lengths k of a member a, packed per gap d into one
     int with a field of ``width`` bits per k that holds FAR - T(a; k, d), or
     0 where k or k + d is not in L(a); so an int ends at a's longest length,
-    and the fieldwise min of T is a fieldwise max, a few whole-int
-    operations while every field keeps its top bit clear."""
+    and the fieldwise min of T is one fieldwise ``max``."""
 
     def __init__(self, top: int):
-        self.nbytes = next(b for b in (1, 2, 4, 8) if top < (1 << 8 * b - 1) - 1)
-        self.width, self.far = 8 * self.nbytes, (1 << 8 * self.nbytes - 1) - 1
-        self.ones = int.from_bytes(b"\1".ljust(self.nbytes, b"\0") * (top + 1),
-                                   "little")
-        self.rest = self.ones * self.far ^ int.from_bytes(b"".join(
-            k.to_bytes(self.nbytes, "little") for k in range(top + 1)), "little")
+        super().__init__(top, top + 1)
+        self.rest = self.ones * self.far ^ self.pack(range(top + 1))
 
     def build(self, mask: int, parents: list, gaps) -> tuple[int, dict]:
         """(FAR at each length of a, {d: a's int} for the gaps d that part two
@@ -112,13 +107,11 @@ class _GapTables:
         spread = bytearray(size * self.nbytes)
         spread[::self.nbytes] = models.byte_table(mask, size)
         at, tables = int.from_bytes(spread, "little") * self.far, {}
-        high = self.ones << w - 1 & (1 << w * size) - 1
         for d in gaps:
             if pairs := at & at >> w * d:
                 c = self.rest & pairs
                 for p in filter(None, (p.get(d) for p in parents)):
-                    ge = ((p << w | high) - c) & high
-                    c ^= (c ^ p << w) & ge - (ge >> w - 1)
+                    c = self.max(p << w, c)
                 tables[d] = c
         return at, tables
 
@@ -165,7 +158,7 @@ def estimate_rows(desc, weight_bound: int, budget: int, warnings: list, start: d
             floor = min(far, max(-1, (best["delta_w"] - 1) * d))
             if t + span * (far - floor) & span << w - 1:
                 most = max(memoryview(t.to_bytes(w * (lengths[-1] + 1) // 8, "little")
-                                      ).cast(" BH I   Q"[w // 8]))
+                                      ).cast(gap_tables.code))
                 row["delta_w"] = max(row["delta_w"], 1 - (-most // d))
         adjacent = list(zip(lengths, lengths[1:]))
         row["c_adj"] = max(

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import bruteforce
 from factorlab import Affine, LengthSet, Numerical, is_aamp, minimal_bound
-from factorlab import aamp
+from factorlab import aamp, models
 from factorlab import verify_witness
 from test_models import FP21, N23, SUM
 
@@ -309,6 +309,21 @@ def test_structure_probe_interval_models_need_no_fuzz():
     free = Affine(dim=2, generators=((1, 0), (0, 1)))
     assert aamp.structure_probe(free, 6)[0]["mStar"] == 0
     assert aamp.structure_probe(FP21, 12)[0]["mStar"] == 0
+
+
+def test_structure_probe_weighs_each_member_once(monkeypatch):
+    # the running maximum reads the weights the atom recurrence returns
+    calls = []
+    weight = models.weight
+
+    def spy(desc, el):
+        calls.append(el)
+        return weight(desc, el)
+
+    monkeypatch.setattr(models, "weight", spy)
+    report, warnings = aamp.structure_probe(Numerical(generators=(6, 9, 20)), 1000)
+    assert len(report["perElement"]) == 979 and warnings == []
+    assert len(calls) == len(set(calls)) == 979
 
 
 def test_unions_probe_trivial_when_no_gaps():
