@@ -16,6 +16,12 @@ probes and unions pass on the library's JSON-ready (report, warnings).
 Every command computes its fibers; none is read from or written to disk,
 so ``--cache-dir``, like ``--jobs``, is accepted with no effect.
 
+``COMMANDS`` lists every command's options once. A well-formed request,
+``<command> (--flag value)*`` with exact flags, is parsed by
+``parse_fast`` and never imports argparse, gettext or locale; ``--help``
+and every other line go through ``build_parser``, so help, usage and error
+messages are argparse's own.
+
 Exit codes: 0 success, 2 malformed input, failed validation or an
 unreadable file, 3 enumeration budget exhausted, a distance table too
 large for ``invariants.element_report`` or memory exhausted
@@ -27,9 +33,9 @@ cannot report this.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
+import types
 
 # Each handler imports the invariants, aamp or relations module it calls,
 # so a request loads only the modules its command runs.
@@ -42,94 +48,110 @@ EXIT_CLAIM = 4
 EXIT_INTERRUPT = 130
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _option(*flags, **spec):
+    """One option: its flags and ``add_argument`` keywords, dest included."""
+    spec.setdefault("dest", flags[0].lstrip("-").replace("-", "_"))
+    return flags, spec
+
+
+_COMMON = (
+    _option("--bound", type=int, default=None,
+            help="weight bound for element sweeps; for validate, the "
+                 "per-coordinate bound of the fp-value closure check, or at "
+                 "least the largest generator weight"),
+    _option("--length-bound", type=int, default=None,
+            help="length bound for relation enumeration"),
+    _option("--budget", type=int, default=factor.DEFAULT_BUDGET,
+            help="maximum factorizations enumerated per element "
+                 "(exit 3 when exceeded)"),
+    _option("--output", choices=("json", "table"), default="table"),
+    _option("--cache-dir", default=None,
+            help="has no effect, as every fiber is computed"),
+    _option("--jobs", type=int, default=1,
+            help="must be at least 1; has no effect, as every command runs "
+                 "in one process"),
+)
+_MONOID = (*_COMMON, _option("--monoid", required=True, help="descriptor JSON file"))
+_ELEMENT = _option("--element", required=True)
+
+# Every command: its help line and its options, in --help order.
+COMMANDS = {
+    "validate": ("check a monoid descriptor", _MONOID),
+    "atoms": ("list the atoms dividing an element", (*_MONOID, _ELEMENT)),
+    "factorize": ("enumerate all factorizations of an element", (*_MONOID, _ELEMENT)),
+    "invariants": ("length set, elasticity, catenary and successive-distance "
+                   "data for one element", (*_MONOID, _ELEMENT)),
+    "global": ("aggregate invariants over a weight-bounded sweep", _MONOID),
+    "unions": ("union of length sets over the fiber of one length",
+               (*_MONOID, _option("--k", type=int, required=True))),
+    "aamp-check": ("test a finite set for almost-arithmetic structure", (
+        *_COMMON,
+        _option("--set", required=True, dest="length_set",
+                help="comma separated integers, e.g. 2,4,6; as "
+                     "--set=-5,-3,100 when the first is negative"),
+        _option("--d", "--difference", type=int, required=True, dest="difference"),
+        _option("--m", type=int, default=None,
+                help="fixed fuzz bound; omitted means find the minimum"))),
+    "structure-probe": ("sweep length sets and fit almost-arithmetic structure", (
+        *_MONOID,
+        _option("--d-candidates", default=None,
+                help="comma separated candidate differences"),
+        _option("--target", choices=("elements", "unions"), default="elements"),
+        _option("--k-range", default=None,
+                help="inclusive length range lo,hi for --target unions"))),
+    "relation-atoms": ("irreducible equal-length relation pairs", _MONOID),
+    "verify-example": ("run a built-in verification scenario", (
+        *_COMMON,
+        _option("--name", required=True, choices=("3.2", "3.3")),
+        _option("--k-max", type=int, default=None),
+        _option("--d", "--difference", type=int, default=10, dest="difference"))),
+    "probe-growth": ("track invariants along a growing element family", (
+        *_MONOID,
+        _option("--family", required=True, choices=("power", "diagonal")),
+        _option("--element", default=None, help="base element for the power family"),
+        _option("--n-max", type=int, required=True))),
+}
+
+
+def build_parser():
+    """The argparse parser of ``COMMANDS``, for --help and malformed lines."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="factorlab",
         description="Factorization workbench for finitely generated monoids.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--bound", type=int, default=None,
-                        help="weight bound for element sweeps; for "
-                             "validate, the per-coordinate bound of the "
-                             "fp-value closure check, or at least the "
-                             "largest generator weight")
-    common.add_argument("--length-bound", type=int, default=None,
-                        help="length bound for relation enumeration")
-    common.add_argument("--budget", type=int, default=factor.DEFAULT_BUDGET,
-                        help="maximum factorizations enumerated per element "
-                             "(exit 3 when exceeded)")
-    common.add_argument("--output", choices=("json", "table"), default="table")
-    common.add_argument("--cache-dir", default=None,
-                        help="has no effect, as every fiber is computed")
-    common.add_argument("--jobs", type=int, default=1,
-                        help="must be at least 1; has no effect, as every "
-                             "command runs in one process")
-    monoid = argparse.ArgumentParser(add_help=False, parents=[common])
-    monoid.add_argument("--monoid", required=True, help="descriptor JSON file")
-
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sub.add_parser("validate", parents=[monoid],
-                   help="check a monoid descriptor")
-
-    p = sub.add_parser("atoms", parents=[monoid],
-                       help="list the atoms dividing an element")
-    p.add_argument("--element", required=True)
-
-    p = sub.add_parser("factorize", parents=[monoid],
-                       help="enumerate all factorizations of an element")
-    p.add_argument("--element", required=True)
-
-    p = sub.add_parser("invariants", parents=[monoid],
-                       help="length set, elasticity, catenary and "
-                            "successive-distance data for one element")
-    p.add_argument("--element", required=True)
-
-    sub.add_parser("global", parents=[monoid],
-                   help="aggregate invariants over a weight-bounded sweep")
-
-    p = sub.add_parser("unions", parents=[monoid],
-                       help="union of length sets over the fiber of one length")
-    p.add_argument("--k", type=int, required=True)
-
-    p = sub.add_parser("aamp-check", parents=[common],
-                       help="test a finite set for almost-arithmetic structure")
-    p.add_argument("--set", required=True, dest="length_set",
-                   help="comma separated integers, e.g. 2,4,6; as "
-                        "--set=-5,-3,100 when the first is negative")
-    p.add_argument("--d", "--difference", type=int, required=True,
-                   dest="difference")
-    p.add_argument("--m", type=int, default=None,
-                   help="fixed fuzz bound; omitted means find the minimum")
-
-    p = sub.add_parser("structure-probe", parents=[monoid],
-                       help="sweep length sets and fit almost-arithmetic "
-                            "structure")
-    p.add_argument("--d-candidates", default=None,
-                   help="comma separated candidate differences")
-    p.add_argument("--target", choices=("elements", "unions"),
-                   default="elements")
-    p.add_argument("--k-range", default=None,
-                   help="inclusive length range lo,hi for --target unions")
-
-    sub.add_parser("relation-atoms", parents=[monoid],
-                   help="irreducible equal-length relation pairs")
-
-    p = sub.add_parser("verify-example", parents=[common],
-                       help="run a built-in verification scenario")
-    p.add_argument("--name", required=True, choices=("3.2", "3.3"))
-    p.add_argument("--k-max", type=int, default=None)
-    p.add_argument("--d", "--difference", type=int, default=10,
-                   dest="difference")
-
-    p = sub.add_parser("probe-growth", parents=[monoid],
-                       help="track invariants along a growing element family")
-    p.add_argument("--family", required=True, choices=("power", "diagonal"))
-    p.add_argument("--element", default=None,
-                   help="base element for the power family")
-    p.add_argument("--n-max", type=int, required=True)
-
+    for command, (text, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for flags, spec in options:
+            p.add_argument(*flags, **spec)
     return parser
+
+
+def parse_fast(argv: list[str]) -> types.SimpleNamespace | None:
+    """``<command> (--flag value)*`` with exact flags, each dest once and no
+    value starting with "-", parsed as argparse would; None for any other
+    line, which ``build_parser`` then parses or rejects."""
+    if len(argv) % 2 == 0 or argv[0] not in COMMANDS:
+        return None
+    options = {flag: spec for flags, spec in COMMANDS[argv[0]][1] for flag in flags}
+    given = {}
+    for flag, text in zip(argv[1::2], argv[2::2]):
+        spec = options.get(flag)
+        if spec is None or spec["dest"] in given or text.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(text)
+        except ValueError:
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[spec["dest"]] = value
+    if any(spec.get("required") and spec["dest"] not in given for spec in options.values()):
+        return None
+    return types.SimpleNamespace(command=argv[0], **{
+        spec["dest"]: given.get(spec["dest"], spec.get("default")) for spec in options.values()})
 
 
 def load_descriptor(path: str) -> models.MonoidDescriptor:
@@ -420,8 +442,8 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = parse_fast(argv) or build_parser().parse_args(argv)
     for flag, value, least in (("--bound", args.bound, 0),
                                ("--length-bound", args.length_bound, 0),
                                ("--budget", args.budget, 0),
@@ -433,7 +455,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_INPUT
     handler = _HANDLERS[args.command]
     try:
-        desc = load_descriptor(args.monoid) if "monoid" in args else None
+        desc = load_descriptor(args.monoid) if hasattr(args, "monoid") else None
         hashed, results, warnings = handler(args, desc)
         descriptor_hash = None if hashed is None else models.descriptor_hash(hashed)
     except errors.BudgetExceeded as exc:

@@ -147,10 +147,16 @@ def pair_tables(fs: factor.FactorSet):
     rows = [g.pack(near[i::n]) for i in range(n)]
     lows, highs = ([g.unpack(functools.reduce(op, rows[s.start:s.stop]))
                     for s in spans.values()] for op in (g.min, g.max))
-    ls, pairs = list(spans), list(itertools.combinations(range(len(spans)), 2))
-    dists = {(ls[k], ls[l]): lows[k][l] for k, l in pairs}
-    sups = {(ls[k], ls[l]): max(highs[k][l], highs[l][k]) for k, l in pairs}
+    keys = list(itertools.combinations(spans, 2))
+    dists = dict(zip(keys, _upper(lows)))
+    sups = dict(zip(keys, map(max, _upper(highs), _upper(zip(*highs)))))
     return dists, sups
+
+
+def _upper(rows):
+    """The entries right of the diagonal, row after row: the pairs k < l in
+    ``itertools.combinations`` order."""
+    return itertools.chain.from_iterable(row[k + 1:] for k, row in enumerate(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +177,8 @@ class InvariantReport(NamedTuple):
     pair_dist_sup: dict
 
     def to_json(self, desc: models.MonoidDescriptor) -> dict:
+        # pair_tables builds both dicts over the same pairs in the same order.
+        keys = [f"{k},{l}" for k, l in self.pair_distance]
         return {
             "element": models.element_to_json(desc, self.element),
             "lengthSet": list(self.lengths.lengths),
@@ -182,8 +190,8 @@ class InvariantReport(NamedTuple):
             "cMon": self.c_mon,
             "deltaElem": self.delta_elem,
             "deltaW": self.delta_w,
-            "pairDistance": {f"{k},{l}": v for (k, l), v in self.pair_distance.items()},
-            "pairDistSup": {f"{k},{l}": v for (k, l), v in self.pair_dist_sup.items()},
+            "pairDistance": dict(zip(keys, self.pair_distance.values())),
+            "pairDistSup": dict(zip(keys, self.pair_dist_sup.values())),
         }
 
 

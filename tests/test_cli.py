@@ -1,12 +1,16 @@
 """Command line surface: envelopes, exit codes, the retired cache, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bruteforce
 from factorlab import cli, errors, factor, models
@@ -795,6 +799,163 @@ def test_repeat_runs_are_byte_identical(capsys, n23_path):
 
 
 # ---------------------------------------------------------------------------
+# command lines: the fast parser agrees with argparse, and every line,
+# well-formed or not, ends in a documented exit code
+
+
+def option_flags(command: str) -> list[str]:
+    return [flag for flags, _ in cli.COMMANDS[command][1] for flag in flags]
+
+
+COMMAND_NAMES = sorted(cli.COMMANDS)
+EVERY_FLAG = sorted({flag for command in cli.COMMANDS for flag in option_flags(command)})
+FLAG_SPECS = {flag: spec for _, options in cli.COMMANDS.values()
+              for flags, spec in options for flag in flags}
+CHOICES = sorted({choice for spec in FLAG_SPECS.values()
+                  for choice in spec.get("choices", ())})
+# A proper prefix of a flag, one letter past the dashes at least.
+ABBREVIATED = st.sampled_from(EVERY_FLAG).flatmap(
+    lambda flag: st.integers(3, len(flag) - 1).map(lambda n: flag[:n])
+    if len(flag) > 3 else st.just(flag))
+MISSPELT_FLAGS = st.one_of(st.sampled_from(EVERY_FLAG), ABBREVIATED,
+                           st.sampled_from(["--zzz", "-h", "--help", "--", "12"]))
+ANY_VALUE = st.one_of(st.integers(0, 99).map(str), st.integers(-99, -1).map(str),
+                      st.sampled_from(CHOICES + ["12", "2,4,6", "word", "-h", ""]),
+                      st.text(max_size=3))
+MISSPELT_FORMS = st.sampled_from(["pair"] * 6 + ["joined", "flag", "value"])
+
+
+def accepted_value(flag: str):
+    """A value the flag's type and choices accept."""
+    spec = FLAG_SPECS[flag]
+    if "choices" in spec:
+        return st.sampled_from(spec["choices"])
+    if spec.get("type") is int:
+        return st.integers(0, 99).map(str)
+    return st.sampled_from(["12", "2,4,6", "word", ""])
+
+
+@st.composite
+def command_lines(draw, value_of, misspelt: bool, always=()) -> list[str]:
+    """A command, its required options, the flags ``always`` names and up
+    to four more, in any order. A misspelt line also draws other commands'
+    flags, abbreviations and stray tokens, and spells some options as
+    --flag=value, a lone flag or a lone value."""
+    command = draw(st.sampled_from(COMMAND_NAMES))
+    options = cli.COMMANDS[command][1]
+    flags = [flags[0] for flags, spec in options if spec.get("required")]
+    own = st.sampled_from(option_flags(command))
+    extra = st.one_of(own, MISSPELT_FLAGS) if misspelt else own
+    flags += [*always, *draw(st.lists(extra, max_size=4))]
+    argv = [command]
+    for flag in draw(st.permutations(flags)):
+        value = draw(value_of(flag, misspelt))
+        form = draw(MISSPELT_FORMS) if misspelt else "pair"
+        argv += {"pair": [flag, value], "joined": [f"{flag}={value}"],
+                 "flag": [flag], "value": [value]}[form]
+    return argv
+
+
+def argparse_namespace(argv: list[str]) -> dict | None:
+    """vars() of what argparse parses, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=st.one_of(
+    st.booleans().flatmap(lambda misspelt: command_lines(
+        lambda flag, _: ANY_VALUE if misspelt else st.one_of(accepted_value(flag),
+                                                             ANY_VALUE),
+        misspelt)),
+    st.lists(st.one_of(st.sampled_from(COMMAND_NAMES), MISSPELT_FLAGS, ANY_VALUE),
+             max_size=6)))
+def test_the_fast_parser_agrees_with_argparse(argv):
+    fast = cli.parse_fast(argv)
+    if fast is not None:
+        assert vars(fast) == argparse_namespace(argv)
+
+
+BENCH_MONOID = ["--monoid", os.path.join(DESCRIPTORS, "numerical.json")]
+
+
+@pytest.mark.parametrize("argv", [
+    ["validate", *BENCH_MONOID],
+    ["atoms", *BENCH_MONOID, "--element", "12"],
+    ["factorize", *BENCH_MONOID, "--element", "600"],
+    ["invariants", *BENCH_MONOID, "--element", "60;6,6;4"],
+    ["global", *BENCH_MONOID, "--bound", "100"],
+    ["unions", *BENCH_MONOID, "--bound", "200", "--k", "3"],
+    ["aamp-check", "--set", "2,4,6", "--d", "2", "--m", "1"],
+    ["structure-probe", *BENCH_MONOID, "--bound", "200", "--target", "unions",
+     "--k-range", "2,8"],
+    ["relation-atoms", *BENCH_MONOID, "--length-bound", "3"],
+    ["verify-example", "--name", "3.3", "--k-max", "4", "--difference", "5"],
+    ["probe-growth", *BENCH_MONOID, "--family", "power", "--element", "2;1,1;1",
+     "--n-max", "8"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("tail", [["--output", "json", "--jobs", "1"],
+                                  ["--output", "json", "--jobs", "1",
+                                   "--cache-dir", "cache/plain"]],
+                         ids=["plain", "cache-dir"])
+def test_a_bench_request_takes_the_fast_path(argv, tail):
+    fast = cli.parse_fast(argv + tail)
+    assert fast is not None
+    assert vars(fast) == argparse_namespace(argv + tail)
+
+
+# Elements of 2-12 factorizations, so that small budgets run out.
+FUZZ_ELEMENTS = {"numerical": "120", "affine": "6,6", "fp-value": "4,4",
+                 "sumset": "{0,1,2,3,4}", "product": "12;3,3;2"}
+
+
+def fuzz_value(model: str):
+    """Budgets 0-50, other integers 0-8, the model's descriptor and an
+    element of it; a misspelt line also draws values the flag rejects."""
+    def value_of(flag: str, misspelt: bool):
+        spec = FLAG_SPECS.get(flag, {})
+        bad = ["-1", "x", ""] if misspelt else []
+        if "choices" in spec:
+            return st.sampled_from([*spec["choices"], *bad])
+        if spec.get("type") is int:
+            top = 50 if flag == "--budget" else 8
+            return st.one_of(st.integers(0, top).map(str), st.sampled_from(bad or ["0"]))
+        return st.sampled_from({
+            "--monoid": [os.path.join(DESCRIPTORS, f"{model}.json")],
+            "--element": [FUZZ_ELEMENTS[model], "1"],
+            "--set": ["2,4,6", "1,3,4,8"],
+            "--d-candidates": ["1,2", "3"],
+            "--k-range": ["2,5", "3,3", "5,2"],
+        }.get(flag, ["unused-cache"]) + bad)
+    return value_of
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=st.tuples(st.sampled_from(sorted(FUZZ_ELEMENTS)), st.booleans()).flatmap(
+    lambda drawn: command_lines(fuzz_value(drawn[0]), drawn[1],
+                                always=("--bound", "--budget"))))
+def test_every_command_line_ends_in_a_documented_exit(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2, 3), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    if code:
+        # argparse's usage lines, the first unindented, come before its one
+        # error line; main's own messages are one line alone.
+        lines = [line for line in err.getvalue().splitlines()
+                 if not line.startswith(("usage: ", " "))]
+        assert len(lines) == 1 and lines[0].startswith("factorlab"), err.getvalue()
+
+
+# ---------------------------------------------------------------------------
 # start-up: a request imports only the modules its command runs
 
 
@@ -821,6 +982,9 @@ FIBER_UNUSED = ("factorlab.invariants", *NO_GLOBAL, "fractions")
 # The records are NamedTuples and plain classes: no command needs the
 # dataclass machinery, or the inspect, ast and dis modules it pulls in.
 NEVER_USED = ("dataclasses", "inspect")
+# A well-formed line is parsed without argparse and the gettext and locale
+# modules its messages load.
+PARSER = ("argparse", "gettext", "locale")
 
 
 def test_cli_import_loads_no_process_pool():
@@ -851,4 +1015,15 @@ def test_a_command_loads_only_the_modules_it_runs(n23_path, argv, unused):
     code = ("from factorlab import cli\n"
             f"if cli.main({argv + ['--monoid', n23_path]!r}):\n"
             "    raise SystemExit('the command failed')")
-    assert loaded_after(code, unused + NEVER_USED) == []
+    assert loaded_after(code, unused + NEVER_USED + PARSER) == []
+
+
+def test_help_still_goes_through_argparse(n23_path):
+    code = ("from factorlab import cli\n"
+            "try:\n"
+            "    cli.main(['validate', '--help'])\n"
+            "except SystemExit as exc:\n"
+            "    assert exc.code == 0, exc.code\n"
+            "else:\n"
+            "    raise SystemExit('--help did not exit')")
+    assert loaded_after(code, PARSER) == list(PARSER)
