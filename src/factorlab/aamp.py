@@ -20,7 +20,6 @@ sets into (report, warnings), the report in JSON values.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from . import factor, invariants, models
@@ -223,6 +222,7 @@ def unions_structure_probe(
     dmin = delta_set[0]
     rho = max(ls.rho() for ls in sets)
     union_at = invariants.unions_containing(table)
+    from fractions import Fraction
     rows = []
     for k in ks:
         union = union_at(k)

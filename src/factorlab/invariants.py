@@ -46,10 +46,12 @@ import functools
 import itertools
 import math
 from array import array
-from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from . import errors, factor, models
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 class LengthSet(NamedTuple):
@@ -62,6 +64,7 @@ class LengthSet(NamedTuple):
 
     def rho(self) -> Fraction:
         """max/min elasticity; the length set {0} has elasticity 1."""
+        from fractions import Fraction
         ls = self.lengths
         if not ls:
             raise ValueError("empty length set has no elasticity")
@@ -286,15 +289,15 @@ def mask_lengths(mask: int) -> tuple[int, ...]:
 
 def fibers(desc: models.MonoidDescriptor, weight_bound: int,
            budget: int = factor.DEFAULT_BUDGET):
-    """(member, Z(member)) in weight order from one ``factor.atom_recurrence``,
-    None where factor.factorizations would raise BudgetExceeded; each fiber
-    is built, and its raw row freed, when its member is reached."""
+    """(member, |Z(member)|, Z(member)) in weight order from one
+    ``factor.atom_recurrence``, None for a fiber past the budget; each
+    fiber is built, and its raw row freed, when its member is reached."""
     members = enumerate_elements(desc, weight_bound)
     atoms, _, counts, raw, *_ = factor.atom_recurrence(desc, members, budget)
     for i, el in enumerate(members):
         zs, raw[i] = raw[i], None
-        yield el, (None if counts[i] > budget
-                   else factor.recurrence_fiber(desc, el, members, atoms, zs))
+        yield el, counts[i], (None if counts[i] > budget else
+                              factor.recurrence_fiber(desc, el, members, atoms, zs))
 
 
 # ---------------------------------------------------------------------------
@@ -310,6 +313,7 @@ class GlobalEstimate(NamedTuple):
     stabilized: bool
 
     def to_json(self) -> dict:
+        from fractions import Fraction
         value = self.value
         if isinstance(value, Fraction):
             value = str(value)
@@ -323,11 +327,13 @@ class GlobalEstimate(NamedTuple):
         }
 
 
-# Each estimate's value over no members: the running maxima start here.
-_ESTIMATE_START = {
-    "delta_set": frozenset(), "rho": Fraction(1), "c": 0, "c_eq": 0,
-    "c_adj": 0, "c_mon": 0, "delta": 0, "delta_w": 0,
-}
+def _estimate_start() -> dict:
+    """Each estimate's value over no members: the running maxima start here."""
+    from fractions import Fraction
+    return {
+        "delta_set": frozenset(), "rho": Fraction(1), "c": 0, "c_eq": 0,
+        "c_adj": 0, "c_mon": 0, "delta": 0, "delta_w": 0,
+    }
 
 
 def running_maxima(rows, weight_bound: int, start: dict) -> dict:
@@ -368,13 +374,16 @@ def global_estimates(
     one atom recurrence with no distance table; a sumset's fibers are
     streamed, one at a time, through ``element_report``.
     """
-    warnings = []
+    warnings, start = [], _estimate_start()
 
     def summaries():
-        for el, fs in fibers(desc, weight_bound, budget):
-            if fs is None:
+        most = math.isqrt(TABLE_LIMIT)
+        for el, count, fs in fibers(desc, weight_bound, min(budget, most)):
+            if count > budget:
                 warnings.append(budget_warning(desc, el, budget))
                 continue
+            if fs is None:
+                raise errors.TableTooLarge(count, TABLE_LIMIT)
             rep = element_report(fs)
             yield models.weight(desc, el), {
                 "delta_set": frozenset(rep.lengths.delta()),
@@ -390,11 +399,10 @@ def global_estimates(
     if models.cancellative(desc):
         from . import recurrence
 
-        rows = recurrence.estimate_rows(desc, weight_bound, budget, warnings,
-                                        _ESTIMATE_START)
+        rows = recurrence.estimate_rows(desc, weight_bound, budget, warnings, start)
     else:
         rows = summaries()
-    maxima = running_maxima(rows, weight_bound, _ESTIMATE_START)
+    maxima = running_maxima(rows, weight_bound, start)
     estimates = [
         GlobalEstimate(
             name=name,

@@ -28,7 +28,6 @@ search in the package.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 from operator import add, le, mul, sub
@@ -268,9 +267,14 @@ def canonical_dumps(obj: Any) -> str:
 
 
 def descriptor_hash(desc: MonoidDescriptor) -> str:
-    return hashlib.sha256(
-        canonical_dumps(descriptor_to_json(desc)).encode()
-    ).hexdigest()
+    try:  # the interpreter's built-in SHA-256: hashlib's digest, no OpenSSL
+        from _sha256 import sha256
+    except ImportError:
+        try:  # its name from Python 3.12
+            from _sha2 import sha256
+        except ImportError:
+            from hashlib import sha256
+    return sha256(canonical_dumps(descriptor_to_json(desc)).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -76,7 +76,7 @@ def _default_weight_bound(desc: models.MonoidDescriptor, length_bound: int) -> i
 def _length_fibers(desc, length_bound: int, weight_bound: int, budget: int):
     """(element, Z(element), Z_k(element)) for each k <= length_bound, in
     weight order; BudgetExceeded at the first fiber past the budget."""
-    for el, fs in invariants.fibers(desc, weight_bound, budget):
+    for el, _, fs in invariants.fibers(desc, weight_bound, budget):
         if fs is None:
             raise BudgetExceeded(budget)
         for k in fs.lengths:

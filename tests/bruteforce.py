@@ -534,7 +534,7 @@ def reference_global_estimates(desc, weight_bound: int,
              "c_mon": 0, "delta": 0, "delta_w": 0}
     at_half = {name: type(value)(value) for name, value in final.items()}
     warnings = []
-    for el, fs in invariants.fibers(desc, weight_bound, budget):
+    for el, _, fs in invariants.fibers(desc, weight_bound, budget):
         if fs is None:
             warnings.append(invariants.budget_warning(desc, el, budget))
             continue

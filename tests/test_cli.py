@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -417,6 +418,34 @@ def test_invariants_enumerates_no_further_than_the_table_limit(capsys, monkeypat
     assert run(capsys, argv + ["--budget", "3"]) == (
         3, "", "factorlab: enumeration budget 3 exhausted\n")
     assert budgets == [4, 3]
+
+
+def test_sumset_global_builds_no_fiber_past_the_table_cap(capsys, monkeypatch,
+                                                         tmp_path):
+    """The sumset of {0} and every nonempty subset of {1, 2, 3, 4}: below
+    weight 22 only [0, 22] has more than isqrt(TABLE_LIMIT) = 5,000
+    factorizations (5,976). The recurrence builds no fiber past that cap;
+    the exact count still decides between the table error and a budget
+    warning."""
+    gens = [[0, *s] for r in range(1, 5) for s in itertools.combinations(range(1, 5), r)]
+    path = tmp_path / "sum4.json"
+    path.write_text(json.dumps({"model": "sumset", "generators": gens}))
+    budgets = []
+    recur = factor.atom_recurrence
+
+    def spy(desc, members, budget=None):
+        budgets.append(budget)
+        return recur(desc, members, budget)
+
+    monkeypatch.setattr(factor, "atom_recurrence", spy)
+    argv = ["global", "--monoid", str(path), "--bound", "22"]
+    assert run(capsys, argv) == (
+        3, "", "factorlab: distance table of 5976 factorizations has 35712576 "
+        "entries, over the limit of 25000000\n")
+    doc = run_json(capsys, argv + ["--budget", "5975"])
+    assert doc["warnings"] == [{"element": list(range(23)), "error": "budget-exceeded",
+                                "budget": 5975}]
+    assert budgets == [5000, 5000]
 
 
 def test_probe_growth_stops_with_a_warning_at_the_table_limit(capsys, monkeypatch,
@@ -978,10 +1007,13 @@ SUBMODULES = tuple(f"factorlab.{name}" for name in (
 SWEEP_UNUSED = ("factorlab.aamp", "factorlab.cache", "factorlab.relations")
 # Only the global estimates of a cancellative model run the recurrence module.
 NO_GLOBAL = SWEEP_UNUSED + ("factorlab.recurrence",)
-FIBER_UNUSED = ("factorlab.invariants", *NO_GLOBAL, "fractions")
+# Only a command that builds an elasticity or density needs fractions.
+NO_FRACTION = ("fractions", "decimal")
+FIBER_UNUSED = ("factorlab.invariants", *NO_GLOBAL, *NO_FRACTION)
 # The records are NamedTuples and plain classes: no command needs the
 # dataclass machinery, or the inspect, ast and dis modules it pulls in.
-NEVER_USED = ("dataclasses", "inspect")
+# descriptorHash reads the built-in SHA-256, not OpenSSL's through hashlib.
+NEVER_USED = ("dataclasses", "inspect", "hashlib", "_hashlib")
 # A well-formed line is parsed without argparse and the gettext and locale
 # modules its messages load.
 PARSER = ("argparse", "gettext", "locale")
@@ -1003,12 +1035,12 @@ def test_package_import_loads_no_submodule():
     (["global", "--bound", "12"], SWEEP_UNUSED),
     (["global", "--bound", "24", "--jobs", "2"],
      SWEEP_UNUSED + ("multiprocessing", "concurrent.futures.process")),
-    (["unions", "--bound", "12", "--k", "3"], NO_GLOBAL),
+    (["unions", "--bound", "12", "--k", "3"], NO_GLOBAL + NO_FRACTION),
     (["invariants", "--element", "12"], NO_GLOBAL),
     (["structure-probe", "--bound", "12"], ("factorlab.relations",
-                                            "factorlab.recurrence")),
+                                            "factorlab.recurrence", *NO_FRACTION)),
     (["relation-atoms", "--length-bound", "3"], ("factorlab.aamp",
-                                                 "factorlab.recurrence")),
+                                                 "factorlab.recurrence", *NO_FRACTION)),
 ], ids=["factorize", "atoms", "validate", "global", "global-jobs-2", "unions",
         "invariants", "structure-probe", "relation-atoms"])
 def test_a_command_loads_only_the_modules_it_runs(n23_path, argv, unused):
@@ -1016,6 +1048,19 @@ def test_a_command_loads_only_the_modules_it_runs(n23_path, argv, unused):
             f"if cli.main({argv + ['--monoid', n23_path]!r}):\n"
             "    raise SystemExit('the command failed')")
     assert loaded_after(code, unused + NEVER_USED + PARSER) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["global", "--bound", "12"],
+    ["structure-probe", "--target", "unions", "--bound", "12", "--k-range", "2,4"],
+], ids=["global", "structure-probe-unions"])
+def test_elasticity_still_loads_fractions(n23_path, argv):
+    """rho and the unions probe's densities stay Fractions, imported where
+    they are built."""
+    code = ("from factorlab import cli\n"
+            f"if cli.main({argv + ['--monoid', n23_path]!r}):\n"
+            "    raise SystemExit('the command failed')")
+    assert loaded_after(code, NO_FRACTION) == list(NO_FRACTION)
 
 
 def test_help_still_goes_through_argparse(n23_path):

@@ -21,8 +21,9 @@ def shape(fs: factor.FactorSet):
 
 def check_stream(desc, bound):
     stream = list(invariants.fibers(desc, bound))
-    assert [el for el, _ in stream] == bruteforce.brute_members(desc, bound)
-    for el, fs in stream:
+    assert [el for el, _, _ in stream] == bruteforce.brute_members(desc, bound)
+    for el, count, fs in stream:
+        assert count == len(fs.all), el
         assert shape(fs) == shape(factor.factorizations(desc, el)), el
         assert bruteforce.factor_set_as_multisets(fs) == \
             bruteforce.brute_factorizations(desc, el), el
@@ -58,16 +59,17 @@ def test_product_models_match_enumeration_and_oracle(desc, bound):
 
 
 def check_overflow(desc, bound):
-    counts = {len(fs.all) for _, fs in invariants.fibers(desc, bound)}
+    counts = {count for _, count, _ in invariants.fibers(desc, bound)}
     budgets = sorted({n for c in counts for n in (c - 1, c)})
     for budget in budgets:
-        for el, fs in invariants.fibers(desc, bound, budget):
+        for el, count, fs in invariants.fibers(desc, bound, budget):
             try:
                 want = factor.factorizations(desc, el, budget)
             except BudgetExceeded:
-                assert fs is None, (budget, el)
+                assert fs is None and count > budget, (budget, el)
             else:
                 assert fs is not None and shape(fs) == shape(want), (budget, el)
+                assert count == len(fs.all), (budget, el)
 
 
 @pytest.mark.parametrize("desc,bound", FIXED, ids=FIXED_IDS)
@@ -95,13 +97,13 @@ def test_length_table_rows_match_the_fibers(desc, bound):
     for budget in sorted({n for c in counts for n in (c - 1, c)}):
         table, warnings = invariants.length_table(desc, bound, budget)
         stream = list(invariants.fibers(desc, bound, budget))
-        built = [(el, fs) for el, fs in stream if fs is not None]
+        built = [(el, fs) for el, _, fs in stream if fs is not None]
         assert [row.element for row in table] == [el for el, _ in built]
         for row, (el, fs) in zip(table, built):
             assert row.lengths == invariants.length_set(fs), (budget, el)
             assert row.count == len(fs.all), (budget, el)
         assert warnings == [invariants.budget_warning(desc, el, budget)
-                            for el, fs in stream if fs is None], budget
+                            for el, _, fs in stream if fs is None], budget
 
 
 def test_product_sweep_lists_each_slot_once(monkeypatch):
@@ -124,7 +126,7 @@ def test_product_sweep_lists_each_slot_once(monkeypatch):
 
 def test_identity_overflows_a_zero_budget():
     assert list(invariants.fibers(N23, 3, budget=0)) == [
-        (0, None), (2, None), (3, None)]
+        (0, 1, None), (2, 1, None), (3, 1, None)]
 
 
 @pytest.mark.parametrize("desc,bound", [(N23, 300), (PROD, 5), (SUM, 6)],

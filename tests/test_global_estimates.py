@@ -65,7 +65,7 @@ def test_estimate_rows_read_each_weight_off_the_recurrence(monkeypatch, desc,
 
     monkeypatch.setattr(factor, "atom_recurrence", then_refuse)
     rows = list(recurrence.estimate_rows(
-        desc, bound, factor.DEFAULT_BUDGET, [], invariants._ESTIMATE_START))
+        desc, bound, factor.DEFAULT_BUDGET, [], invariants._estimate_start()))
     assert rows
     with pytest.raises(AssertionError, match="recomputed"):
         models.weight(desc, invariants.enumerate_elements(desc, 0)[0])

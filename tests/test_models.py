@@ -1,8 +1,12 @@
 """Descriptor, element, membership and atom layer."""
 
+import hashlib
+import importlib.util
 import itertools
 import json
+import pathlib
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -540,3 +544,58 @@ def test_identity_membership_everywhere():
         assert membership(desc, e)
         assert weight(desc, e) == 0
         assert not is_atom(desc, e)
+
+
+# ---------------------------------------------------------------------------
+# descriptor hash: the interpreter's built-in SHA-256, else hashlib's
+
+BENCH_DESCRIPTORS = sorted(
+    (pathlib.Path(__file__).parents[1] / "perfbench" / "descriptors").glob("*.json"))
+# CPython's SHA-256 module: _sha256 up to 3.11, _sha2 from 3.12
+BUILTIN_SHA256 = ("_sha256", "_sha2")
+# README's ``invariants`` example, on the descriptor {"model": "numerical",
+# "generators": [2, 3]}
+README_HASH = "f0f53a5816d985bb3ba7cf4b62d23ec0de400bebd41541328e7377c7e5df9530"
+
+
+def check_hash(desc, hide_builtin: bool, want: str | None = None):
+    """descriptor_hash is hashlib's sha256 of the canonical descriptor JSON.
+    It comes from the built-in module where there is one; with
+    ``hide_builtin`` none can be imported, and hashlib's fallback gives it."""
+    doc = models.canonical_dumps(descriptor_to_json(desc)).encode()
+    expected = hashlib.sha256(doc).hexdigest()
+    assert want in (None, expected)
+    builtin = not hide_builtin and any(
+        importlib.util.find_spec(name) for name in BUILTIN_SHA256)
+    calls = []
+    real = hashlib.sha256
+    with pytest.MonkeyPatch.context() as mp:
+        if hide_builtin:
+            for name in BUILTIN_SHA256:
+                mp.setitem(sys.modules, name, None)
+        mp.setattr(hashlib, "sha256", lambda data: calls.append(data) or real(data))
+        assert descriptor_hash(desc) == expected
+    assert calls == ([] if builtin else [doc])
+
+
+HIDE = pytest.mark.parametrize("hide_builtin", [False, True],
+                               ids=["built-in", "hashlib"])
+
+
+@HIDE
+@pytest.mark.parametrize("path", BENCH_DESCRIPTORS, ids=lambda p: p.stem)
+def test_hash_of_each_bench_descriptor_is_hashlib_sha256(path, hide_builtin):
+    check_hash(descriptor_from_json(json.loads(path.read_text())), hide_builtin)
+
+
+@HIDE
+def test_hash_keeps_the_readme_digest(hide_builtin):
+    check_hash(N23, hide_builtin, README_HASH)
+
+
+@HIDE
+@given(st.one_of(NUMERICAL, affine_models(), fp_value_descriptors(), SUMSETS,
+                 products()))
+@settings(max_examples=60, deadline=None)
+def test_hash_of_drawn_descriptors_is_hashlib_sha256(hide_builtin, desc):
+    check_hash(desc, hide_builtin)

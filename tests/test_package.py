@@ -166,3 +166,49 @@ def test_no_module_reads_another_modules_private_name():
                   and isinstance(node.value, ast.Name) and node.value.id in modules):
                 found.append(f"{path.name}: {node.value.id}.{node.attr}")
     assert found == []
+
+
+# Modules that each cost a request milliseconds at start-up and serve few
+# commands: hashlib loads OpenSSL, fractions loads decimal and numbers, and
+# argparse loads gettext and locale. They are imported where they are used.
+DEFERRED = {"argparse", "fractions", "hashlib"}
+
+
+def _imported_on_load(nodes):
+    """The modules that statements among ``nodes`` import when their module
+    loads: not those inside a function or under ``if TYPE_CHECKING:``."""
+    for node in nodes:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) in (
+                "TYPE_CHECKING", "typing.TYPE_CHECKING"):
+            yield from _imported_on_load(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            yield node.module.split(".")[0]
+        yield from _imported_on_load(ast.iter_child_nodes(node))
+
+
+@pytest.mark.parametrize("source,found", [
+    ("import hashlib", ["hashlib"]),
+    ("try:\n    from fractions import Fraction\nexcept ImportError:\n    pass",
+     ["fractions"]),
+    ("class A:\n    import argparse.x", ["argparse"]),
+    ("def f():\n    import hashlib", []),
+    ("class A:\n    def f(self):\n        from fractions import Fraction", []),
+    ("if TYPE_CHECKING:\n    from fractions import Fraction\nelse:\n    import argparse",
+     ["argparse"]),
+], ids=["top", "try", "class-body", "function", "method", "type-checking"])
+def test_load_time_import_scan(source, found):
+    assert [m for m in _imported_on_load(ast.parse(source).body) if m in DEFERRED] == found
+
+
+def test_no_module_imports_a_deferred_module_on_load():
+    """hashlib, fractions and argparse load only inside the functions that
+    use them, so a command that does not call those pays nothing for them."""
+    found = [f"{path.name}: {module}" for path in sorted(SRC.glob("*.py"))
+             for module in _imported_on_load(ast.parse(path.read_text(encoding="utf-8")).body)
+             if module in DEFERRED]
+    assert found == []
