@@ -26,14 +26,16 @@ Exit codes: 0 success, 2 malformed input, failed validation or an
 unreadable file, 3 enumeration budget exhausted, a distance table too
 large for ``invariants.element_report`` or memory exhausted
 (``factorlab: out of memory``, for example by a huge element's bit
-masks), 4 a verification scenario's claim failed, 130 interrupted. A
-process killed from outside, as by the kernel's out-of-memory killer,
-cannot report this.
+masks), 4 a verification scenario's claim failed, 130 interrupted, 141
+the report could not be written (stdout a closed pipe, as a shell reports a
+writer ended by SIGPIPE, or a full disk). A process killed from outside, as
+by the kernel's out-of-memory killer, cannot report this.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 import types
 
@@ -46,6 +48,7 @@ EXIT_INPUT = 2
 EXIT_BUDGET = 3
 EXIT_CLAIM = 4
 EXIT_INTERRUPT = 130
+EXIT_OUTPUT = 141
 
 
 def _option(*flags, **spec):
@@ -206,6 +209,7 @@ def emit(report: dict, output: str) -> None:
         sys.stdout.write(models.canonical_dumps(report) + "\n")
     else:
         sys.stdout.write("\n".join(_render_table(report)) + "\n")
+    sys.stdout.flush()
 
 
 def envelope(args, descriptor_hash: str | None, results, warnings: list) -> dict:
@@ -478,9 +482,12 @@ def main(argv: list[str] | None = None) -> int:
             errors.ShapeMismatch, errors.NotAMember, ValueError, OSError) as exc:
         print(f"factorlab: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    emit(envelope(args, descriptor_hash, results, warnings), args.output)
+    try:
+        emit(envelope(args, descriptor_hash, results, warnings), args.output)
+    except OSError as exc:
+        print(f"factorlab: cannot write the report: {exc}", file=sys.stderr)
+        # The interpreter's own flush at exit then writes to os.devnull.
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+        return EXIT_OUTPUT
     return EXIT_OK
-
-
-if __name__ == "__main__":
-    sys.exit(main())
