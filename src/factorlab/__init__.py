@@ -29,24 +29,24 @@ _EXPORTS = {
         "factorizations",
     ),
     "invariants": (
-        "GlobalEstimate", "InvariantReport", "LengthSet", "catenary",
-        "element_report", "enumerate_elements", "equal_catenary",
+        "GlobalEstimate", "LengthSet", "element_report", "enumerate_elements",
         "global_estimates", "length_set", "length_set_sumset",
         "unions_of_lengths", "unique_representations",
     ),
     "models": (
         "Affine", "FinitelyPrimaryValue", "MonoidDescriptor", "Numerical",
-        "Pattern", "Product", "Sumset", "ValidationReport", "atoms_dividing",
-        "cancellative", "canon", "check_descriptor", "descriptor_from_json",
-        "descriptor_hash", "descriptor_to_json", "identity", "is_atom",
-        "membership", "multiply", "parse_element_literal", "validate",
-        "weight",
+        "Pattern", "Product", "Sumset", "atoms_dividing", "cancellative",
+        "canon", "check_descriptor", "descriptor_from_json", "descriptor_hash",
+        "descriptor_to_json", "identity", "is_atom", "membership", "multiply",
+        "parse_element_literal", "weight",
     ),
+    "pairwise": ("InvariantReport", "catenary", "equal_catenary"),
     "relations": (
         "RelationPair", "enumerate_equal_length_relations", "is_relation_atom",
-        "relation_atoms", "verify_interval_relations",
-        "verify_unique_representation",
+        "relation_atoms",
     ),
+    "scenarios": ("verify_interval_relations", "verify_unique_representation"),
+    "validation": ("ValidationReport", "validate"),
 }
 # Public name -> defining submodule; a submodule name maps to itself.
 _ORIGIN = {name: module for module, names in _EXPORTS.items()

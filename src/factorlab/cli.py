@@ -168,47 +168,15 @@ def load_descriptor(path: str) -> models.MonoidDescriptor:
     return models.descriptor_from_json(doc)
 
 
-def _render_table(value, indent: int = 0, lines: list[str] | None = None) -> list[str]:
-    if lines is None:
-        lines = []
-    pad = "  " * indent
-    if isinstance(value, dict):
-        for key in sorted(value):
-            item = value[key]
-            if isinstance(item, (dict, list, tuple)) and item:
-                lines.append(f"{pad}{key}:")
-                _render_table(item, indent + 1, lines)
-            else:
-                lines.append(f"{pad}{key}: {_scalar(item)}")
-    elif isinstance(value, (list, tuple)):
-        for item in value:
-            if isinstance(item, (dict, list, tuple)):
-                lines.append(f"{pad}-")
-                _render_table(item, indent + 1, lines)
-            else:
-                lines.append(f"{pad}- {_scalar(item)}")
-    return lines
-
-
-def _scalar(item) -> str:
-    if isinstance(item, (list, tuple)) and not item:
-        return "[]"
-    if isinstance(item, dict) and not item:
-        return "{}"
-    if item is None:
-        return "null"
-    if item is True:
-        return "true"
-    if item is False:
-        return "false"
-    return str(item)
-
-
 def emit(report: dict, output: str) -> None:
+    if sys.stdout is None:  # fd 1 was closed when the process began
+        raise OSError("stdout is closed")
     if output == "json":
         sys.stdout.write(models.canonical_dumps(report) + "\n")
     else:
-        sys.stdout.write("\n".join(_render_table(report)) + "\n")
+        from . import render
+
+        sys.stdout.write("\n".join(render.render_table(report)) + "\n")
     sys.stdout.flush()
 
 
@@ -246,7 +214,9 @@ Outcome = tuple[models.MonoidDescriptor | None, dict, list]
 
 
 def run_validate(args, desc) -> Outcome:
-    return desc, models.validate(desc, args.bound).to_json(), []
+    from . import validation
+
+    return desc, validation.validate(desc, args.bound).to_json(), []
 
 
 def run_atoms(args, desc) -> Outcome:
@@ -261,18 +231,20 @@ def run_atoms(args, desc) -> Outcome:
 
 
 def run_factorize(args, desc) -> Outcome:
+    from . import search
+
     el = models.parse_element_literal(desc, args.element)
     fs = factor.factorizations(desc, el, args.budget)
-    results = factor.factor_set_to_json(fs)
+    results = search.factor_set_to_json(fs)
     results["lengthSet"] = list(fs.lengths)
     return desc, results, []
 
 
 def run_invariants(args, desc) -> Outcome:
-    from . import invariants
+    from . import invariants, pairwise
 
     el = models.parse_element_literal(desc, args.element)
-    fs = invariants.report_fiber(desc, el, args.budget)
+    fs = pairwise.report_fiber(desc, el, args.budget)
     return desc, invariants.element_report(fs).to_json(desc), []
 
 
@@ -360,19 +332,19 @@ def run_relation_atoms(args, desc) -> Outcome:
 
 
 def run_verify_example(args, desc) -> Outcome:
-    from . import relations
+    from . import scenarios
 
     if args.name == "3.2":
         k_max = args.k_max if args.k_max is not None else 8
-        report = relations.verify_interval_relations(k_max)
-        return relations.INTERVAL_SCENARIO, report, []
+        report = scenarios.verify_interval_relations(k_max)
+        return scenarios.INTERVAL_SCENARIO, report, []
     k_max = args.k_max if args.k_max is not None else 5
-    report = relations.verify_unique_representation(args.difference, k_max)
+    report = scenarios.verify_unique_representation(args.difference, k_max)
     return None, report, []
 
 
 def run_probe_growth(args, desc) -> Outcome:
-    from . import invariants
+    from . import invariants, pairwise
 
     if args.n_max < 1:
         raise errors.MalformedDescriptor("--n-max must be at least 1")
@@ -383,7 +355,7 @@ def run_probe_growth(args, desc) -> Outcome:
     for n in range(1, args.n_max + 1):
         current = models.multiply(desc, current, base)
         try:
-            fs = invariants.report_fiber(desc, current, args.budget)
+            fs = pairwise.report_fiber(desc, current, args.budget)
             report = invariants.element_report(fs).to_json(desc)
         except errors.BudgetExceeded as exc:
             warnings.append(invariants.budget_warning(desc, current, exc.limit))
@@ -445,6 +417,16 @@ _HANDLERS = {
 }
 
 
+def _complain(text: str) -> None:
+    """``factorlab: text`` on stderr, lost when stderr is closed; stderr holds
+    no buffer, so its flush at exit cannot fail and change the exit code."""
+    if sys.stderr is not None:  # None: fd 2 was closed when the process began
+        try:
+            print(f"factorlab: {text}", file=sys.stderr)
+        except OSError:
+            pass
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = parse_fast(argv) or build_parser().parse_args(argv)
@@ -454,8 +436,7 @@ def main(argv: list[str] | None = None) -> int:
                                ("--jobs", args.jobs, 1)):
         if value is not None and value < least:
             need = "nonnegative" if least == 0 else f"at least {least}"
-            print(f"factorlab: {flag} must be {need}, got {value}",
-                  file=sys.stderr)
+            _complain(f"{flag} must be {need}, got {value}")
             return EXIT_INPUT
     handler = _HANDLERS[args.command]
     try:
@@ -463,31 +444,31 @@ def main(argv: list[str] | None = None) -> int:
         hashed, results, warnings = handler(args, desc)
         descriptor_hash = None if hashed is None else models.descriptor_hash(hashed)
     except errors.BudgetExceeded as exc:
-        print(f"factorlab: enumeration budget {exc.limit} exhausted",
-              file=sys.stderr)
+        _complain(f"enumeration budget {exc.limit} exhausted")
         return EXIT_BUDGET
     except errors.TableTooLarge as exc:
-        print(f"factorlab: {exc}", file=sys.stderr)
+        _complain(str(exc))
         return EXIT_BUDGET
     except MemoryError:
-        print("factorlab: out of memory", file=sys.stderr)
+        _complain("out of memory")
         return EXIT_BUDGET
     except errors.AssertionFailure as exc:
-        print(f"factorlab: claim failed: {exc}", file=sys.stderr)
+        _complain(f"claim failed: {exc}")
         return EXIT_CLAIM
     except KeyboardInterrupt:
-        print("factorlab: interrupted", file=sys.stderr)
+        _complain("interrupted")
         return EXIT_INTERRUPT
     except (errors.MalformedDescriptor, errors.ClosureViolation,
             errors.ShapeMismatch, errors.NotAMember, ValueError, OSError) as exc:
-        print(f"factorlab: {exc}", file=sys.stderr)
+        _complain(str(exc))
         return EXIT_INPUT
     try:
         emit(envelope(args, descriptor_hash, results, warnings), args.output)
     except OSError as exc:
-        print(f"factorlab: cannot write the report: {exc}", file=sys.stderr)
-        # The interpreter's own flush at exit then writes to os.devnull.
-        with open(os.devnull, "wb") as null:
-            os.dup2(null.fileno(), sys.stdout.fileno())
+        _complain(f"cannot write the report: {exc}")
+        if sys.stdout is not None:
+            # The interpreter's own flush at exit then writes to os.devnull.
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
         return EXIT_OUTPUT
     return EXIT_OK

@@ -18,7 +18,9 @@ strictly increasing tuple starting at 0 for sumsets, or a
 (components, free exponents) pair of tuples for products. Every function
 here is pure and keeps no memo: numerical and affine membership reads a
 bit mask of the box below the element, built per call, and the atoms
-dividing the element are read off that same mask.
+dividing the element are read off that same mask. That witness and its
+atoms are built in ``search`` and validation runs in ``validation``,
+modules loaded by the first call that needs them.
 
 The ``weight`` of an element (value, coordinate sum, maximum, or the sum
 over product slots) is additive under multiplication and strictly
@@ -30,15 +32,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from operator import add, le, mul, sub
+from operator import le, mul
 from typing import Any, NamedTuple
 
-from .errors import (
-    ClosureViolation,
-    MalformedDescriptor,
-    NotAMember,
-    ShapeMismatch,
-)
+from .errors import MalformedDescriptor, NotAMember, ShapeMismatch
 
 Element = Any
 Vector = tuple[int, ...]
@@ -348,7 +345,7 @@ def multiply(desc: MonoidDescriptor, a: Element, b: Element) -> Element:
     if isinstance(desc, (Affine, FinitelyPrimaryValue)):
         return tuple(x + y for x, y in zip(a, b))
     if isinstance(desc, Sumset):
-        return _set_add(a, b)
+        return set_add(a, b)
     ca, fa = a
     cb, fb = b
     return (
@@ -439,20 +436,6 @@ def parse_element_literal(desc: MonoidDescriptor, text: str) -> Element:
         raise ShapeMismatch(f"cannot parse element literal {text!r}: {exc}") from exc
 
 
-def format_element(desc: MonoidDescriptor, el: Element) -> str:
-    if isinstance(desc, Numerical):
-        return str(el)
-    if isinstance(desc, (Affine, FinitelyPrimaryValue)):
-        return ",".join(map(str, el))
-    if isinstance(desc, Sumset):
-        return "{" + ",".join(map(str, el)) + "}"
-    comps, free = el
-    parts = [format_element(f, c) for f, c in zip(desc.factors, comps)]
-    if desc.free_rank:
-        parts.append(",".join(map(str, free)))
-    return ";".join(parts)
-
-
 # ---------------------------------------------------------------------------
 # membership
 
@@ -463,14 +446,15 @@ def membership(desc: MonoidDescriptor, candidate: Any) -> bool:
     Raises ShapeMismatch for values of the wrong shape; returns False for
     well-shaped non-members.
     """
+    from . import search
     try:
-        member_witness(desc, canon(desc, candidate))
+        search.member_witness(desc, canon(desc, candidate))
     except NotAMember:
         return False
     return True
 
 
-def _fp_member(desc: FinitelyPrimaryValue, v: Vector) -> bool:
+def fp_member(desc: FinitelyPrimaryValue, v: Vector) -> bool:
     if not any(v):
         return True
     if min(v) < 1:
@@ -480,7 +464,7 @@ def _fp_member(desc: FinitelyPrimaryValue, v: Vector) -> bool:
     return any(pat.matches(v) for pat in desc.exceptional)
 
 
-def _set_add(a: Vector, b: Vector) -> Vector:
+def set_add(a: Vector, b: Vector) -> Vector:
     return tuple(sorted({x + y for x in a for y in b}))
 
 
@@ -496,7 +480,7 @@ def sumset_reachable(desc: Sumset, target: Vector) -> frozenset[Vector]:
     while stack:
         p = stack.pop()
         for g in desc.generators:
-            q = _set_add(p, g)
+            q = set_add(p, g)
             if q not in seen and set(q) <= tset:
                 seen.add(q)
                 stack.append(q)
@@ -573,33 +557,19 @@ def fp_box(desc: FinitelyPrimaryValue, top: Vector):
     one of those sums is not a member."""
     strides = box_strides(top)
     box = itertools.product(*(range(1, x + 1) for x in top))
-    members = [v for v in box if _fp_member(desc, v)]
+    members = [v for v in box if fp_member(desc, v)]
     offsets = [sum(map(mul, u, strides)) for u in members]
     mask, sums = sum(1 << d for d in offsets), 0
     for u, d in zip(members, offsets):
         sums |= (mask << d) & box_mask(top, u, strides)
     if sums & ~mask:
-        _check_closure(desc, members)
+        from . import validation
+        validation.check_closure(desc, members)
     return members, offsets, mask, sums
 
 
 # ---------------------------------------------------------------------------
 # atoms
-
-
-def generator_atoms(desc: Numerical | Affine | Sumset) -> tuple[Element, ...]:
-    """The atoms of a finitely generated model, in weight-then-lex order.
-
-    Every member is a sum of generators, so every atom is a generator: the
-    atoms are the generators that are atoms dividing themselves. A
-    numerical model reads them all off the one ``member_witness`` of its
-    largest generator, whose mask holds every value below it; the others
-    read each off its own.
-    """
-    one = isinstance(desc, Numerical) and member_witness(desc, max(desc.generators))
-    atoms = [g for g in desc.generators
-             if g in witnessed_atoms(desc, g, one or member_witness(desc, g))]
-    return tuple(sorted(atoms, key=lambda u: element_sort_key(desc, u)))
 
 
 def is_atom(desc: MonoidDescriptor, el: Element) -> bool:
@@ -615,31 +585,6 @@ def is_atom(desc: MonoidDescriptor, el: Element) -> bool:
         return False
 
 
-def member_witness(desc: MonoidDescriptor, a: Element):
-    """What deciding that a is a member builds, or NotAMember naming a:
-    (top, ``member_mask(top)``) with top the vector of a (numerical,
-    affine), its ``sumset_reachable`` (sumset), None (fp-value), or a list
-    of the slots' witnesses, every slot decided before any slot's atoms are
-    taken (product). Atoms and fibers reuse it."""
-    if isinstance(desc, Product):
-        try:
-            return [member_witness(f, c) for f, c in zip(desc.factors, a[0])]
-        except NotAMember:
-            raise NotAMember(f"{format_element(desc, a)} is not a member") from None
-    if isinstance(desc, Sumset):
-        found = sumset_reachable(desc, a)
-        member = a in found
-    elif isinstance(desc, FinitelyPrimaryValue):
-        found, member = None, _fp_member(desc, a)
-    else:
-        top = (a,) if isinstance(desc, Numerical) else a
-        found = top, member_mask(desc, top)
-        member = found[1] >> sum(map(mul, top, box_strides(top))) & 1
-    if not member:
-        raise NotAMember(f"{format_element(desc, a)} is not a member")
-    return found
-
-
 def atoms_dividing(desc: MonoidDescriptor, a: Element) -> list[Element]:
     """Atoms u with u + c = a solvable, in weight-then-lexicographic order.
 
@@ -651,189 +596,9 @@ def atoms_dividing(desc: MonoidDescriptor, a: Element) -> list[Element]:
     finite for every element of every model even when the monoid has
     infinitely many atoms overall.
     """
+    from . import search
     a = canon(desc, a)
-    return witnessed_atoms(desc, a, member_witness(desc, a))
-
-
-def witnessed_atoms(desc: MonoidDescriptor, a: Element, witness) -> list[Element]:
-    """``atoms_dividing`` of a member a, given its ``member_witness``.
-
-    A generator g is an atom dividing a when it divides a and no other
-    generator h divides g (split a non-trivial g = b + c and take for h
-    any generator in a sum for b). Such an h divides a too, so only the
-    generators dividing a are tried. Both facts are read off a's witness:
-    every c with h + c = g lies below g, so below a. Numerical and affine
-    models look a - g and g - h up in a's mask. A sumset's c is contained
-    in a, so it is in a's reach, and u + c = w forces max c = max w - max
-    u: the reach is bucketed by its maximum and only that bucket is tried.
-    """
-    if isinstance(desc, FinitelyPrimaryValue):
-        # Both parts of a split of u <= a lie in the box. a is the last
-        # member; a - u is the identity (bit 0, not in the mask) or one.
-        members, offsets, mask, sums = fp_box(desc, a)
-        mask |= 1
-        out = [u for u, d in zip(members, offsets)
-               if not sums >> d & 1 and (mask >> (offsets[-1] - d)) & 1]
-    elif isinstance(desc, Product):
-        comps, free = a
-        out = [embed_component(desc, i, u)
-               for i, (f, c, w) in enumerate(zip(desc.factors, comps, witness))
-               for u in witnessed_atoms(f, c, w)]
-        out.extend(free_generator(desc, j) for j, e in enumerate(free) if e >= 1)
-    else:
-        if isinstance(desc, Sumset):
-            buckets: dict[int, list[Vector]] = {}
-            for c in witness:
-                buckets.setdefault(c[-1], []).append(c)
-
-            def divides(u, w) -> bool:
-                return any(_set_add(u, c) == w for c in buckets.get(w[-1] - u[-1], ()))
-        else:
-            top, mask = witness
-            strides = box_strides(top)
-
-            def divides(u, w) -> bool:
-                if isinstance(desc, Numerical):
-                    return u <= w and mask >> (w - u) & 1
-                return all(map(le, u, w)) and mask >> sum(
-                    map(mul, map(sub, w, u), strides)) & 1
-        divisors = [g for g in desc.generators if divides(g, a)]
-        out = [g for g in divisors
-               if not any(h != g and divides(h, g) for h in divisors)]
-    out.sort(key=lambda u: element_sort_key(desc, u))
-    return out
-
-
-def embed_component(desc: Product, i: int, u: Element) -> Element:
-    comps = tuple(
-        u if j == i else identity(f) for j, f in enumerate(desc.factors)
-    )
-    return (comps, (0,) * desc.free_rank)
-
-
-def free_generator(desc: Product, j: int) -> Element:
-    free = tuple(1 if k == j else 0 for k in range(desc.free_rank))
-    return (tuple(identity(f) for f in desc.factors), free)
-
-
-# ---------------------------------------------------------------------------
-# validation
-
-
-class ValidationReport(NamedTuple):
-    valid: bool
-    cancellative: bool
-    strongly_ring_like_candidate: bool | None
-    smallest_value_element: Vector | None
-    verified_bound: int
-    non_minimal_generators: list | None
-
-    def to_json(self) -> dict:
-        return {
-            "valid": self.valid,
-            "cancellative": self.cancellative,
-            "nonMinimalGenerators": self.non_minimal_generators,
-            "stronglyRingLikeCandidate": self.strongly_ring_like_candidate,
-            "smallestValueElement": (
-                None
-                if self.smallest_value_element is None
-                else list(self.smallest_value_element)
-            ),
-            "verifiedBound": self.verified_bound,
-        }
-
-
-def validate(desc: MonoidDescriptor, bound: int | None = None) -> ValidationReport:
-    """Check structure, generator minimality, closure (fp-value) and flags.
-
-    For fp-value models closure is verified on every pair of members with
-    every coordinate <= bound, decided by one mask pass over the box below
-    twice the bound (``_check_closure``). The smallest-value check is
-    likewise truncated at the bound, which is why the report records it.
-    A product first validates each slot at the product's bound. Without a
-    bound the least one is used: twice the exponent (fp-value), the largest
-    generator weight, or for a product the largest of its slots' least bounds.
-    """
-    check_descriptor(desc)
-    if bound is None:
-        bound = _least_validation_bound(desc)
-    if isinstance(desc, Product):
-        for f in desc.factors:
-            validate(f, bound)
-    if isinstance(desc, FinitelyPrimaryValue):
-        if bound < 2 * desc.exponent:
-            raise MalformedDescriptor(
-                f"validation bound {bound} below twice the exponent"
-            )
-        members = fp_box(desc, (bound,) * desc.rank)[0]
-        _check_closure(desc, members)
-        low = tuple(map(min, zip(*members)))
-        mu = low if _fp_member(desc, low) else None
-        return ValidationReport(
-            valid=True,
-            cancellative=True,
-            strongly_ring_like_candidate=mu is not None,
-            smallest_value_element=mu,
-            verified_bound=bound,
-            non_minimal_generators=None,
-        )
-    min_weight = max_generator_weight(desc)
-    if min_weight is not None and bound < min_weight:
-        raise MalformedDescriptor(
-            f"validation bound {bound} below the largest generator weight"
-        )
-    return ValidationReport(
-        valid=True,
-        cancellative=cancellative(desc),
-        strongly_ring_like_candidate=None,
-        smallest_value_element=None,
-        verified_bound=bound,
-        non_minimal_generators=non_atom_generators(desc),
-    )
-
-
-def _least_validation_bound(desc: MonoidDescriptor) -> int:
-    if isinstance(desc, FinitelyPrimaryValue):
-        return 2 * desc.exponent
-    if isinstance(desc, Product):
-        return max(_least_validation_bound(f) for f in desc.factors)
-    return max_generator_weight(desc)
-
-
-def _check_closure(desc: FinitelyPrimaryValue, members: list[Vector]) -> None:
-    """Raise ClosureViolation for the first pair (e, f) of members, in their
-    order, whose sum is not one. One mask pass over the box below twice the
-    members' maximum decides: the mask of the members shifted by e marks the
-    sums e + f, and f is looked for only when one misses the box's members."""
-    top = tuple(2 * max(x) for x in zip(*members))
-    strides = box_strides(top)
-    box = itertools.product(*(range(1, x + 1) for x in top))
-    holes = ~sum(1 << sum(map(mul, v, strides)) for v in box if _fp_member(desc, v))
-    offsets = [sum(map(mul, u, strides)) for u in members]
-    mask = sum(1 << d for d in offsets)
-    for e, d in zip(members, offsets):
-        if (mask << d) & holes:
-            for f in members:
-                s = tuple(map(add, e, f))
-                if not _fp_member(desc, s):
-                    shown = (format_element(desc, v) for v in (e, f, s))
-                    raise ClosureViolation(
-                        "{} + {} = {} is not a member".format(*shown), e, f, s)
-
-
-def non_atom_generators(desc: MonoidDescriptor) -> list | None:
-    """Generators that are sums of other generators, as JSON values.
-
-    Every atom of a reduced monoid lies in every generating set, so the
-    other generators are exactly its atoms. None for fp-value models,
-    which have no generating set; one entry per factor for products.
-    """
-    if isinstance(desc, Product):
-        return [non_atom_generators(f) for f in desc.factors]
-    if isinstance(desc, FinitelyPrimaryValue):
-        return None
-    atoms = generator_atoms(desc)
-    return [element_to_json(desc, g) for g in desc.generators if g not in atoms]
+    return search.witnessed_atoms(desc, a, search.member_witness(desc, a))
 
 
 def max_generator_weight(desc: MonoidDescriptor) -> int | None:

@@ -26,7 +26,7 @@ fibers, with no FactorSet, distance table or spanning tree:
   for an atom u of x with l - 1 in L(a - u), and l when x shares no atom
   with Z_l. So only adjacent lengths where atoms lie at one and not the
   other, of weights that can make up a, are read off the fiber, with the
-  unary codes of ``factor.unary_codes``.
+  unary codes of ``pairwise.unary_codes``.
 
 A row holds only the values that raise the maxima so far, each exact, so
 a value past the floor of the maxima is all a member needs; the gap tables
@@ -41,7 +41,7 @@ import functools
 import itertools
 from operator import and_, or_
 
-from . import factor, invariants, models
+from . import factor, invariants, models, pairwise
 
 
 def _classes(nodes: int, links) -> list[int]:
@@ -88,7 +88,7 @@ def _split_lengths(parents: dict, below: list, masks: list, floor: int) -> int:
     return split
 
 
-class _GapTables(factor.Fields):
+class _GapTables(pairwise.Fields):
     """T(a; k, d) over the lengths k of a member a, packed per gap d into one
     int with a field of ``width`` bits per k that holds FAR - T(a; k, d), or
     0 where k or k + d is not in L(a); so an int ends at a's longest length,
@@ -173,7 +173,7 @@ def estimate_rows(desc, weight_bound: int, budget: int, warnings: list, start: d
                     for n, o in ((k, l), (l, k))
                     for ws in [[v for m, v in present if m >> n & 1 and not m >> o & 1]]):
                 if by_length is None:
-                    codes = factor.unary_codes(raw[i])
+                    codes = pairwise.unary_codes(raw[i])
                     by_length = {n: list(itertools.compress(codes, map(
                         n.__eq__, map(int.bit_count, codes)))) for n in lengths}
                 xs, ys = by_length[k], by_length[l]

@@ -25,7 +25,7 @@ from factorlab import (
     verify_unique_representation,
     verify_witness,
 )
-from factorlab import factor, invariants, models
+from factorlab import factor, invariants, models, validation
 
 N23 = Numerical(generators=(2, 3))
 N357 = Numerical(generators=(3, 5, 7))
@@ -281,7 +281,7 @@ FP_RANK2 = [
 def test_criterion_08_rank_two_length_bounds():
     violations = []
     for desc in FP_RANK2:
-        report = models.validate(desc, 2 * desc.exponent)
+        report = validation.validate(desc, 2 * desc.exponent)
         assert report.valid
         mu = report.smallest_value_element
         assert mu is not None

@@ -1003,7 +1003,8 @@ def loaded_after(code: str, modules) -> list[str]:
 
 SUBMODULES = tuple(f"factorlab.{name}" for name in (
     "aamp", "cache", "cli", "errors", "factor", "invariants", "models",
-    "recurrence", "relations"))
+    "pairwise", "recurrence", "relations", "render", "scenarios", "search",
+    "validation"))
 SWEEP_UNUSED = ("factorlab.aamp", "factorlab.cache", "factorlab.relations")
 # Only the global estimates of a cancellative model run the recurrence module.
 NO_GLOBAL = SWEEP_UNUSED + ("factorlab.recurrence",)
@@ -1017,6 +1018,16 @@ NEVER_USED = ("dataclasses", "inspect", "hashlib", "_hashlib")
 # A well-formed line is parsed without argparse and the gettext and locale
 # modules its messages load.
 PARSER = ("argparse", "gettext", "locale")
+# Code few requests run, loaded by the functions that call it: the checks of
+# validate, the scenarios of verify-example, the table of --output table,
+# the search of one element's fiber and the packed distances of element
+# reports and cancellative global estimates.
+VALIDATION = ("factorlab.validation",)
+SCENARIOS = ("factorlab.scenarios",)
+RENDER = ("factorlab.render",)
+SEARCH = ("factorlab.search",)
+PAIRWISE = ("factorlab.pairwise",)
+ON_DEMAND = VALIDATION + SCENARIOS + RENDER + SEARCH + PAIRWISE
 
 
 def test_cli_import_loads_no_process_pool():
@@ -1029,25 +1040,51 @@ def test_package_import_loads_no_submodule():
 
 
 @pytest.mark.parametrize("argv,unused", [
-    (["factorize", "--element", "12"], FIBER_UNUSED),
-    (["atoms", "--element", "12"], FIBER_UNUSED),
-    (["validate"], FIBER_UNUSED),
-    (["global", "--bound", "12"], SWEEP_UNUSED),
+    (["factorize", "--element", "12"], FIBER_UNUSED + VALIDATION + SCENARIOS + PAIRWISE),
+    (["factorize", "--element", "12", "--output", "json"],
+     FIBER_UNUSED + VALIDATION + SCENARIOS + RENDER + PAIRWISE),
+    (["atoms", "--element", "12"], FIBER_UNUSED + VALIDATION + SCENARIOS + PAIRWISE),
+    (["validate"], FIBER_UNUSED + SCENARIOS + PAIRWISE),
+    (["global", "--bound", "12"], SWEEP_UNUSED + VALIDATION + SCENARIOS + SEARCH),
     (["global", "--bound", "24", "--jobs", "2"],
-     SWEEP_UNUSED + ("multiprocessing", "concurrent.futures.process")),
-    (["unions", "--bound", "12", "--k", "3"], NO_GLOBAL + NO_FRACTION),
-    (["invariants", "--element", "12"], NO_GLOBAL),
-    (["structure-probe", "--bound", "12"], ("factorlab.relations",
-                                            "factorlab.recurrence", *NO_FRACTION)),
-    (["relation-atoms", "--length-bound", "3"], ("factorlab.aamp",
-                                                 "factorlab.recurrence", *NO_FRACTION)),
-], ids=["factorize", "atoms", "validate", "global", "global-jobs-2", "unions",
-        "invariants", "structure-probe", "relation-atoms"])
+     SWEEP_UNUSED + VALIDATION + SCENARIOS + SEARCH
+     + ("multiprocessing", "concurrent.futures.process")),
+    (["unions", "--bound", "12", "--k", "3"],
+     NO_GLOBAL + NO_FRACTION + VALIDATION + SCENARIOS + SEARCH + PAIRWISE),
+    (["unions", "--bound", "12", "--k", "3", "--output", "json"],
+     NO_GLOBAL + NO_FRACTION + ON_DEMAND),
+    (["invariants", "--element", "12"], NO_GLOBAL + VALIDATION + SCENARIOS),
+    (["structure-probe", "--bound", "12"], (
+        "factorlab.relations", "factorlab.recurrence", *NO_FRACTION,
+        *VALIDATION, *SCENARIOS, *SEARCH, *PAIRWISE)),
+    (["structure-probe", "--bound", "12", "--output", "json"], (
+        "factorlab.relations", "factorlab.recurrence", *NO_FRACTION, *ON_DEMAND)),
+    (["structure-probe", "--target", "unions", "--bound", "12", "--k-range", "2,4",
+      "--output", "json"], ("factorlab.relations", "factorlab.recurrence", *ON_DEMAND)),
+    (["relation-atoms", "--length-bound", "3"], (
+        "factorlab.aamp", "factorlab.recurrence", *NO_FRACTION,
+        *VALIDATION, *SCENARIOS, *PAIRWISE)),
+], ids=["factorize", "factorize-json", "atoms", "validate", "global", "global-jobs-2",
+        "unions", "unions-json", "invariants", "structure-probe", "structure-probe-json",
+        "structure-probe-unions-json", "relation-atoms"])
 def test_a_command_loads_only_the_modules_it_runs(n23_path, argv, unused):
     code = ("from factorlab import cli\n"
             f"if cli.main({argv + ['--monoid', n23_path]!r}):\n"
             "    raise SystemExit('the command failed')")
     assert loaded_after(code, unused + NEVER_USED + PARSER) == []
+
+
+@pytest.mark.parametrize("argv,unused", [
+    (["verify-example", "--name", "3.2", "--k-max", "2"],
+     ("factorlab.aamp", *VALIDATION, *PAIRWISE)),
+    (["verify-example", "--name", "3.3"],
+     ("factorlab.aamp", "factorlab.recurrence", *VALIDATION, *SEARCH, *PAIRWISE)),
+], ids=["3.2", "3.3"])
+def test_verify_example_loads_its_scenarios_and_no_validation(argv, unused):
+    code = ("from factorlab import cli\n"
+            f"if cli.main({argv + ['--output', 'json']!r}):\n"
+            "    raise SystemExit('the command failed')")
+    assert loaded_after(code, SCENARIOS + unused) == list(SCENARIOS)
 
 
 @pytest.mark.parametrize("argv", [

@@ -20,9 +20,10 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 
 
-def process(argv, stdout=subprocess.PIPE, unbuffered=None):
+def process(argv, stdout=subprocess.PIPE, unbuffered=None, closed=None):
     """``python -m factorlab argv`` in a fresh interpreter, stderr captured;
-    ``unbuffered`` None keeps this process's PYTHONUNBUFFERED."""
+    ``unbuffered`` None keeps this process's PYTHONUNBUFFERED, and the fd
+    ``closed`` (1 or 2), if given, is closed before the interpreter starts."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     if unbuffered is not None:
         env.pop("PYTHONUNBUFFERED", None)
@@ -30,6 +31,7 @@ def process(argv, stdout=subprocess.PIPE, unbuffered=None):
             env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, "-m", "factorlab", *argv],
                           env=env, stdout=stdout, stderr=subprocess.PIPE,
+                          preexec_fn=None if closed is None else lambda: os.close(closed),
                           timeout=60)
 
 
@@ -112,3 +114,28 @@ def test_a_full_stdout_ends_in_one_line():
     assert proc.returncode == cli.EXIT_OUTPUT
     assert proc.stderr.decode().splitlines() == [
         "factorlab: cannot write the report: [Errno 28] No space left on device"]
+
+
+@pytest.mark.parametrize("output", ["json", "table"])
+def test_a_closed_stdout_fd_ends_in_one_line(output):
+    """With fd 1 closed before the interpreter starts, sys.stdout is None; the
+    request ends as on a broken pipe, in exit 141 and one line on stderr."""
+    proc = process(["factorize", *N23, "--element", "12", "--output", output], closed=1)
+    assert proc.returncode == cli.EXIT_OUTPUT
+    assert proc.stderr.decode().splitlines() == [
+        "factorlab: cannot write the report: stdout is closed"]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["factorize", "--monoid", "missing.json", "--element", "12"], cli.EXIT_INPUT),
+    (["factorize", *N23, "--element", "12", "--bound", "-1"], cli.EXIT_INPUT),
+    (["factorize", *N23, "--element", "12", "--budget", "0"], cli.EXIT_BUDGET),
+    (["verify-example", "--name", "3.3", "--d", "3"], cli.EXIT_INPUT),
+    (["invariants", *N23, "--element", "60", "--output", "json"], cli.EXIT_OK),
+], ids=["missing-descriptor", "negative-bound", "budget", "bad-difference", "ok"])
+def test_a_closed_stderr_keeps_the_documented_exit_code(capsys, argv, code):
+    """With fd 2 closed the message is lost; the exit code and stdout are
+    those of the same request with stderr open."""
+    assert cli.main(argv) == code
+    proc = process(argv, closed=2)
+    assert (proc.returncode, proc.stdout) == (code, capsys.readouterr().out.encode())

@@ -12,7 +12,7 @@ from factorlab import (
     distance,
     factorizations,
 )
-from factorlab import models
+from factorlab import models, search
 from test_models import AFF, FP21, FP22, N23, PROD, SUM
 
 
@@ -79,11 +79,11 @@ def test_product_distance_subadditive_over_components():
 
         def embed(z1, z2):
             pairs = [
-                (index[models.embed_component(desc, 0, f1.atoms[j])], m)
+                (index[search.embed_component(desc, 0, f1.atoms[j])], m)
                 for j, m in z1.counts
             ]
             pairs += [
-                (index[models.embed_component(desc, 1, f2.atoms[j])], m)
+                (index[search.embed_component(desc, 1, f2.atoms[j])], m)
                 for j, m in z2.counts
             ]
             return _z(pairs)

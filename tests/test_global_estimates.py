@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bruteforce
-from factorlab import factor, invariants, models, recurrence
+from factorlab import factor, invariants, models, pairwise, recurrence
 from test_models import AFF, FP22, NUMERICAL, PROD, affine_models, products
 from test_search import fp_value_models
 
@@ -85,7 +85,7 @@ def test_recurrence_set_distances_are_the_pair_tables(desc, bound):
         _, own = gap_tables.build(mask, [tables[a] for a in parents.values()],
                                   range(1, top + 1))
         tables.append(own)
-        dists, _ = invariants.pair_tables(factor.factorizations(desc, el))
+        dists, _ = pairwise.pair_tables(factor.factorizations(desc, el))
         assert {(k, k + d): d + gap_tables.get(t, k)
                 for d, t in own.items() for k in range(top + 1)
                 if mask >> k & mask >> k + d & 1} == dists, el

@@ -38,7 +38,7 @@ from factorlab import (
     validate,
     weight,
 )
-from factorlab import models
+from factorlab import models, search
 
 N23 = Numerical(generators=(2, 3))
 AFF = Affine(dim=2, generators=((2, 0), (1, 1), (0, 2), (3, 0), (0, 3)))
@@ -254,7 +254,7 @@ def test_element_literals():
     assert models.parse_element_literal(SUM, "{0,1,3}") == (0, 1, 3)
     el = models.parse_element_literal(PROD, "6; 2,2; 3")
     assert el == ((6, (2, 2)), (3,))
-    assert models.format_element(PROD, el) == "6;2,2;3"
+    assert search.format_element(PROD, el) == "6;2,2;3"
     assert models.parse_element_literal(PROD, "6;2,2;3") == el
 
 

@@ -23,20 +23,21 @@ EXPORTS = {
                "ShapeMismatch", "TableTooLarge"],
     "factor": ["DEFAULT_BUDGET", "FactorSet", "Factorization", "distance",
                "factorizations"],
-    "invariants": ["GlobalEstimate", "InvariantReport", "LengthSet",
-                   "catenary", "element_report", "enumerate_elements",
-                   "equal_catenary", "global_estimates", "length_set",
+    "invariants": ["GlobalEstimate", "LengthSet", "element_report",
+                   "enumerate_elements", "global_estimates", "length_set",
                    "length_set_sumset", "unions_of_lengths",
                    "unique_representations"],
     "models": ["Affine", "FinitelyPrimaryValue", "MonoidDescriptor",
-               "Numerical", "Pattern", "Product", "Sumset", "ValidationReport",
-               "atoms_dividing", "cancellative", "canon", "check_descriptor",
+               "Numerical", "Pattern", "Product", "Sumset", "atoms_dividing",
+               "cancellative", "canon", "check_descriptor",
                "descriptor_from_json", "descriptor_hash", "descriptor_to_json",
                "identity", "is_atom", "membership", "multiply",
-               "parse_element_literal", "validate", "weight"],
+               "parse_element_literal", "weight"],
+    "pairwise": ["InvariantReport", "catenary", "equal_catenary"],
     "relations": ["RelationPair", "enumerate_equal_length_relations",
-                  "is_relation_atom", "relation_atoms",
-                  "verify_interval_relations", "verify_unique_representation"],
+                  "is_relation_atom", "relation_atoms"],
+    "scenarios": ["verify_interval_relations", "verify_unique_representation"],
+    "validation": ["ValidationReport", "validate"],
 }
 PUBLIC = sorted(name for module, names in EXPORTS.items()
                 for name in (module, *names))
@@ -45,7 +46,7 @@ SRC = pathlib.Path(factorlab.__file__).resolve().parent
 
 
 def test_all_lists_the_public_names():
-    assert len(PUBLIC) == 67
+    assert len(PUBLIC) == 70
     assert factorlab.__all__ == PUBLIC
 
 
@@ -166,6 +167,59 @@ def test_no_module_reads_another_modules_private_name():
                   and isinstance(node.value, ast.Name) and node.value.id in modules):
                 found.append(f"{path.name}: {node.value.id}.{node.attr}")
     assert found == []
+
+
+PERFBENCH = SRC.parent.parent / "perfbench"
+
+
+def _harness_names(tree: ast.Module) -> set[tuple[str, str]]:
+    """(module, name) for every attribute a harness script reads or sets on
+    a module it imports ``from factorlab``, and for every (module, "name")
+    pair it names as the target of a wrapper, as ``_span(cli, "emit", ...)``
+    does or a tuple ``(models, "is_atom", ...)`` of a wrapper loop."""
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "factorlab"
+               for alias in node.names}
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            found.add((node.value.id, node.attr))
+        elements = node.args if isinstance(node, ast.Call) else \
+            node.elts if isinstance(node, ast.Tuple) else []
+        if len(elements) >= 2 and isinstance(elements[0], ast.Name) \
+                and elements[0].id in modules and isinstance(elements[1], ast.Constant) \
+                and isinstance(elements[1].value, str):
+            found.add((elements[0].id, elements[1].value))
+    return found
+
+
+def test_harness_scan_finds_reads_writes_and_wrapper_targets():
+    tree = ast.parse("from factorlab import cli, models\n"
+                     "from x import factor\n"
+                     "cli.main(models.canon)\n"
+                     "factor.distance = models.multiply = None\n"
+                     "_span(cli, 'emit', 'cli.render')\n"
+                     "for m, a, n in ((models, 'is_atom', 'x'),): pass\n")
+    assert _harness_names(tree) == {("cli", "main"), ("models", "canon"),
+                                    ("models", "multiply"), ("cli", "emit"),
+                                    ("models", "is_atom")}
+
+
+def test_every_name_the_benchmark_harness_uses_is_defined_in_its_module():
+    """The harness in perfbench/ reads, wraps and patches names on the
+    package's modules; each must be defined in that module's own source,
+    not moved to a module loaded on demand, so the trace and the oracle
+    checks keep measuring and calling what they name."""
+    used = set().union(*(_harness_names(ast.parse(path.read_text(encoding="utf-8")))
+                         for path in sorted(PERFBENCH.glob("*.py"))))
+    assert {("factor", "FactorSet"), ("models", "canon"), ("cli", "emit"),
+            ("invariants", "element_report")} <= used
+    defined = {module: set(_module_level_names(ast.parse(
+        (SRC / f"{module}.py").read_text(encoding="utf-8"))))
+        for module in {module for module, _ in used}}
+    assert sorted(f"{module}.{name}" for module, name in used
+                  if name not in defined[module]) == []
 
 
 # Modules that each cost a request milliseconds at start-up and serve few

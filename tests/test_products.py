@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factorlab import cli, factor, invariants, models, relations
+from factorlab import cli, factor, invariants, models, pairwise, relations, search, validation
 from factorlab.errors import BudgetExceeded
 from test_models import PROD, Affine, Numerical, Product, products
 
@@ -45,11 +45,11 @@ def test_lengths_counts_and_catenary_transfer_from_the_slots(desc, bound):
         assert invariants.length_set(fs).lengths == \
             tuple(k + sum(free) for k in lengths.lengths), el
         assert len(fs.all) == math.prod(len(s.all) for s in slots), el
-        assert invariants.catenary(fs) == \
-            max(map(invariants.catenary, slots)), el
-        free_part = frozenset((models.free_generator(desc, j), e)
+        assert pairwise.catenary(fs) == \
+            max(map(pairwise.catenary, slots)), el
+        free_part = frozenset((search.free_generator(desc, j), e)
                               for j, e in enumerate(free) if e)
-        embedded = [multisets(s, functools.partial(models.embed_component, desc, i))
+        embedded = [multisets(s, functools.partial(search.embed_component, desc, i))
                     for i, s in enumerate(slots)]
         assert multisets(fs) == {free_part.union(*combo)
                                  for combo in itertools.product(*embedded)}, el
@@ -128,6 +128,6 @@ def test_a_product_without_fp_value_slots_bounds_its_generator_weights():
                             Affine(dim=2, generators=((1, 0), (1, 1), (0, 2)))),
                    free_rank=1)
     assert models.max_generator_weight(desc) == 3
-    assert models.validate(desc).to_json()["verifiedBound"] == 3
+    assert validation.validate(desc).to_json()["verifiedBound"] == 3
     _, info = relations.relation_atoms(desc, 2)
     assert info == {"lengthBound": 2, "weightBound": 6}

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import bruteforce
-from factorlab import factor, invariants, models
+from factorlab import factor, invariants, models, search, validation
 from factorlab.errors import BudgetExceeded, ClosureViolation, MalformedDescriptor
 from test_length_table import FIXED, FIXED_IDS
 from test_models import (
@@ -63,7 +63,7 @@ def fp_value_models(draw):
     kept when they are closed."""
     desc = draw(fp_value_descriptors(max_exponent=3, max_patterns=2))
     try:
-        models.validate(desc, 2 * desc.exponent)
+        validation.validate(desc, 2 * desc.exponent)
     except (MalformedDescriptor, ClosureViolation):
         assume(False)
     return desc
@@ -101,14 +101,14 @@ GENERATED = [(d, i) for (d, _), i in zip(CASES, CASE_IDS)
 @pytest.mark.parametrize("desc", [d for d, _ in GENERATED],
                          ids=[i for _, i in GENERATED])
 def test_generator_atoms_split_the_generators(desc):
-    atoms = models.generator_atoms(desc)
+    atoms = search.generator_atoms(desc)
     assert list(atoms) == [g for g in bruteforce.brute_members(
         desc, models.max_generator_weight(desc)) if g in atoms]
     for g in desc.generators:
         assert (g in atoms) == bruteforce.brute_is_atom(desc, g), g
     rest = [models.element_to_json(desc, g) for g in desc.generators
             if g not in atoms]
-    assert models.non_atom_generators(desc) == rest
+    assert validation.non_atom_generators(desc) == rest
 
 
 @settings(max_examples=40, deadline=None)
@@ -123,7 +123,7 @@ def test_recurrence_atoms_are_the_atoms(desc, bound):
     if isinstance(desc, models.FinitelyPrimaryValue):
         want = [u for u in members if bruteforce.brute_is_atom(desc, u)]
     else:
-        want = [u for u in models.generator_atoms(desc)
+        want = [u for u in search.generator_atoms(desc)
                 if models.weight(desc, u) <= bound]
     assert atoms == want
 
@@ -144,9 +144,9 @@ def test_sumset_fibers_are_recurrence_rows_that_match_the_oracle(desc, bound):
 
 
 def test_non_minimal_generators_are_not_atoms():
-    assert models.generator_atoms(N234) == (2, 3)
-    assert models.generator_atoms(AFF_EXTRA) == ((0, 1), (1, 0))
-    assert models.generator_atoms(SUM_EXTRA) == ((0, 1), (0, 2, 3))
+    assert search.generator_atoms(N234) == (2, 3)
+    assert search.generator_atoms(AFF_EXTRA) == ((0, 1), (1, 0))
+    assert search.generator_atoms(SUM_EXTRA) == ((0, 1), (0, 2, 3))
 
 
 @pytest.mark.parametrize("desc,bound", CASES, ids=CASE_IDS)
@@ -220,7 +220,7 @@ def test_spread_affine_generators_build_one_mask_each(mask_tops):
     assert models.atoms_dividing(desc, (1, 1, 1, 1)) == [(1, 1, 1, 1)]
     assert mask_tops == [(1, 1, 1, 1)]
     mask_tops.clear()
-    assert models.validate(desc).non_minimal_generators == []
+    assert validation.validate(desc).non_minimal_generators == []
     assert mask_tops == list(desc.generators)
 
 
@@ -251,5 +251,5 @@ def test_numerical_generators_share_one_member_mask(mask_tops):
     """Every numerical generator's atoms are read off the one mask below the
     largest generator, whatever the number of generators."""
     desc = models.Numerical(generators=(100, 150, 250, 301, 399))
-    assert models.validate(desc).non_minimal_generators == [250]
+    assert validation.validate(desc).non_minimal_generators == [250]
     assert mask_tops == [(399,)]

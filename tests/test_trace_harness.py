@@ -42,7 +42,7 @@ PRODUCT = {"model": "product", "freeRank": 1,
 
 
 # Sweeps read their members off one mask and factorize decides membership
-# by models.member_witness, whose witness it reuses: none calls membership.
+# by search.member_witness, whose witness it reuses: none calls membership.
 @pytest.mark.parametrize("descriptor,argv,span,memberships,multiplies", [
     (numerical(2, 3), ["global", "--bound", "12"], "invariants.aggregate", 0,
      False),
