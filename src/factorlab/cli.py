@@ -27,9 +27,9 @@ unreadable file, 3 enumeration budget exhausted, a distance table too
 large for ``invariants.element_report`` or memory exhausted
 (``factorlab: out of memory``, for example by a huge element's bit
 masks), 4 a verification scenario's claim failed, 130 interrupted, 141
-the report could not be written (stdout a closed pipe, as a shell reports a
-writer ended by SIGPIPE, or a full disk). A process killed from outside, as
-by the kernel's out-of-memory killer, cannot report this.
+the report or help could not be written (stdout closed, a closed pipe, as a
+shell reports a writer ended by SIGPIPE, or a full disk). A process killed
+from outside, as by the kernel's out-of-memory killer, cannot report this.
 """
 
 from __future__ import annotations
@@ -120,7 +120,11 @@ def build_parser():
     """The argparse parser of ``COMMANDS``, for --help and malformed lines."""
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        def print_help(self, file=None):  # to stdout as a report goes, see main
+            (file.write if file else _write)(self.format_help())
+
+    parser = Parser(
         prog="factorlab",
         description="Factorization workbench for finitely generated monoids.",
     )
@@ -169,14 +173,18 @@ def load_descriptor(path: str) -> models.MonoidDescriptor:
 
 
 def emit(report: dict, output: str) -> None:
-    if sys.stdout is None:  # fd 1 was closed when the process began
-        raise OSError("stdout is closed")
     if output == "json":
-        sys.stdout.write(models.canonical_dumps(report) + "\n")
+        _write(models.canonical_dumps(report) + "\n")
     else:
         from . import render
 
-        sys.stdout.write("\n".join(render.render_table(report)) + "\n")
+        _write("\n".join(render.render_table(report)) + "\n")
+
+
+def _write(text: str) -> None:
+    if sys.stdout is None:  # fd 1 was closed when the process began
+        raise OSError("stdout is closed")
+    sys.stdout.write(text)
     sys.stdout.flush()
 
 
@@ -429,7 +437,10 @@ def _complain(text: str) -> None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args = parse_fast(argv) or build_parser().parse_args(argv)
+    try:
+        args = parse_fast(argv) or build_parser().parse_args(argv)
+    except OSError as exc:  # only --help writes to stdout while parsing
+        return _unwritten("help", exc)
     for flag, value, least in (("--bound", args.bound, 0),
                                ("--length-bound", args.length_bound, 0),
                                ("--budget", args.budget, 0),
@@ -465,10 +476,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         emit(envelope(args, descriptor_hash, results, warnings), args.output)
     except OSError as exc:
-        _complain(f"cannot write the report: {exc}")
-        if sys.stdout is not None:
-            # The interpreter's own flush at exit then writes to os.devnull.
-            with open(os.devnull, "wb") as null:
-                os.dup2(null.fileno(), sys.stdout.fileno())
-        return EXIT_OUTPUT
+        return _unwritten("report", exc)
     return EXIT_OK
+
+
+def _unwritten(what: str, exc: OSError) -> int:
+    _complain(f"cannot write the {what}: {exc}")
+    if sys.stdout is not None:
+        # The interpreter's own flush at exit then writes to os.devnull.
+        with open(os.devnull, "wb") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
+    return EXIT_OUTPUT

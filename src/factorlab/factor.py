@@ -20,7 +20,7 @@ greatest common subfactorization and takes the larger remaining length:
 d(x, y) = max(|x|, |y|) - |gcd(x, y)|. A FactorSet builds the table of
 all pairwise distances of its fiber once, on first use, and the element
 invariants read it from there. Each row is one int of packed fields
-(``pairwise.Fields``), a field per factorization, so a row is built and
+(``fields.Fields``), a field per factorization, so a row is built and
 compared by a few whole-int operations that act on every field at once.
 """
 
@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import models
 
 if TYPE_CHECKING:
-    from . import pairwise
+    from .fields import Fields
 
 DEFAULT_BUDGET = 2_000_000
 
@@ -92,10 +92,10 @@ class FactorSet:
         return self.all[span.start:span.stop]
 
     @functools.cached_property
-    def fields(self) -> pairwise.Fields:
+    def fields(self) -> Fields:
         """The packing of a distance row: a field per factorization."""
-        from . import pairwise
-        return pairwise.packing(self.all[-1].length if self.all else 0, len(self.all))
+        from . import fields
+        return fields.packing(self.all[-1].length if self.all else 0, len(self.all))
 
     @functools.cached_property
     def distance_table(self) -> tuple[int, ...]:
@@ -112,6 +112,19 @@ class FactorSet:
         lengths, gcd = f.pack([z.length for z in zs]), shared.__getitem__
         return tuple(f.max(lengths, z.length * f.ones) - sum(map(gcd, z.counts))
                      for z in zs)
+
+
+def factor_set(desc: models.MonoidDescriptor, el, atoms, raw) -> FactorSet:
+    """Z(el) in canonical order from raw factorizations.
+
+    ``atoms`` are the atoms dividing el in global order; ids index them.
+    Each raw factorization is a sequence of (atom id, multiplicity) pairs
+    with ids strictly increasing and multiplicities positive, the form the
+    searches and the fiber stream produce, so no pair is merged or checked.
+    """
+    keyed = sorted((sum(m for _, m in z), tuple(z)) for z in raw)
+    sols = tuple(Factorization(counts, length) for length, counts in keyed)
+    return FactorSet(descriptor=desc, element=el, atoms=tuple(atoms), all=sols)
 
 
 def factorizations(
@@ -139,10 +152,9 @@ def factorizations(
 
 def recurrence_fiber(desc, el, members: list, atoms: list, zs) -> FactorSet:
     """Z(el) from its recurrence row, over the atoms it uses in order."""
-    from . import search
     ids = sorted({k for z in zs for k, _ in z})
     local = {k: n for n, k in enumerate(ids)}
-    return search.factor_set(desc, el, [members[atoms[k]] for k in ids],
+    return factor_set(desc, el, [members[atoms[k]] for k in ids],
                       [[(local[k], m) for k, m in z] for z in zs])
 
 

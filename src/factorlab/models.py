@@ -18,9 +18,9 @@ strictly increasing tuple starting at 0 for sumsets, or a
 (components, free exponents) pair of tuples for products. Every function
 here is pure and keeps no memo: numerical and affine membership reads a
 bit mask of the box below the element, built per call, and the atoms
-dividing the element are read off that same mask. That witness and its
-atoms are built in ``search`` and validation runs in ``validation``,
-modules loaded by the first call that needs them.
+dividing the element are read off that same mask. That witness, the atoms
+and the canonical form live in ``search`` (forwarded to from here) and
+validation in ``validation``, modules loaded by the first call needing them.
 
 The ``weight`` of an element (value, coordinate sum, maximum, or the sum
 over product slots) is additive under multiplication and strictly
@@ -35,7 +35,7 @@ import json
 from operator import le, mul
 from typing import Any, NamedTuple
 
-from .errors import MalformedDescriptor, NotAMember, ShapeMismatch
+from .errors import MalformedDescriptor
 
 Element = Any
 Vector = tuple[int, ...]
@@ -99,33 +99,33 @@ def check_descriptor(desc: MonoidDescriptor) -> None:
         gens = desc.generators
         if not gens:
             raise MalformedDescriptor("numerical model needs at least one generator")
-        if any(not _is_int(g) or g < 1 for g in gens):
+        if any(not is_int(g) or g < 1 for g in gens):
             raise MalformedDescriptor("numerical generators must be positive integers")
         if len(set(gens)) != len(gens):
             raise MalformedDescriptor("generators must be pairwise distinct")
     elif isinstance(desc, Affine):
-        if not _is_int(desc.dim) or desc.dim < 1:
+        if not is_int(desc.dim) or desc.dim < 1:
             raise MalformedDescriptor("affine dimension must be a positive integer")
         gens = desc.generators
         if not gens:
             raise MalformedDescriptor("affine model needs at least one generator")
         for g in gens:
-            if len(g) != desc.dim or any(not _is_int(x) or x < 0 for x in g):
+            if len(g) != desc.dim or any(not is_int(x) or x < 0 for x in g):
                 raise MalformedDescriptor(f"bad affine generator {g!r}")
             if not any(g):
                 raise MalformedDescriptor("affine generators must be nonzero")
         if len(set(gens)) != len(gens):
             raise MalformedDescriptor("generators must be pairwise distinct")
     elif isinstance(desc, FinitelyPrimaryValue):
-        if not _is_int(desc.rank) or desc.rank not in (1, 2, 3):
+        if not is_int(desc.rank) or desc.rank not in (1, 2, 3):
             raise MalformedDescriptor("fp-value rank must be 1, 2 or 3")
-        if not _is_int(desc.exponent) or desc.exponent < 1:
+        if not is_int(desc.exponent) or desc.exponent < 1:
             raise MalformedDescriptor("fp-value exponent must be a positive integer")
         for pat in desc.exceptional:
             if len(pat.entries) != desc.rank:
                 raise MalformedDescriptor(f"pattern {pat!r} does not match the rank")
             for kind, n in pat.entries:
-                if kind not in ("exact", "atLeast") or not _is_int(n) or n < 1:
+                if kind not in ("exact", "atLeast") or not is_int(n) or n < 1:
                     raise MalformedDescriptor(f"bad pattern entry {(kind, n)!r}")
             # without an exact coordinate below the exponent the pattern is
             # redundant with the all-coordinates->exponent region
@@ -140,7 +140,7 @@ def check_descriptor(desc: MonoidDescriptor) -> None:
         if not gens:
             raise MalformedDescriptor("sumset model needs at least one generator")
         for g in gens:
-            if not g or g[0] != 0 or any(not _is_int(x) or x < 0 for x in g):
+            if not g or g[0] != 0 or any(not is_int(x) or x < 0 for x in g):
                 raise MalformedDescriptor(f"sumset generator {g!r} must contain 0")
             if any(a >= b for a, b in zip(g, g[1:])):
                 raise MalformedDescriptor(f"sumset generator {g!r} is not canonical")
@@ -151,7 +151,7 @@ def check_descriptor(desc: MonoidDescriptor) -> None:
     elif isinstance(desc, Product):
         if not desc.factors:
             raise MalformedDescriptor("product model needs at least one factor")
-        if not _is_int(desc.free_rank) or desc.free_rank < 0:
+        if not is_int(desc.free_rank) or desc.free_rank < 0:
             raise MalformedDescriptor("product free rank must be a nonnegative integer")
         for f in desc.factors:
             if not isinstance(f, _BASE_MODELS):
@@ -161,7 +161,7 @@ def check_descriptor(desc: MonoidDescriptor) -> None:
         raise MalformedDescriptor(f"unknown descriptor {desc!r}")
 
 
-def _is_int(x) -> bool:
+def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
@@ -291,52 +291,8 @@ def identity(desc: MonoidDescriptor) -> Element:
 
 
 def canon(desc: MonoidDescriptor, raw: Any) -> Element:
-    """Bring a raw element (parsed literal or JSON value) to canonical form.
-
-    Raises ShapeMismatch when the value cannot possibly denote an element
-    of this model. Membership is a separate question, see ``membership``.
-    """
-    if isinstance(desc, Numerical):
-        if not _is_int(raw) or raw < 0:
-            raise ShapeMismatch(f"expected a nonnegative integer, got {raw!r}")
-        return raw
-    if isinstance(desc, (Affine, FinitelyPrimaryValue)):
-        dim = desc.dim if isinstance(desc, Affine) else desc.rank
-        v = _int_tuple(raw)
-        if len(v) != dim or any(x < 0 for x in v):
-            raise ShapeMismatch(f"expected a vector of {dim} nonnegative ints")
-        return v
-    if isinstance(desc, Sumset):
-        v = _int_tuple(raw)
-        if any(x < 0 for x in v):
-            raise ShapeMismatch("sumset elements hold nonnegative ints")
-        s = tuple(sorted(set(v)))
-        if not s or s[0] != 0:
-            raise ShapeMismatch("sumset elements must contain 0")
-        return s
-    if isinstance(desc, Product):
-        if isinstance(raw, dict):
-            comps, free = raw.get("components"), raw.get("free", [])
-        elif isinstance(raw, (tuple, list)) and len(raw) == 2:
-            comps, free = raw
-        else:
-            raise ShapeMismatch(f"bad product element {raw!r}")
-        if not isinstance(comps, (tuple, list)) or len(comps) != len(desc.factors):
-            raise ShapeMismatch("product element needs one entry per factor")
-        fr = _int_tuple(free)
-        if len(fr) != desc.free_rank or any(x < 0 for x in fr):
-            raise ShapeMismatch(f"free part must have {desc.free_rank} entries >= 0")
-        return (
-            tuple(canon(f, c) for f, c in zip(desc.factors, comps)),
-            fr,
-        )
-    raise ShapeMismatch(f"unknown descriptor {desc!r}")
-
-
-def _int_tuple(raw: Any) -> Vector:
-    if isinstance(raw, (tuple, list)) and all(_is_int(x) for x in raw):
-        return tuple(raw)
-    raise ShapeMismatch(f"expected a sequence of ints, got {raw!r}")
+    from . import search
+    return search.canon(desc, raw)
 
 
 def multiply(desc: MonoidDescriptor, a: Element, b: Element) -> Element:
@@ -405,35 +361,8 @@ def element_to_json(desc: MonoidDescriptor, el: Element) -> Any:
 
 
 def parse_element_literal(desc: MonoidDescriptor, text: str) -> Element:
-    """Parse the CLI literal form of an element.
-
-    ints for numerical ("12"), comma-separated vectors for value models
-    ("3,3"), brace sets for sumsets ("{0,1,3}") and semicolon-joined
-    component literals for products ("12;3,3", free exponents last).
-    """
-    text = text.strip()
-    try:
-        if isinstance(desc, Numerical):
-            return canon(desc, int(text))
-        if isinstance(desc, (Affine, FinitelyPrimaryValue)):
-            return canon(desc, [int(p) for p in text.split(",")])
-        if isinstance(desc, Sumset):
-            if not (text.startswith("{") and text.endswith("}")):
-                raise ShapeMismatch("sumset literals look like {0,1,3}")
-            return canon(desc, [int(p) for p in text[1:-1].split(",")])
-        parts = text.split(";")
-        want = len(desc.factors) + (1 if desc.free_rank else 0)
-        if len(parts) != want:
-            raise ShapeMismatch(
-                f"product literal needs {want} ';'-separated parts, got {len(parts)}"
-            )
-        comps = [
-            parse_element_literal(f, p) for f, p in zip(desc.factors, parts)
-        ]
-        free = [int(p) for p in parts[-1].split(",")] if desc.free_rank else []
-        return canon(desc, (comps, free))
-    except ValueError as exc:
-        raise ShapeMismatch(f"cannot parse element literal {text!r}: {exc}") from exc
+    from . import search
+    return search.parse_element_literal(desc, text)
 
 
 # ---------------------------------------------------------------------------
@@ -441,17 +370,8 @@ def parse_element_literal(desc: MonoidDescriptor, text: str) -> Element:
 
 
 def membership(desc: MonoidDescriptor, candidate: Any) -> bool:
-    """Decide membership for a raw or canonical element.
-
-    Raises ShapeMismatch for values of the wrong shape; returns False for
-    well-shaped non-members.
-    """
     from . import search
-    try:
-        search.member_witness(desc, canon(desc, candidate))
-    except NotAMember:
-        return False
-    return True
+    return search.membership(desc, candidate)
 
 
 def fp_member(desc: FinitelyPrimaryValue, v: Vector) -> bool:
@@ -573,32 +493,13 @@ def fp_box(desc: FinitelyPrimaryValue, top: Vector):
 
 
 def is_atom(desc: MonoidDescriptor, el: Element) -> bool:
-    """True when el is a member that admits no two-part nonzero splitting.
-
-    An atom divides itself, so this looks el up in ``atoms_dividing``,
-    which also decides membership.
-    """
-    el = canon(desc, el)
-    try:
-        return el != identity(desc) and el in atoms_dividing(desc, el)
-    except NotAMember:
-        return False
+    from . import search
+    return search.is_atom(desc, el)
 
 
 def atoms_dividing(desc: MonoidDescriptor, a: Element) -> list[Element]:
-    """Atoms u with u + c = a solvable, in weight-then-lexicographic order.
-
-    Numerical, affine and sumset models keep the generators that divide a
-    and that no other generator divides. fp-value models take one bit mask
-    pass over the box below a, numbered by ``box_strides``: the atoms are
-    the nonzero members that are not sums of two of them. Products join
-    the atoms of their slots and the free generators a uses. The table is
-    finite for every element of every model even when the monoid has
-    infinitely many atoms overall.
-    """
     from . import search
-    a = canon(desc, a)
-    return search.witnessed_atoms(desc, a, search.member_witness(desc, a))
+    return search.atoms_dividing(desc, a)
 
 
 def max_generator_weight(desc: MonoidDescriptor) -> int | None:

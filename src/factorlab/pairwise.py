@@ -1,6 +1,6 @@
-"""The packed rows of ``FactorSet.distance_table`` (``Fields``, shared with
-``recurrence``) and the element invariants ``invariants.element_report``
-reads off them; no sweep over length sets loads this module."""
+"""The element invariants ``invariants.element_report`` reads off the packed
+rows of ``FactorSet.distance_table``; no sweep over length sets and no
+cancellative global estimate loads this module."""
 
 from __future__ import annotations
 
@@ -11,60 +11,10 @@ from array import array
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import errors, factor, invariants, models
+from .fields import packing
 
 if TYPE_CHECKING:
     from fractions import Fraction
-
-
-class Fields:
-    """``count`` values up to ``top`` packed in one int, value j in the
-    field at bit ``width`` * j, each field the fewest whole bytes that also
-    hold FAR, all of a field's bits but its top one. With the top bits
-    clear, (x | HIGH) - y borrows out of no field and keeps the top bit
-    where x >= y, so ``min`` and ``max`` act on every field at once (SWAR)."""
-
-    def __init__(self, top: int, count: int):
-        self.top, self.count = top, count
-        self.nbytes = next(b for b in (1, 2, 4, 8) if top < (1 << 8 * b - 1) - 1)
-        self.width, self.code = 8 * self.nbytes, " BH I   Q"[self.nbytes]
-        self.far = (1 << self.width - 1) - 1
-        self.ones = int.from_bytes(b"\1".ljust(self.nbytes, b"\0") * count, "little")
-        self.high = self.ones << self.width - 1
-
-    def min(self, x: int, y: int) -> int:
-        ge = ((x | self.high) - y) & self.high
-        return x ^ (x ^ y) & ge - (ge >> self.width - 1)
-
-    def max(self, x: int, y: int) -> int:
-        ge = ((x | self.high) - y) & self.high
-        return y ^ (x ^ y) & ge - (ge >> self.width - 1)
-
-    def pack(self, values) -> int:
-        return int.from_bytes(array(self.code, values), "little")
-
-    def unpack(self, x: int) -> array:
-        return array(self.code, x.to_bytes(self.count * self.nbytes, "little"))
-
-
-@functools.lru_cache(maxsize=256)
-def packing(top: int, count: int) -> Fields:
-    """The Fields of ``count`` values up to ``top``, built once for each."""
-    return Fields(top, count)
-
-
-def unary_codes(fiber) -> list[int]:
-    """Each factorization of a fiber, given as (atom id, multiplicity)
-    pairs, as one integer holding every multiplicity in unary, atom i in
-    its own field as wide as its largest multiplicity in the fiber, so
-    |gcd(x, y)| is the popcount of X & Y."""
-    pairs = sorted(set(itertools.chain.from_iterable(fiber)))
-    width = dict(pairs)
-    offset, shift = {}, 0
-    for i in width:
-        offset[i] = shift
-        shift += width[i]
-    unit = {(i, m): ((1 << m) - 1) << offset[i] for i, m in pairs}
-    return list(map(sum, map(functools.partial(map, unit.__getitem__), fiber)))
 
 
 def _bottleneck(table, span: range, top: int) -> int:

@@ -25,8 +25,8 @@ fibers, with no FactorSet, distance table or spanning tree:
 * delta from the raw rows: x in Z_k has d(x, Z_l) at most delta(a - u)
   for an atom u of x with l - 1 in L(a - u), and l when x shares no atom
   with Z_l. So only adjacent lengths where atoms lie at one and not the
-  other, of weights that can make up a, are read off the fiber, with the
-  unary codes of ``pairwise.unary_codes``.
+  other, of weights that can make up a, are read off the fiber, as the
+  ``unary_codes`` of its factorizations.
 
 A row holds only the values that raise the maxima so far, each exact, so
 a value past the floor of the maxima is all a member needs; the gap tables
@@ -41,7 +41,8 @@ import functools
 import itertools
 from operator import and_, or_
 
-from . import factor, invariants, models, pairwise
+from . import factor, invariants, models
+from .fields import Fields
 
 
 def _classes(nodes: int, links) -> list[int]:
@@ -88,7 +89,7 @@ def _split_lengths(parents: dict, below: list, masks: list, floor: int) -> int:
     return split
 
 
-class _GapTables(pairwise.Fields):
+class _GapTables(Fields):
     """T(a; k, d) over the lengths k of a member a, packed per gap d into one
     int with a field of ``width`` bits per k that holds FAR - T(a; k, d), or
     0 where k or k + d is not in L(a); so an int ends at a's longest length,
@@ -117,6 +118,21 @@ class _GapTables(pairwise.Fields):
 
     def get(self, c: int, k: int) -> int:
         return self.far - (c >> self.width * k & self.far)
+
+
+def unary_codes(fiber) -> list[int]:
+    """Each factorization of a fiber, given as (atom id, multiplicity)
+    pairs, as one integer holding every multiplicity in unary, atom i in
+    its own field as wide as its largest multiplicity in the fiber, so
+    |gcd(x, y)| is the popcount of X & Y."""
+    pairs = sorted(set(itertools.chain.from_iterable(fiber)))
+    width = dict(pairs)
+    offset, shift = {}, 0
+    for i in width:
+        offset[i] = shift
+        shift += width[i]
+    unit = {(i, m): ((1 << m) - 1) << offset[i] for i, m in pairs}
+    return list(map(sum, map(functools.partial(map, unit.__getitem__), fiber)))
 
 
 def estimate_rows(desc, weight_bound: int, budget: int, warnings: list, start: dict):
@@ -173,7 +189,7 @@ def estimate_rows(desc, weight_bound: int, budget: int, warnings: list, start: d
                     for n, o in ((k, l), (l, k))
                     for ws in [[v for m, v in present if m >> n & 1 and not m >> o & 1]]):
                 if by_length is None:
-                    codes = pairwise.unary_codes(raw[i])
+                    codes = unary_codes(raw[i])
                     by_length = {n: list(itertools.compress(codes, map(
                         n.__eq__, map(int.bit_count, codes)))) for n in lengths}
                 xs, ys = by_length[k], by_length[l]

@@ -1,6 +1,6 @@
-"""One element's membership witness, the atoms read off it, and the search
-for its factorizations that ``factor.factorizations`` runs from it; sweeps
-below a weight bound read ``factor.atom_recurrence`` instead."""
+"""One element's canonical form, membership witness and atoms (``models``
+forwards here) and the search for its factorizations, run from the witness by
+``factor.factorizations``; sweeps read ``factor.atom_recurrence`` instead."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import math
 from operator import le, mul, sub
 
 from . import factor, models
-from .errors import BudgetExceeded, NotAMember
+from .errors import BudgetExceeded, NotAMember, ShapeMismatch
 
 
 def format_element(desc: models.MonoidDescriptor, el: models.Element) -> str:
@@ -24,6 +24,87 @@ def format_element(desc: models.MonoidDescriptor, el: models.Element) -> str:
     if desc.free_rank:
         parts.append(",".join(map(str, free)))
     return ";".join(parts)
+
+
+def canon(desc: models.MonoidDescriptor, raw) -> models.Element:
+    """Bring a raw element (parsed literal or JSON value) to canonical form.
+
+    Raises ShapeMismatch when the value cannot possibly denote an element
+    of this model. Membership is a separate question, see ``membership``.
+    """
+    if isinstance(desc, models.Numerical):
+        if not models.is_int(raw) or raw < 0:
+            raise ShapeMismatch(f"expected a nonnegative integer, got {raw!r}")
+        return raw
+    if isinstance(desc, (models.Affine, models.FinitelyPrimaryValue)):
+        dim = desc.dim if isinstance(desc, models.Affine) else desc.rank
+        v = _int_tuple(raw)
+        if len(v) != dim or any(x < 0 for x in v):
+            raise ShapeMismatch(f"expected a vector of {dim} nonnegative ints")
+        return v
+    if isinstance(desc, models.Sumset):
+        v = _int_tuple(raw)
+        if any(x < 0 for x in v):
+            raise ShapeMismatch("sumset elements hold nonnegative ints")
+        s = tuple(sorted(set(v)))
+        if not s or s[0] != 0:
+            raise ShapeMismatch("sumset elements must contain 0")
+        return s
+    if isinstance(desc, models.Product):
+        if isinstance(raw, dict):
+            comps, free = raw.get("components"), raw.get("free", [])
+        elif isinstance(raw, (tuple, list)) and len(raw) == 2:
+            comps, free = raw
+        else:
+            raise ShapeMismatch(f"bad product element {raw!r}")
+        if not isinstance(comps, (tuple, list)) or len(comps) != len(desc.factors):
+            raise ShapeMismatch("product element needs one entry per factor")
+        fr = _int_tuple(free)
+        if len(fr) != desc.free_rank or any(x < 0 for x in fr):
+            raise ShapeMismatch(f"free part must have {desc.free_rank} entries >= 0")
+        return (
+            tuple(canon(f, c) for f, c in zip(desc.factors, comps)),
+            fr,
+        )
+    raise ShapeMismatch(f"unknown descriptor {desc!r}")
+
+
+def _int_tuple(raw) -> models.Vector:
+    if isinstance(raw, (tuple, list)) and all(models.is_int(x) for x in raw):
+        return tuple(raw)
+    raise ShapeMismatch(f"expected a sequence of ints, got {raw!r}")
+
+
+def parse_element_literal(desc: models.MonoidDescriptor, text: str) -> models.Element:
+    """Parse the CLI literal form of an element.
+
+    ints for numerical ("12"), comma-separated vectors for value models
+    ("3,3"), brace sets for sumsets ("{0,1,3}") and semicolon-joined
+    component literals for products ("12;3,3", free exponents last).
+    """
+    text = text.strip()
+    try:
+        if isinstance(desc, models.Numerical):
+            return canon(desc, int(text))
+        if isinstance(desc, (models.Affine, models.FinitelyPrimaryValue)):
+            return canon(desc, [int(p) for p in text.split(",")])
+        if isinstance(desc, models.Sumset):
+            if not (text.startswith("{") and text.endswith("}")):
+                raise ShapeMismatch("sumset literals look like {0,1,3}")
+            return canon(desc, [int(p) for p in text[1:-1].split(",")])
+        parts = text.split(";")
+        want = len(desc.factors) + (1 if desc.free_rank else 0)
+        if len(parts) != want:
+            raise ShapeMismatch(
+                f"product literal needs {want} ';'-separated parts, got {len(parts)}"
+            )
+        comps = [
+            parse_element_literal(f, p) for f, p in zip(desc.factors, parts)
+        ]
+        free = [int(p) for p in parts[-1].split(",")] if desc.free_rank else []
+        return canon(desc, (comps, free))
+    except ValueError as exc:
+        raise ShapeMismatch(f"cannot parse element literal {text!r}: {exc}") from exc
 
 
 def generator_atoms(desc: models.Numerical | models.Affine | models.Sumset
@@ -65,6 +146,19 @@ def member_witness(desc: models.MonoidDescriptor, a: models.Element):
     if not member:
         raise NotAMember(f"{format_element(desc, a)} is not a member")
     return found
+
+
+def membership(desc: models.MonoidDescriptor, candidate) -> bool:
+    """Decide membership for a raw or canonical element.
+
+    Raises ShapeMismatch for values of the wrong shape; returns False for
+    well-shaped non-members.
+    """
+    try:
+        member_witness(desc, canon(desc, candidate))
+    except NotAMember:
+        return False
+    return True
 
 
 def witnessed_atoms(desc: models.MonoidDescriptor, a: models.Element,
@@ -117,6 +211,34 @@ def witnessed_atoms(desc: models.MonoidDescriptor, a: models.Element,
     return out
 
 
+def is_atom(desc: models.MonoidDescriptor, el: models.Element) -> bool:
+    """True when el is a member that admits no two-part nonzero splitting.
+
+    An atom divides itself, so this looks el up in ``atoms_dividing``
+    (through ``models``, where the bench counts it), which decides membership.
+    """
+    el = canon(desc, el)
+    try:
+        return el != models.identity(desc) and el in models.atoms_dividing(desc, el)
+    except NotAMember:
+        return False
+
+
+def atoms_dividing(desc: models.MonoidDescriptor, a) -> list[models.Element]:
+    """Atoms u with u + c = a solvable, in weight-then-lexicographic order.
+
+    Numerical, affine and sumset models keep the generators that divide a
+    and that no other generator divides. fp-value models take one bit mask
+    pass over the box below a, numbered by ``models.box_strides``: the atoms
+    are the nonzero members that are not sums of two of them. Products join
+    the atoms of their slots and the free generators a uses. The table is
+    finite for every element of every model even when the monoid has
+    infinitely many atoms overall.
+    """
+    a = canon(desc, a)
+    return witnessed_atoms(desc, a, member_witness(desc, a))
+
+
 def embed_component(desc: models.Product, i: int, u: models.Element) -> models.Element:
     comps = tuple(
         u if j == i else models.identity(f) for j, f in enumerate(desc.factors)
@@ -141,20 +263,7 @@ def base_fiber(desc, el, witness, budget: int) -> factor.FactorSet:
             raise BudgetExceeded(budget)
         return factor.recurrence_fiber(desc, el, members, atoms, zs[-1])
     atoms = witnessed_atoms(desc, el, witness)
-    return factor_set(desc, el, atoms, _enumerate_value(desc, el, atoms, budget))
-
-
-def factor_set(desc: models.MonoidDescriptor, el, atoms, raw) -> factor.FactorSet:
-    """Z(el) in canonical order from raw factorizations.
-
-    ``atoms`` are the atoms dividing el in global order; ids index them.
-    Each raw factorization is a sequence of (atom id, multiplicity) pairs
-    with ids strictly increasing and multiplicities positive, the form the
-    searches and the fiber stream produce, so no pair is merged or checked.
-    """
-    keyed = sorted((sum(m for _, m in z), tuple(z)) for z in raw)
-    sols = tuple(factor.Factorization(counts, length) for length, counts in keyed)
-    return factor.FactorSet(descriptor=desc, element=el, atoms=tuple(atoms), all=sols)
+    return factor.factor_set(desc, el, atoms, _enumerate_value(desc, el, atoms, budget))
 
 
 def _enumerate_value(desc, el, atoms, budget):
@@ -170,7 +279,7 @@ def _enumerate_value(desc, el, atoms, budget):
     The search enters only remainders the remaining atoms can still
     finish, so every node lies on the way to a factorization. It keeps its
     own stack, so no recursion limit caps the number of atoms; the order
-    it finds factorizations in does not matter, as ``factor_set`` sorts.
+    it finds factorizations in does not matter, as ``factor.factor_set`` sorts.
     """
     if isinstance(desc, models.Numerical):
         el, atoms = (el,), [(u,) for u in atoms]
@@ -236,7 +345,7 @@ def product_fiber(desc: models.Product, el, parts, budget: int) -> factor.Factor
         for i, z in enumerate(combo):
             pairs.extend((slot_maps[i][j], m) for j, m in z.counts)
         raw.append(sorted(pairs))
-    return factor_set(desc, el, atoms, raw)
+    return factor.factor_set(desc, el, atoms, raw)
 
 
 def factor_set_to_json(fs: factor.FactorSet) -> dict:

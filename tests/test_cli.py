@@ -1020,8 +1020,8 @@ NEVER_USED = ("dataclasses", "inspect", "hashlib", "_hashlib")
 PARSER = ("argparse", "gettext", "locale")
 # Code few requests run, loaded by the functions that call it: the checks of
 # validate, the scenarios of verify-example, the table of --output table,
-# the search of one element's fiber and the packed distances of element
-# reports and cancellative global estimates.
+# the search of one element's fiber and the invariants element reports read
+# off the packed distances.
 VALIDATION = ("factorlab.validation",)
 SCENARIOS = ("factorlab.scenarios",)
 RENDER = ("factorlab.render",)
@@ -1045,10 +1045,13 @@ def test_package_import_loads_no_submodule():
      FIBER_UNUSED + VALIDATION + SCENARIOS + RENDER + PAIRWISE),
     (["atoms", "--element", "12"], FIBER_UNUSED + VALIDATION + SCENARIOS + PAIRWISE),
     (["validate"], FIBER_UNUSED + SCENARIOS + PAIRWISE),
-    (["global", "--bound", "12"], SWEEP_UNUSED + VALIDATION + SCENARIOS + SEARCH),
+    (["global", "--bound", "12"],
+     SWEEP_UNUSED + VALIDATION + SCENARIOS + SEARCH + PAIRWISE),
     (["global", "--bound", "24", "--jobs", "2"],
-     SWEEP_UNUSED + VALIDATION + SCENARIOS + SEARCH
+     SWEEP_UNUSED + VALIDATION + SCENARIOS + SEARCH + PAIRWISE
      + ("multiprocessing", "concurrent.futures.process")),
+    (["global", "--bound", "6", "--monoid", os.path.join(DESCRIPTORS, "sumset.json")],
+     NO_GLOBAL + VALIDATION + SCENARIOS + SEARCH),
     (["unions", "--bound", "12", "--k", "3"],
      NO_GLOBAL + NO_FRACTION + VALIDATION + SCENARIOS + SEARCH + PAIRWISE),
     (["unions", "--bound", "12", "--k", "3", "--output", "json"],
@@ -1063,15 +1066,30 @@ def test_package_import_loads_no_submodule():
       "--output", "json"], ("factorlab.relations", "factorlab.recurrence", *ON_DEMAND)),
     (["relation-atoms", "--length-bound", "3"], (
         "factorlab.aamp", "factorlab.recurrence", *NO_FRACTION,
-        *VALIDATION, *SCENARIOS, *PAIRWISE)),
+        *VALIDATION, *SCENARIOS, *SEARCH, *PAIRWISE)),
 ], ids=["factorize", "factorize-json", "atoms", "validate", "global", "global-jobs-2",
-        "unions", "unions-json", "invariants", "structure-probe", "structure-probe-json",
-        "structure-probe-unions-json", "relation-atoms"])
+        "global-sumset", "unions", "unions-json", "invariants", "structure-probe",
+        "structure-probe-json", "structure-probe-unions-json", "relation-atoms"])
 def test_a_command_loads_only_the_modules_it_runs(n23_path, argv, unused):
+    """On <2, 3> unless argv names its own --monoid."""
+    argv = argv if "--monoid" in argv else argv + ["--monoid", n23_path]
     code = ("from factorlab import cli\n"
-            f"if cli.main({argv + ['--monoid', n23_path]!r}):\n"
+            f"if cli.main({argv!r}):\n"
             "    raise SystemExit('the command failed')")
     assert loaded_after(code, unused + NEVER_USED + PARSER) == []
+
+
+@pytest.mark.parametrize("model,bound", [
+    ("affine", "12"), ("fp-value", "16"), ("product", "6")])
+def test_cancellative_global_loads_no_search_and_no_pairwise(model, bound):
+    """The global estimates of every cancellative bench model come from the
+    atom recurrence: no single-element search and no packed distances."""
+    argv = ["global", "--bound", bound,
+            "--monoid", os.path.join(DESCRIPTORS, f"{model}.json")]
+    code = ("from factorlab import cli\n"
+            f"if cli.main({argv!r}):\n"
+            "    raise SystemExit('the command failed')")
+    assert loaded_after(code, SEARCH + PAIRWISE) == []
 
 
 @pytest.mark.parametrize("argv,unused", [

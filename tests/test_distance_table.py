@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import bruteforce
 from factorlab import catenary, element_report, equal_catenary, factorizations
-from factorlab import factor, models, search
+from factorlab import factor, models
 from test_models import AFF, N23
 
 N6920 = models.Numerical(generators=(6, 9, 20))
@@ -70,7 +70,7 @@ def factor_sets(max_multiplicity):
     calculus and every oracle read only the multiplicities."""
     vector = st.tuples(*[st.integers(0, max_multiplicity)] * 3).filter(any)
     vectors = st.sets(vector, min_size=1, max_size=MONOTONE_ORACLE_MOST)
-    return vectors.map(lambda zs: search.factor_set(
+    return vectors.map(lambda zs: factor.factor_set(
         N6920, None, (6, 9, 20),
         [[(a, m) for a, m in enumerate(z) if m] for z in zs]))
 

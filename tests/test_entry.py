@@ -1,7 +1,7 @@
 """The process entry: ``python -m factorlab`` and the installed script run one
 function, which freezes the start-up heap and then runs ``cli.main``; a
-request answers the same through it as in process, and a report that stdout
-cannot take ends in one line and exit 141."""
+request answers the same through it as in process, and a report or a help
+that stdout cannot take ends in one line and exit 141."""
 
 import gc
 import importlib
@@ -124,6 +124,20 @@ def test_a_closed_stdout_fd_ends_in_one_line(output):
     assert proc.returncode == cli.EXIT_OUTPUT
     assert proc.stderr.decode().splitlines() == [
         "factorlab: cannot write the report: stdout is closed"]
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["factorize", "--help"]],
+                         ids=["program", "command"])
+def test_help_to_a_closed_stdout_fd_ends_in_one_line(argv):
+    """--help goes out as a report does: with fd 1 closed, exit 141 and one
+    line on stderr, not the usage on stderr and exit 0; with fd 1 open,
+    argparse's help on stdout and exit 0."""
+    proc = process(argv, closed=1)
+    assert (proc.returncode, proc.stderr.decode().splitlines()) == (
+        cli.EXIT_OUTPUT, ["factorlab: cannot write the help: stdout is closed"])
+    proc = process(argv)
+    assert (proc.returncode, proc.stderr) == (cli.EXIT_OK, b"")
+    assert proc.stdout.startswith(b"usage: factorlab ")
 
 
 @pytest.mark.parametrize("argv,code", [

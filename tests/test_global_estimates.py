@@ -35,17 +35,35 @@ def test_fixed_models_match_the_reference_fold(desc, bound):
     check_estimates(desc, bound)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.one_of(
+# (model, weight bound) pairs, cancellative or a product with a sumset slot.
+CASES = st.one_of(
     st.tuples(NUMERICAL, st.integers(0, 45)),
     st.tuples(affine_models(max_dim=2), st.integers(0, 9)),
     st.tuples(fp_value_models(), st.integers(0, 8)),
     st.tuples(products(), st.integers(0, 6)),
-))
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(CASES)
 def test_cancellative_models_match_the_reference_fold(case):
     desc, bound = case
     assume(models.cancellative(desc))
     check_estimates(desc, bound)
+
+
+@settings(max_examples=25, deadline=None)
+@given(CASES)
+def test_unary_codes_share_the_gcd_length(case):
+    """popcount(X & Y) of the unary codes of two factorizations of a member
+    is |gcd(x, y)|, on every raw fiber of the atom recurrence."""
+    desc, bound = case
+    members = invariants.enumerate_elements(desc, bound)
+    *_, raw, _, _ = factor.atom_recurrence(desc, members, factor.DEFAULT_BUDGET)
+    for zs in raw:
+        codes = recurrence.unary_codes(zs)
+        assert [(x & y).bit_count() for x in codes for y in codes] == [
+            sum(bruteforce.brute_gcd(x, y).values()) for x in zs for y in zs]
 
 
 @pytest.mark.parametrize("desc,bound", FIXED, ids=FIXED_IDS)

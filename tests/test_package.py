@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import factorlab
-from factorlab import models
+from factorlab import models, search
 
 # Defining submodule -> the names the package re-exports from it.
 EXPORTS = {
@@ -92,13 +92,15 @@ def test_membership_keeps_no_process_global_memo():
         for el in elements:
             if models.membership(desc, el):
                 models.atoms_dividing(desc, el)
-    memos = [name for name, value in vars(models).items()
-             if not name.startswith("__") and isinstance(value, (dict, list, set))]
-    assert memos == []
+    # membership and atoms_dividing run in search, models forwarding to it.
+    for module in (models, search):
+        memos = [name for name, value in vars(module).items()
+                 if not name.startswith("__") and isinstance(value, (dict, list, set))]
+        assert memos == []
+        cached = [name for name, value in vars(module).items()
+                  if hasattr(value, "cache_info")]
+        assert cached == []
     assert not hasattr(models.sumset_reachable, "cache_info")
-    cached = [name for name, value in vars(models).items()
-              if hasattr(value, "cache_info")]
-    assert cached == []
 
 
 def test_readme_library_example_runs():
@@ -230,7 +232,9 @@ DEFERRED = {"argparse", "fractions", "hashlib"}
 
 def _imported_on_load(nodes):
     """The modules that statements among ``nodes`` import when their module
-    loads: not those inside a function or under ``if TYPE_CHECKING:``."""
+    loads: not those inside a function or under ``if TYPE_CHECKING:``. A
+    module of the package is named with a leading dot: ``from . import x``
+    and ``from .x import y`` both import ".x"."""
     for node in nodes:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
@@ -242,6 +246,10 @@ def _imported_on_load(nodes):
             yield from (alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom) and not node.level:
             yield node.module.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield "." + node.module.split(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            yield from ("." + alias.name for alias in node.names)
         yield from _imported_on_load(ast.iter_child_nodes(node))
 
 
@@ -254,9 +262,27 @@ def _imported_on_load(nodes):
     ("class A:\n    def f(self):\n        from fractions import Fraction", []),
     ("if TYPE_CHECKING:\n    from fractions import Fraction\nelse:\n    import argparse",
      ["argparse"]),
-], ids=["top", "try", "class-body", "function", "method", "type-checking"])
+    ("from . import errors, search", [".errors", ".search"]),
+    ("from .pairwise import catenary\nfrom .errors import NotAMember",
+     [".pairwise", ".errors"]),
+    ("from .search.x import y", [".search"]),
+    ("def f():\n    from . import search", []),
+    ("if TYPE_CHECKING:\n    from . import pairwise", []),
+], ids=["top", "try", "class-body", "function", "method", "type-checking",
+        "relative", "relative-from", "relative-dotted", "relative-in-function",
+        "relative-type-checking"])
 def test_load_time_import_scan(source, found):
-    assert [m for m in _imported_on_load(ast.parse(source).body) if m in DEFERRED] == found
+    assert [m for m in _imported_on_load(ast.parse(source).body)
+            if m in DEFERRED or m.startswith(".")] == found
+
+
+@pytest.mark.parametrize("module", ["factor", "invariants", "recurrence", "relations"])
+def test_sweep_modules_load_no_single_element_search_or_pair_tables(module):
+    """The modules a sweep runs import ``pairwise`` and ``search`` only
+    inside the functions that call them, so a global estimate or a
+    relation-atoms request compiles neither unless it reads them."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    assert {".pairwise", ".search"}.isdisjoint(_imported_on_load(tree.body))
 
 
 def test_no_module_imports_a_deferred_module_on_load():
