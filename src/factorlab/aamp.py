@@ -153,6 +153,13 @@ def minimal_bound(L: Iterable[int] | invariants.LengthSet, d: int) -> int:
 # probes
 
 
+def _least_gap(masks: Iterable[int]) -> int:
+    """min Delta of length masks: the least d with some m & m >> d, else 0."""
+    masks = [m for m in masks if m & m - 1]
+    top = max(masks, default=0).bit_length()
+    return next((d for d in range(1, top) if any(m & m >> d for m in masks)), 0)
+
+
 def structure_probe(
     desc: models.MonoidDescriptor,
     weight_bound: int,
@@ -167,18 +174,16 @@ def structure_probe(
     half of the weight range.
     """
     rows, warnings = invariants.length_table(desc, weight_bound, budget)
-    if d_candidates is None:
-        gaps = {g for row in rows for g in row.lengths.delta()}
-        ds = [1] if not gaps else sorted({1, min(gaps)})
-    else:
-        ds = sorted(set(d_candidates))
+    ds = sorted(set(d_candidates) if d_candidates is not None
+                else {1, _least_gap(row.mask for row in rows) or 1})
     if not ds or any(d < 1 for d in ds):
         raise ValueError("difference candidates must be positive integers")
     per_element, fits = [], []
     for row in rows:
-        m, d = min((minimal_bound(row.lengths, d), d) for d in ds)
+        ls = row.lengths
+        m, d = min((minimal_bound(ls, d), d) for d in ds)
         per_element.append({"element": models.element_to_json(desc, row.element),
-                            "lengths": list(row.lengths.lengths), "m": m, "d": d})
+                            "lengths": list(ls.lengths), "m": m, "d": d})
         fits.append((row.weight, {"mStar": m}))
     m_star, stabilized = invariants.running_maxima(
         fits, weight_bound, {"mStar": 0})["mStar"]
@@ -203,26 +208,28 @@ def unions_structure_probe(
     as a list. Also tabulates the density |U_k| / k against the slope
     (rho - 1/rho) / min Delta that the density approaches in k, as an
     informational trend only; both are exact fractions written as
-    strings ("3/2"). Delta, rho and every union come from one length
-    table; each overflowed element is warned about once.
+    strings ("3/2"). min Delta, rho and every union are read off the
+    masks of one length table; each overflowed element is warned about
+    once, and a trivial report says when the budget hid rows.
     """
     ks = sorted(set(k_range))
     if ks and ks[0] < 0:
         raise ValueError("union indices must be nonnegative")
     table, warnings = invariants.length_table(desc, weight_bound, budget)
-    sets = [row.lengths for row in table]
-    delta_set = sorted({g for ls in sets for g in ls.delta()})
-    if not delta_set:
+    dmin = _least_gap(row.mask for row in table)
+    if not dmin:
         return {
             "trivial": True,
-            "reason": "no length gaps below the bound (half-factorial so far)",
+            "reason": "no length gaps below the bound " + (
+                "among the rows read; members past the budget were not read"
+                if warnings else "(half-factorial so far)"),
             "bound": weight_bound,
             "rows": [],
         }, warnings
-    dmin = delta_set[0]
-    rho = max(ls.rho() for ls in sets)
-    union_at = invariants.unions_containing(table)
     from fractions import Fraction
+    rho = max(Fraction(m.bit_length() - 1, (m & -m).bit_length() - 1)
+              for row in table if (m := row.mask) > 1)
+    union_at = invariants.unions_containing(table)
     rows = []
     for k in ks:
         union = union_at(k)

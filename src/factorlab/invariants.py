@@ -28,8 +28,9 @@ over them, so a member overflows the budget exactly when enumerating it
 would. Equal-length relations and the global estimates of sumsets take
 its fibers (``fibers``), length-set questions (structure probes, unions
 of length sets) only its length masks and counts (``length_table``): a
-row per member within the budget, a warning per other member, and every
-union U_k from one pass over the rows (``unions_containing``).
+row per member within the budget that keeps its mask, decoded only where
+a length set is read, and a warning per other member. A union U_k is the
+OR of the row masks that hold k (``unions_containing``).
 The global estimates of every cancellative model, products included,
 read its length masks, each member's predecessors a - u and its raw
 fibers in ``recurrence``: c and c_eq from the R-classes of the atoms
@@ -44,6 +45,7 @@ returns (report, warnings), the report in JSON values.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from typing import TYPE_CHECKING, Iterable, NamedTuple
@@ -313,12 +315,16 @@ def global_estimates(
 
 
 class LengthRow(NamedTuple):
-    """One member of a length table: its length set, |Z(element)|, weight."""
+    """One member of a length table: its length mask, |Z(element)|, weight."""
 
     element: models.Element
-    lengths: LengthSet
+    mask: int
     count: int
     weight: int
+
+    @property
+    def lengths(self) -> LengthSet:
+        return LengthSet(mask_lengths(self.mask))
 
 
 def length_table(
@@ -331,13 +337,10 @@ def length_table(
     with at most ``budget`` factorizations, a warning for each other."""
     members = enumerate_elements(desc, weight_bound)
     _, masks, counts, *_, weights = factor.atom_recurrence(desc, members)
-    rows, warnings = [], []
-    for el, mask, count, weight in zip(members, masks, counts, weights):
-        if count > budget:
-            warnings.append(budget_warning(desc, el, budget))
-        else:
-            rows.append(LengthRow(el, LengthSet(mask_lengths(mask)), count, weight))
-    return rows, warnings
+    rows = [row for row in map(LengthRow, members, masks, counts, weights)
+            if row.count <= budget]
+    return rows, [budget_warning(desc, el, budget)
+                  for el, count in zip(members, counts) if count > budget]
 
 
 def budget_warning(desc: models.MonoidDescriptor, el, limit: int) -> dict:
@@ -349,16 +352,18 @@ def budget_warning(desc: models.MonoidDescriptor, el, limit: int) -> dict:
 
 
 def unions_containing(rows: list[LengthRow]):
-    """k -> U_k, the union of the rows' length sets that contain k, always
-    with k itself, from one pass: each row ORs its length mask into the
-    union of every length it contains."""
-    masks: dict[int, int] = {}
-    for row in rows:
-        ls = row.lengths.lengths
-        mask = sum(1 << l for l in ls)
-        for l in ls:
-            masks[l] = masks.get(l, 0) | mask
-    return lambda k: LengthSet(mask_lengths(masks[k]) if k in masks else (k,))
+    """k -> U_k, the union of k and the rows' length sets that contain k:
+    the OR of 1 << k and each row mask with bit k set, none below 1 << k."""
+    masks = sorted(row.mask for row in rows)
+
+    def union(k: int) -> LengthSet:
+        bit = out = 1 << k
+        for m in masks[bisect.bisect_left(masks, bit):]:
+            if m & bit:
+                out |= m
+        return LengthSet(mask_lengths(out) if out != bit else (k,))
+
+    return union
 
 
 def unions_of_lengths(

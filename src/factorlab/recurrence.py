@@ -25,8 +25,8 @@ fibers, with no FactorSet, distance table or spanning tree:
 * delta from the raw rows: x in Z_k has d(x, Z_l) at most delta(a - u)
   for an atom u of x with l - 1 in L(a - u), and l when x shares no atom
   with Z_l. So only adjacent lengths where atoms lie at one and not the
-  other, of weights that can make up a, are read off the fiber, as the
-  ``unary_codes`` of its factorizations.
+  other, of weights that can make up a, are read off the fiber, each
+  factorization as the bit mask of the atoms it uses.
 
 A row holds only the values that raise the maxima so far, each exact, so
 a value past the floor of the maxima is all a member needs; the gap tables
@@ -120,21 +120,6 @@ class _GapTables(Fields):
         return self.far - (c >> self.width * k & self.far)
 
 
-def unary_codes(fiber) -> list[int]:
-    """Each factorization of a fiber, given as (atom id, multiplicity)
-    pairs, as one integer holding every multiplicity in unary, atom i in
-    its own field as wide as its largest multiplicity in the fiber, so
-    |gcd(x, y)| is the popcount of X & Y."""
-    pairs = sorted(set(itertools.chain.from_iterable(fiber)))
-    width = dict(pairs)
-    offset, shift = {}, 0
-    for i in width:
-        offset[i] = shift
-        shift += width[i]
-    unit = {(i, m): ((1 << m) - 1) << offset[i] for i, m in pairs}
-    return list(map(sum, map(functools.partial(map, unit.__getitem__), fiber)))
-
-
 def estimate_rows(desc, weight_bound: int, budget: int, warnings: list, start: dict):
     """Rows for ``invariants.running_maxima`` from the values ``start``, in
     weight order, each holding the values that raise the maxima so far; a
@@ -189,9 +174,10 @@ def estimate_rows(desc, weight_bound: int, budget: int, warnings: list, start: d
                     for n, o in ((k, l), (l, k))
                     for ws in [[v for m, v in present if m >> n & 1 and not m >> o & 1]]):
                 if by_length is None:
-                    codes = unary_codes(raw[i])
-                    by_length = {n: list(itertools.compress(codes, map(
-                        n.__eq__, map(int.bit_count, codes)))) for n in lengths}
+                    by_length = {n: [] for n in lengths}
+                    for z in raw[i]:
+                        by_length[sum(m for _, m in z)].append(
+                            sum(1 << u for u, _ in z))
                 xs, ys = by_length[k], by_length[l]
                 if any(0 in map(and_, x, itertools.repeat(functools.reduce(or_, y)))
                        for x, y in ((xs, ys), (ys, xs))):

@@ -243,6 +243,27 @@ def test_unions_probe_warns_once_per_overflowed_element(capsys, tmp_path):
     ]
 
 
+@pytest.mark.parametrize("generators,budget,reason", [
+    ([2], "40", "no length gaps below the bound (half-factorial so far)"),
+    # <6,9,20> is not half-factorial: a member with two lengths has two
+    # factorizations, so budget 1 drops it, and budget 0 drops every member.
+    ([6, 9, 20], "1", "no length gaps below the bound among the rows read; "
+     "members past the budget were not read"),
+    ([6, 9, 20], "0", "no length gaps below the bound among the rows read; "
+     "members past the budget were not read"),
+], ids=["half-factorial", "budget-1", "budget-0"])
+def test_a_trivial_unions_probe_says_why(capsys, tmp_path, generators, budget,
+                                         reason):
+    path = tmp_path / "monoid.json"
+    path.write_text(json.dumps({"model": "numerical", "generators": generators}))
+    doc = run_json(capsys, ["structure-probe", "--monoid", str(path),
+                            "--bound", "30", "--target", "unions",
+                            "--k-range", "0,3", "--budget", budget])
+    assert doc["results"] == {"trivial": True, "reason": reason, "bound": 30,
+                              "rows": []}
+    assert bool(doc["warnings"]) == (budget != "40")
+
+
 def test_validate_reports_non_minimal_generators(capsys, tmp_path):
     path = tmp_path / "n234.json"
     path.write_text(json.dumps({"model": "numerical", "generators": [2, 3, 4]}))

@@ -52,20 +52,6 @@ def test_cancellative_models_match_the_reference_fold(case):
     check_estimates(desc, bound)
 
 
-@settings(max_examples=25, deadline=None)
-@given(CASES)
-def test_unary_codes_share_the_gcd_length(case):
-    """popcount(X & Y) of the unary codes of two factorizations of a member
-    is |gcd(x, y)|, on every raw fiber of the atom recurrence."""
-    desc, bound = case
-    members = invariants.enumerate_elements(desc, bound)
-    *_, raw, _, _ = factor.atom_recurrence(desc, members, factor.DEFAULT_BUDGET)
-    for zs in raw:
-        codes = recurrence.unary_codes(zs)
-        assert [(x & y).bit_count() for x in codes for y in codes] == [
-            sum(bruteforce.brute_gcd(x, y).values()) for x in zs for y in zs]
-
-
 @pytest.mark.parametrize("desc,bound", FIXED, ids=FIXED_IDS)
 def test_estimate_rows_read_each_weight_off_the_recurrence(monkeypatch, desc,
                                                            bound):

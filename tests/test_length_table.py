@@ -1,14 +1,17 @@
 """The length table against the brute-force factorization oracle."""
 
+import tracemalloc
+from fractions import Fraction
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bruteforce
 from factorlab import aamp, factor, invariants, models
 from factorlab.errors import BudgetExceeded
-from test_models import (AFF, FP21, FP22, N23, PROD, SUM, SUMSETS, affine_models,
-                         products)
+from test_models import (AFF, FP21, FP22, N23, NUMERICAL, PROD, SUM, SUMSETS,
+                         affine_models, products)
 
 SUM_PROD = models.Product(factors=(SUM, N23), free_rank=1)
 
@@ -126,8 +129,8 @@ def test_every_union_matches_its_definition(desc, bound):
 
 
 def test_unions_make_no_membership_test_per_row(monkeypatch):
-    """Every U_k comes from one pass over the table that ORs length masks,
-    not from asking each row whether its length set contains k."""
+    """Every U_k ORs the rows' length masks, not asking each row whether
+    its length set contains k."""
     def refuse(self, k):
         raise AssertionError("a length set was asked for a member")
 
@@ -139,3 +142,53 @@ def test_unions_make_no_membership_test_per_row(monkeypatch):
         aamp.unions_structure_probe(desc, range(8), bound)
     with pytest.raises(AssertionError, match="asked for a member"):
         assert 3 in invariants.LengthSet((3,))
+
+
+def check_probe_values(desc, bound):
+    """dmin, densityTarget and the default difference candidates of the
+    probes, read off the rows' masks, against the oracle's length sets."""
+    sets = [sorted({sum(m for _, m in z)
+                    for z in bruteforce.brute_factorizations(desc, el)})
+            for el in bruteforce.brute_members(desc, bound)]
+    gaps = {b - a for ls in sets for a, b in zip(ls, ls[1:])}
+    report, _ = aamp.unions_structure_probe(desc, [], bound)
+    probe, _ = aamp.structure_probe(desc, bound)
+    assert probe["dCandidates"] == sorted({1, min(gaps, default=1)})
+    if not gaps:
+        assert report["trivial"] is True
+        return
+    rho = max(Fraction(ls[-1], ls[0]) if ls != [0] else Fraction(1) for ls in sets)
+    assert (report["dmin"], report["densityTarget"]) == (
+        min(gaps), str((rho - 1 / rho) / min(gaps)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(NUMERICAL, st.integers(0, 40))
+@example(models.Numerical(generators=(5, 7, 11)), 40)
+@example(models.Numerical(generators=(6, 9, 20)), 40)
+@example(models.Numerical(generators=(4, 10)), 40)
+@example(models.Numerical(generators=(1,)), 10)
+def test_numerical_probe_values_match_oracle(desc, bound):
+    check_probe_values(desc, bound)
+
+
+@settings(max_examples=15, deadline=None)
+@given(products(), st.integers(0, 6))
+def test_product_probe_values_match_oracle(desc, bound):
+    check_probe_values(desc, bound)
+
+
+def test_length_questions_keep_masks_not_length_tuples():
+    """At <6,9,20> 6000 the rows keep each member's length mask, so the
+    table and a union stay under 8 MiB; a decoded tuple per member would
+    take about 68 MiB."""
+    desc = models.Numerical(generators=(6, 9, 20))
+    for question in (lambda: invariants.length_table(desc, 6000),
+                     lambda: invariants.unions_of_lengths(desc, 5, 6000)):
+        tracemalloc.start()
+        try:
+            question()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
