@@ -179,7 +179,8 @@ def atom_recurrence(desc, members: list, budget: int | None = None):
     holds exactly the factorizations whose atoms are at most k, so each
     gains u_k once. A member's fiber is dropped (None) as soon as its
     count passes the budget; z -> z + u is injective on multisets, so
-    every member pushed from it passes it too. With the fibers it records
+    every member pushed from it passes it too. At budget 0 every fiber is
+    dropped as it starts, so none is built. Given any budget it records
     each push's source, below[i][k] = a for a + u_k = i: under
     cancellation a is i - u_k, and below[i] maps every atom dividing i.
 

@@ -32,12 +32,12 @@ row per member within the budget that keeps its mask, decoded only where
 a length set is read, and a warning per other member. A union U_k is the
 OR of the row masks that hold k (``unions_containing``).
 The global estimates of every cancellative model, products included,
-read its length masks, each member's predecessors a - u and its raw
-fibers in ``recurrence``: c and c_eq from the R-classes of the atoms
-dividing each member, c_adj and delta_w from a gcd-length recurrence
-between length pairs, delta from adjacent length blocks of the fiber,
-with no distance table. Sumsets are not cancellative, so their
-estimates keep the fold of ``element_report`` over the fibers.
+read its length masks and each member's predecessors a - u in
+``recurrence``, with no fiber: c and c_eq from the R-classes of the
+atoms dividing each member, c_adj and delta_w from a gcd-length
+recurrence between length pairs, delta from a walk down the
+predecessors. Sumsets are not cancellative, so their estimates keep
+the fold of ``element_report`` over the fibers.
 ``element_report`` refuses a fiber whose table would pass TABLE_LIMIT,
 and ``pairwise.report_fiber`` enumerates no further. ``unions_of_lengths``
 returns (report, warnings), the report in JSON values.
@@ -266,8 +266,8 @@ def global_estimates(
     its value did not change over the top half of the bound range; budget
     overflows are recorded per element, never dropped silently. On a
     cancellative model the rows come from ``recurrence.estimate_rows``,
-    one atom recurrence with no distance table; a sumset's fibers are
-    streamed, one at a time, through ``element_report``.
+    one atom recurrence with no fiber or distance table; a sumset's
+    fibers are streamed, one at a time, through ``element_report``.
     """
     warnings, start = [], _estimate_start()
 

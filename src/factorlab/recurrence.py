@@ -1,35 +1,32 @@
 """Global estimates of cancellative models read off the atom recurrence.
 
-``invariants.global_estimates`` folds running maxima of element invariants
-over the members below a weight bound. On a cancellative model (every
-model but sumsets, products with a sumset slot included) this module
-gives those maxima from one run of ``factor.atom_recurrence``, its length
-masks L(a), below[a] = {k: a - u_k for each atom u_k dividing a} and raw
-fibers, with no FactorSet, distance table or spanning tree:
+On a cancellative model (all but sumsets and products with a sumset
+slot) ``invariants.global_estimates`` folds running maxima of element
+invariants read here off one fiberless ``factor.atom_recurrence``, with
+its length masks L(a) and below[a] = {k: a - u_k for each atom u_k
+dividing a}: no fiber, FactorSet or distance table is built.
 
-* c and c_eq from R-classes. Two factorizations of a share an R-class
-  when a chain joins them whose steps share an atom; the classes are the
-  components of the atoms u dividing a, linked when a - u - v is a
-  member. mu(a), the largest least length 1 + min L(a - u) of a class
-  when there are two, and mu_eq(a), the largest k at which the atoms of
-  Z_k(a) (k - 1 in L(a - u)) linked by k - 2 in L(a - u - v) split,
-  bound c(a) and c_eq(a) from below and, with c and c_eq of every a - u,
-  from above (Chapman, García-Sánchez, Llena, Ponomarenko and Rosales,
-  Manuscripta Math. 2006), so their running maxima are those of c and
-  c_eq at every weight. Members past the budget skip no induction step:
-  |Z(a - u)| <= |Z(a)|.
-* c_adj and delta_w from a gcd-length recurrence. For lengths k < k + d
+* c and c_eq from R-classes, the classes of factorizations of a joined
+  by chains whose steps share an atom: the components of the atoms u
+  dividing a, linked when a - u - v is a member. mu(a), the largest least
+  length 1 + min L(a - u) of a class when there are two, and mu_eq(a),
+  the largest k at which the atoms of Z_k(a) (k - 1 in L(a - u)) linked
+  by k - 2 in L(a - u - v) split, bound c(a) and c_eq(a) from below and,
+  with c and c_eq of every a - u, from above (Chapman, García-Sánchez,
+  Llena, Ponomarenko and Rosales, Manuscripta Math. 2006), so their
+  running maxima are those of c and c_eq at every weight. Members past
+  the budget skip no induction step: |Z(a - u)| <= |Z(a)|.
+* c_adj and delta_w from a gcd-length recurrence: for lengths k < k + d
   of a, d(Z_k, Z_{k+d}) = d + T(a; k, d) with T(a; k, d) = min(k,
   T(a - u; k - 1, d) over the atoms u), since the largest |gcd(x, y)|
   over x in Z_k, y in Z_{k+d} is 0 or 1 + that of a - u.
-* delta from the raw rows: x in Z_k has d(x, Z_l) at most delta(a - u)
-  for an atom u of x with l - 1 in L(a - u), and l when x shares no atom
-  with Z_l. So only adjacent lengths where atoms lie at one and not the
-  other, of weights that can make up a, are read off the fiber, each
-  factorization as the bit mask of the atoms it uses.
+* delta from a walk down below: x in Z_k has d(x, Z_l) at most
+  delta(a - u) for an atom u of x with l - 1 in L(a - u), and l when x
+  shares no atom with Z_l, that is when a has a factorization of length
+  k over the atoms u with l - 1 not in L(a - u), walked only where k
+  such atoms can weigh what a weighs.
 
-A row holds only the values that raise the maxima so far, each exact, so
-a value past the floor of the maxima is all a member needs; the gap tables
+A row holds only the values that raise the maxima so far; the gap tables
 keep the gaps that can still raise c_adj or delta_w, and a member's is
 freed at its last reader.
 """
@@ -38,8 +35,7 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
-from operator import and_, or_
+from operator import or_
 
 from . import factor, invariants, models
 from .fields import Fields
@@ -89,6 +85,20 @@ def _split_lengths(parents: dict, below: list, masks: list, floor: int) -> int:
     return split
 
 
+def _has_length(below: list, masks: list, i: int, n: int, ok) -> bool:
+    """Whether member i has a factorization of length n over the atoms in ok:
+    a walk down below on a stack, taking atoms in nonincreasing order, that
+    enters c only if r is in L(c) for the r atoms left, once per (c, r, top atom)."""
+    todo, seen = [(i, n, max(ok, default=-1))], set()
+    while todo and todo[-1][1]:
+        c, r, top = todo.pop()
+        for u, b in below[c].items():
+            if u <= top and u in ok and masks[b] >> r - 1 & 1 and (b, r, u) not in seen:
+                seen.add((b, r, u))
+                todo.append((b, r - 1, u))
+    return bool(todo)
+
+
 class _GapTables(Fields):
     """T(a; k, d) over the lengths k of a member a, packed per gap d into one
     int with a field of ``width`` bits per k that holds FAR - T(a; k, d), or
@@ -125,22 +135,21 @@ def estimate_rows(desc, weight_bound: int, budget: int, warnings: list, start: d
     weight order, each holding the values that raise the maxima so far; a
     budget warning per member past the budget goes to ``warnings``."""
     members = invariants.enumerate_elements(desc, weight_bound)
-    atoms, masks, counts, raw, below, weights = factor.atom_recurrence(
-        desc, members, budget)
+    atoms, masks, counts, _, below, weights = factor.atom_recurrence(desc, members, 0)
     lows = [(m & -m).bit_length() - 1 for m in masks]
-    kept = [invariants.LengthSet(invariants.mask_lengths(m)) if n <= budget else None
-            for m, n in zip(masks, counts)]
     last = {a: i for i, parents in enumerate(below) for a in parents.values()}
-    top = max((ls.lengths[-1] for ls in kept if ls), default=0)
-    adjacent_gaps = set().union(*(ls.delta() for ls in kept if ls))
+    kept = [m for m, n in zip(masks, counts) if n <= budget]
+    top = max(kept, default=1).bit_length() - 1
+    adjacent_gaps = {l - k for m in kept for ls in [invariants.mask_lengths(m)]
+                     for k, l in zip(ls, ls[1:])}
     gaps, gap_tables = range(1, top + 1), _GapTables(top)
     w, far, ones = gap_tables.width, gap_tables.far, gap_tables.ones
     divisors, held, best = [0] * len(members), {}, dict(start)
-    for i, el in enumerate(members):
-        if kept[i] is None:
+    for i, (el, weight, parents) in enumerate(zip(members, weights, below)):
+        if counts[i] > budget:
             warnings.append(invariants.budget_warning(desc, el, budget))
             continue
-        weight, mask, parents, ls = weights[i], masks[i], below[i], kept[i]
+        ls = invariants.LengthSet(invariants.mask_lengths(masks[i]))
         lengths, deltas = ls.lengths, ls.delta()
         row = {"delta_set": frozenset(deltas), "rho": ls.rho(), "delta_w": 0}
         divisors[i] = sum(map((1).__lshift__, parents))
@@ -151,7 +160,7 @@ def estimate_rows(desc, weight_bound: int, budget: int, warnings: list, start: d
         split = _split_lengths(parents, below, masks, best["c_eq"])
         row["c_eq"] = split.bit_length() - 1
         at, tables = gap_tables.build(
-            mask, [held.get(a, {}) for a in parents.values()],
+            masks[i], [held.get(a, {}) for a in parents.values()],
             gaps[:bisect.bisect_right(gaps, lengths[-1] - lengths[0])])
         span = tables and ones & (1 << w * (lengths[-1] + 1)) - 1
         for d, c in tables.items():
@@ -164,25 +173,15 @@ def estimate_rows(desc, weight_bound: int, budget: int, warnings: list, start: d
         adjacent = list(zip(lengths, lengths[1:]))
         row["c_adj"] = max(
             (l - k + gap_tables.get(tables[l - k], k) for k, l in adjacent), default=0)
-        present = [(masks[a] << 1, weights[atoms[u]]) for u, a in parents.items()]
-        changes = {d: functools.reduce(or_, (m ^ m >> d for m, _ in present))
-                   for d in deltas}
-        by_length = None
+        near = [masks[a] for a in parents.values()]
+        changes = {d: functools.reduce(or_, (m ^ m >> d for m in near)) for d in deltas}
         for k, l in adjacent:
-            if l > best["delta"] and changes[l - k] >> k & 1 and any(
-                    ws and n * min(ws) <= weight <= n * max(ws)
-                    for n, o in ((k, l), (l, k))
-                    for ws in [[v for m, v in present if m >> n & 1 and not m >> o & 1]]):
-                if by_length is None:
-                    by_length = {n: [] for n in lengths}
-                    for z in raw[i]:
-                        by_length[sum(m for _, m in z)].append(
-                            sum(1 << u for u, _ in z))
-                xs, ys = by_length[k], by_length[l]
-                if any(0 in map(and_, x, itertools.repeat(functools.reduce(or_, y)))
-                       for x, y in ((xs, ys), (ys, xs))):
-                    row["delta"] = l
-        raw[i] = None
+            if l > best["delta"] and changes[l - k] >> k - 1 & 1 and any(
+                    _has_length(below, masks, i, n, ok) for n, o in ((k, l), (l, k))
+                    for ok in [{u: weights[atoms[u]] for u, a in parents.items()
+                                if masks[a] >> n - 1 & ~masks[a] >> o - 1 & 1}]
+                    if ok and n * min(ok.values()) <= weight <= n * max(ok.values())):
+                row["delta"] = l
         if last.get(i, 0) > i:
             held[i] = tables
         for a in parents.values():
