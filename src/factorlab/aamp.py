@@ -12,10 +12,11 @@ period that works holds the residues of L - y, and those at or below the
 split occur in the middle, so {0, d} plus those residues works too. The
 valid splits m are then the common prefix, from 0, of the nonnegative
 part of L - y and the progression of that period, and each needs the
-bound max(y - min L, max L - y - m). ``verify_witness``, an independent
-checker of the definition, rechecks every witness returned. Probes
-aggregate minimal bounds over enumerated elements or unions of length
-sets into (report, warnings), the report in JSON values.
+bound max(y - min L, max L - y - m); ``minimal_bound`` takes the least,
+building no witness. ``is_aamp`` builds one within a given bound and
+``verify_witness``, an independent checker of the definition, rechecks
+it. Probes aggregate the minimal bounds of enumerated elements or unions
+of length sets into (report, warnings), the report in JSON values.
 """
 
 from __future__ import annotations
@@ -121,13 +122,11 @@ def is_aamp(
     return None
 
 
-def least_fit(
-    L: Iterable[int] | invariants.LengthSet, d: int
-) -> tuple[int, AAMPWitness]:
-    """Least M such that L is an AAMP with difference d, and ``is_aamp``'s
-    witness at M: the least need over the shifts, each with its longest
-    split (at most max L - min L). The need of shift y is at least
-    y - min L, so the scan stops at the first shift that cannot do better."""
+def minimal_bound(L: Iterable[int] | invariants.LengthSet, d: int) -> int:
+    """Least M such that L is an AAMP with difference d: the least need
+    over the shifts, each with its longest split (at most max L - min L),
+    building no witness. The need of shift y is at least y - min L, so
+    the scan stops at the first shift that cannot do better."""
     ls = _as_sorted(L)
     if not ls:
         raise ValueError("empty set has no AAMP structure")
@@ -138,15 +137,7 @@ def least_fit(
         if y - ls[0] >= best:
             break
         best = min(best, max(y - ls[0], ls[-1] - y - _fit(ls, d, y)[1][-1]))
-    witness = is_aamp(ls, d, best)
-    if witness is None:
-        raise AssertionError(f"no witness at the least bound {best}")
-    return best, witness
-
-
-def minimal_bound(L: Iterable[int] | invariants.LengthSet, d: int) -> int:
-    """Least M such that L is an AAMP with difference d (``least_fit``)."""
-    return least_fit(L, d)[0]
+    return best
 
 
 # ---------------------------------------------------------------------------

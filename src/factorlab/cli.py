@@ -286,7 +286,10 @@ def run_aamp_check(args, desc) -> Outcome:
         results["m"] = args.m
         results["isMatch"] = witness is not None
     else:
-        results["minimalBound"], witness = aamp.least_fit(values, args.difference)
+        least = results["minimalBound"] = aamp.minimal_bound(values, args.difference)
+        witness = aamp.is_aamp(values, args.difference, least)
+        if witness is None:
+            raise AssertionError(f"no witness at the least bound {least}")
     results["witness"] = witness.to_json() if witness else None
     return None, results, []
 

@@ -179,8 +179,8 @@ def atom_recurrence(desc, members: list, budget: int | None = None):
     holds exactly the factorizations whose atoms are at most k, so each
     gains u_k once. A member's fiber is dropped (None) as soon as its
     count passes the budget; z -> z + u is injective on multisets, so
-    every member pushed from it passes it too. At budget 0 every fiber is
-    dropped as it starts, so none is built. Given any budget it records
+    every member pushed from it passes it too. At budget 0 every row is
+    None from the start, so none is built. Given any budget it records
     each push's source, below[i][k] = a for a + u_k = i: under
     cancellation a is i - u_k, and below[i] maps every atom dividing i.
 
@@ -193,7 +193,7 @@ def atom_recurrence(desc, members: list, budget: int | None = None):
     counts = [1] + [0] * (len(members) - 1)
     zs = below = None
     if budget is not None:
-        zs = [[()] if budget >= 1 else None] + [[] for _ in members[1:]]
+        zs = [[()]] + [[] for _ in members[1:]] if budget >= 1 else [None] * len(members)
         below = [{} for _ in members]
     atoms = []
     for u in range(1, len(members)):
@@ -213,7 +213,7 @@ def atom_recurrence(desc, members: list, budget: int | None = None):
             below[i][k] = a
             if counts[i] > budget:
                 zs[i] = None
-            else:
+            elif counts[a]:  # an atom not reached yet has nothing to push
                 zs[i].extend(_with_atom(z, k) for z in zs[a])
     return atoms, masks, counts, zs, below, weights
 

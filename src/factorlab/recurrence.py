@@ -140,8 +140,15 @@ def estimate_rows(desc, weight_bound: int, budget: int, warnings: list, start: d
     last = {a: i for i, parents in enumerate(below) for a in parents.values()}
     kept = [m for m, n in zip(masks, counts) if n <= budget]
     top = max(kept, default=1).bit_length() - 1
-    adjacent_gaps = {l - k for m in kept for ls in [invariants.mask_lengths(m)]
-                     for k, l in zip(ls, ls[1:])}
+    adjacent_gaps = set()
+    for m in kept:
+        # rest: the lengths below m's top whose next length is not found yet
+        rest, d = m ^ 1 << m.bit_length() - 1, 0
+        while rest:
+            d += 1
+            if hit := rest & m >> d:
+                adjacent_gaps.add(d)
+                rest ^= hit
     gaps, gap_tables = range(1, top + 1), _GapTables(top)
     w, far, ones = gap_tables.width, gap_tables.far, gap_tables.ones
     divisors, held, best = [0] * len(members), {}, dict(start)

@@ -17,23 +17,20 @@ def _interval(lo: int, hi: int) -> tuple[int, ...]:
     return tuple(range(lo, hi + 1))
 
 
-def verify_interval_relations(k_max: int, k_atom_max: int | None = None) -> dict:
+def verify_interval_relations(k_max: int) -> dict:
     """Checks for the three-generator sumset monoid on {0,1} and two gaps.
 
     Verified claims, for k up to k_max: the unit generator absorbs either
     gap generator power into the same interval [0, 3k+1]; gap generator
     powers alone are never intervals; 1 separates them. For k up to
-    k_atom_max (default 4) the pair of interval factorizations
+    min(4, k_max) the pair of interval factorizations
     (unit + k copies of either gap generator) is an atom of the
     equal-length relation monoid, found by full enumeration.
     """
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
     desc = INTERVAL_SCENARIO
-    if k_atom_max is None:
-        k_atom_max = min(4, k_max)
-    if not 1 <= k_atom_max <= k_max:
-        raise ValueError("k_atom_max must lie in [1, k_max]")
+    k_atom_max = min(4, k_max)
     checks = []
 
     def require(ok: bool, label: str, **context):

@@ -1,6 +1,8 @@
 """Almost-arithmetic structure detection and the sweep probes."""
 
 import itertools
+import json
+import pathlib
 import random
 import time
 import tracemalloc
@@ -58,10 +60,10 @@ def test_minimal_bound_never_exceeds_span():
                 assert is_aamp(values, d, m - 1) is None
 
 
-def test_least_fit_stops_at_the_first_shift_that_cannot_do_better(monkeypatch):
+def test_minimal_bound_stops_at_the_first_shift_that_cannot_do_better(monkeypatch):
     """A 50-term progression needs 0 at its least shift, and every later
-    shift y needs at least y - min L > 0: one fit to find the bound, one
-    for ``is_aamp``'s witness."""
+    shift y needs at least y - min L > 0: one fit finds the bound, and no
+    witness is built."""
     fits = []
     fit = aamp._fit
 
@@ -71,8 +73,8 @@ def test_least_fit_stops_at_the_first_shift_that_cannot_do_better(monkeypatch):
 
     monkeypatch.setattr(aamp, "_fit", spy)
     values = range(7, 7 + 3 * 50, 3)
-    assert aamp.least_fit(values, 3)[0] == 0
-    assert len(fits) <= 2
+    assert aamp.minimal_bound(values, 3) == 0
+    assert len(fits) == 1
 
 
 def test_rejects_bad_inputs():
@@ -215,8 +217,8 @@ def test_search_returns_the_generate_and_verify_witness(values, d, data):
     least = next(b for b in itertools.count()
                  if bruteforce.brute_first_witness(values, d, b) is not None)
     assert minimal_bound(values, d) == least
-    assert aamp.least_fit(values, d) == (
-        least, bruteforce.brute_first_witness(values, d, least))
+    assert is_aamp(values, d, minimal_bound(values, d)) == (
+        bruteforce.brute_first_witness(values, d, least))
 
 
 @given(
@@ -341,3 +343,36 @@ def test_unions_probe_reports_density():
     assert rows[4]["union"] == [3, 4, 5, 6]
     assert all(row["m"] == 0 for row in report["rows"])
     assert all(row["d"] == 1 for row in report["rows"])
+
+
+BENCH = pathlib.Path(__file__).parents[1] / "perfbench" / "descriptors"
+
+
+def bench_model(name):
+    return models.descriptor_from_json(json.loads((BENCH / f"{name}.json").read_text()))
+
+
+def probe_rows(desc, bound):
+    """(length set, d, m, candidate differences) of every row of both probes."""
+    report, _ = aamp.structure_probe(desc, bound)
+    for row in report["perElement"]:
+        yield row["lengths"], row["d"], row["m"], report["dCandidates"]
+    report, _ = aamp.unions_structure_probe(desc, range(2, 41), bound)
+    assert not report["trivial"]
+    for row in report["rows"]:
+        yield row["union"], row["d"], row["m"], {1, report["dmin"]}
+
+
+@pytest.mark.parametrize("name,bound", [
+    ("numerical", 1000), ("fp-value", 20), ("product", 10),
+])
+def test_probe_bounds_have_a_witness_and_are_least(name, bound):
+    """The probes print the bound-only scan's bounds: each has a witness,
+    rechecked, and no candidate difference fits one below it."""
+    rows = list(probe_rows(bench_model(name), bound))
+    assert len(rows) > 100
+    for ls, d, m, ds in rows:
+        w = is_aamp(ls, d, m)
+        assert w is not None and verify_witness(ls, d, m, w), (ls, d, m)
+        if m:
+            assert all(is_aamp(ls, e, m - 1) is None for e in ds), (ls, d, m)

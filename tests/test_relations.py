@@ -184,7 +184,8 @@ def test_interval_scenario_passes():
 
 
 def test_interval_scenario_records_relation_atoms():
-    report = verify_interval_relations(4, k_atom_max=2)
+    report = verify_interval_relations(2)
+    assert report["kAtomMax"] == 2
     assert report["relationAtoms"]
     atom_checks = [
         c for c in report["checks"] if c["check"] == "interval-pair-is-a-relation-atom"
@@ -193,11 +194,9 @@ def test_interval_scenario_records_relation_atoms():
 
 
 def test_interval_scenario_rejects_bad_k():
-    with pytest.raises(ValueError):
-        verify_interval_relations(0)
-    for k_atom_max in (0, 4):
-        with pytest.raises(ValueError, match="k_atom_max must lie in"):
-            verify_interval_relations(3, k_atom_max)
+    for k_max in (0, -1):
+        with pytest.raises(ValueError, match="k_max must be at least 1"):
+            verify_interval_relations(k_max)
 
 
 # ---------------------------------------------------------------------------

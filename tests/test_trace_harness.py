@@ -84,4 +84,5 @@ def test_structure_probe_fits_each_length_set_with_one_search(tmp_path):
                              ["structure-probe", "--bound", "60"])
     fits = sum(name == "aamp.fit" for name, *_ in doc["spans"])
     assert fits == len(report["results"]["perElement"]) == 39
-    assert doc["counts"]["aamp.is_aamp.calls"] == fits
+    # the probe prints bounds only, so it builds no witness
+    assert doc["counts"].get("aamp.is_aamp.calls", 0) == 0
